@@ -13,8 +13,7 @@ from euphrates.extrapolate import (
     extrapolate_track,
     filtered_mv,
     init_track,
-    roi_average_mv,
-    roi_confidence,
+    roi_motion_stats,
 )
 from euphrates.metrics import iou
 from euphrates.motion import estimate_motion_field
@@ -39,9 +38,8 @@ for t in range(1, len(frames)):
 # The pieces, individually. The ROI-average vector weights each macroblock
 # by its overlap area with the box:
 field = estimate_motion_field(frames[0], frames[1])
-mu = roi_average_mv(field, truth[1])
-alpha = roi_confidence(field, truth[1])
-print(f"\nroi average mv   : ({mu[0]:.2f}, {mu[1]:.2f}), confidence {alpha:.3f}")
+mu_u, mu_v, alpha = roi_motion_stats(field, truth[1])
+print(f"\nroi average mv   : ({mu_u:.2f}, {mu_v:.2f}), confidence {alpha:.3f}")
 
 # The temporal filter trusts the current estimate in proportion to its
 # confidence; below the threshold it falls back to an even blend with the

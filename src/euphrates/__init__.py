@@ -16,13 +16,13 @@ from .errors import (
     MissingDataError,
 )
 from .extrapolate import (
+    ExtrapolationParams,
     SubTrack,
     TrackState,
     extrapolate_track,
     filtered_mv,
     init_track,
-    roi_average_mv,
-    roi_confidence,
+    roi_motion_stats,
     split_sub_rois,
 )
 from .metrics import EvalConfig, average_precision, iou, ops_count, success_curve
@@ -42,12 +42,11 @@ from .motion import (
 from .pixels import Frame, SyntheticSpec, generate_sequence, load_frame, save_frame
 from .roi import Roi
 from .scheduler import (
+    AdaptiveParams,
     EWState,
     PipelineConfig,
     ResultTrace,
     TraceProvider,
-    adaptive_update,
-    associate,
     run_pipeline,
 )
 from .socmodel import (
@@ -60,57 +59,3 @@ from .socmodel import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "DimensionMismatchError",
-    "EmptyRoiError",
-    "EuphratesError",
-    "FrameFormatError",
-    "MetadataError",
-    "MissingDataError",
-    "SubTrack",
-    "TrackState",
-    "extrapolate_track",
-    "filtered_mv",
-    "init_track",
-    "roi_average_mv",
-    "roi_confidence",
-    "split_sub_rois",
-    "EvalConfig",
-    "average_precision",
-    "iou",
-    "ops_count",
-    "success_curve",
-    "MotionField",
-    "MotionParams",
-    "MotionVector",
-    "confidence",
-    "decode_metadata",
-    "encode_metadata",
-    "estimate_motion_field",
-    "exhaustive_search",
-    "sad",
-    "three_step_search",
-    "uniform_field",
-    "Frame",
-    "SyntheticSpec",
-    "generate_sequence",
-    "load_frame",
-    "save_frame",
-    "Roi",
-    "EWState",
-    "PipelineConfig",
-    "ResultTrace",
-    "TraceProvider",
-    "adaptive_update",
-    "associate",
-    "run_pipeline",
-    "EnergyReport",
-    "SocConfig",
-    "achieved_fps",
-    "frame_energy",
-    "inference_time",
-    "summarize",
-    "__version__",
-]

@@ -23,14 +23,17 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, EuphratesError, MissingDataError
-from .metrics import DEFAULT_THRESHOLDS, average_precision, success_curve
-from .motion import MotionParams, decode_metadata, encode_metadata, estimate_motion_field
+from .config import ConfigNode, with_overrides
+from .errors import ConfigError, DimensionMismatchError, EuphratesError, MetadataError, MissingDataError
+from .metrics import EvalConfig, average_precision, success_curve
+from .motion import MotionField, MotionParams, decode_metadata, encode_metadata, estimate_motion_field
 from .pixels import SyntheticSpec, generate_sequence, load_sequence, save_sequence
 from .roi import Roi
 from .scheduler import (
@@ -40,7 +43,7 @@ from .scheduler import (
     read_detection_trace,
     run_pipeline,
 )
-from .socmodel import SocConfig, summarize
+from .socmodel import EnergyReport, SocConfig, summarize
 
 THREADS_ENV = "EUPHRATES_THREADS"
 
@@ -72,89 +75,65 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
 # Run configuration
 
 
-def _default_run_config() -> dict:
-    return {
-        "frames_dir": None,
-        "metadata_dir": None,
-        "detections": None,
-        "truth": None,
-        "mode": "ew:4",
-        "motion": {"mb_size": 16, "search_range": 7, "algorithm": "es"},
-        "extrapolation": {"grid": [2, 2], "filter_threshold": 0.7},
-        "adaptive": {"tau_diff": 0.2, "k_up": 3, "ew_min": 1, "ew_max": 32, "initial_ew": 1},
-        "provider": {"noise_sigma": 0.0, "seed": None},  # None: use top-level seed
-        "soc": {},
-        "seed": 0,
-    }
+@dataclass(frozen=True)
+class ProviderParams(ConfigNode):
+    """Gaussian jitter of replayed detection boxes and its seed."""
+
+    noise_sigma: float = 0.0
+    seed: int | None = None  # None: use the run's top-level seed
+
+    def __post_init__(self):
+        if self.noise_sigma < 0 or (self.seed or 0) < 0:
+            raise ConfigError(f"noise_sigma and seed must be >= 0, got {self.noise_sigma}, {self.seed}")
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
+@dataclass(frozen=True)
+class RunConfig(PipelineConfig):
+    """Everything one simulate run reads; its `to_dict` is the echo in every
+    output, and a run from that echo reproduces the outputs byte-exactly."""
+
+    frames_dir: str | None = None
+    metadata_dir: str | None = None
+    detections: str | None = None
+    truth: str | None = None
+    provider: ProviderParams = field(default_factory=ProviderParams)
+    soc: SocConfig = field(default_factory=SocConfig)
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def build_run_config(config_path: str | None, args: argparse.Namespace | None = None) -> dict:
+# Flags of simulate and sweep, and the config fields they override.
+FLAG_FIELDS = {
+    "mode": "mode",
+    "mb_size": "motion.mb_size",
+    "search_range": "motion.search_range",
+    "algo": "motion.algorithm",
+    "seed": "seed",
+    "frames": "frames_dir",
+    "detections": "detections",
+}
+
+
+def build_run_config(config_path: str | None, args: argparse.Namespace | None = None) -> RunConfig:
     """Effective run configuration: defaults <- config file <- flags."""
-    cfg = _default_run_config()
+    cfg = RunConfig()
     if config_path:
         p = Path(config_path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         try:
-            loaded = json.loads(p.read_text())
+            cfg = RunConfig.from_dict(json.loads(p.read_text()))
         except json.JSONDecodeError as e:
             raise ConfigError(f"{p}: invalid JSON: {e}") from None
-        unknown = set(loaded) - set(cfg)
-        if unknown:
-            raise ConfigError(f"{p}: unknown config keys: {sorted(unknown)}")
-        cfg = _merge(cfg, loaded)
+        except ConfigError as e:
+            raise ConfigError(f"{p}: {e}") from None
     if args is not None:
-        if getattr(args, "mode", None):
-            cfg["mode"] = args.mode
-        if getattr(args, "mb_size", None):
-            cfg["motion"]["mb_size"] = args.mb_size
-        if getattr(args, "search_range", None):
-            cfg["motion"]["search_range"] = args.search_range
-        if getattr(args, "algo", None):
-            cfg["motion"]["algorithm"] = args.algo
-        if getattr(args, "seed", None) is not None:
-            cfg["seed"] = args.seed
-        if getattr(args, "frames", None):
-            cfg["frames_dir"] = args.frames
-        if getattr(args, "detections", None):
-            cfg["detections"] = args.detections
-    # Echo the full SoC config with every default resolved.
-    cfg["soc"] = SocConfig.from_dict(cfg["soc"]).to_dict()
+        cfg = with_overrides(cfg, {path: getattr(args, flag, None) for flag, path in FLAG_FIELDS.items()})
     return cfg
-
-
-def _motion_params(cfg: dict) -> MotionParams:
-    m = cfg["motion"]
-    try:
-        return MotionParams(int(m["mb_size"]), int(m["search_range"]), m["algorithm"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
-def _pipeline_config(cfg: dict) -> PipelineConfig:
-    ex = cfg["extrapolation"]
-    ad = cfg["adaptive"]
-    return PipelineConfig(
-        mode=cfg["mode"],
-        motion=_motion_params(cfg),
-        sub_roi_grid=(int(ex["grid"][0]), int(ex["grid"][1])),
-        filter_threshold=float(ex["filter_threshold"]),
-        tau_diff=float(ad["tau_diff"]),
-        k_up=int(ad["k_up"]),
-        ew_min=int(ad["ew_min"]),
-        ew_max=int(ad["ew_max"]),
-        initial_ew=int(ad["initial_ew"]),
-    )
 
 
 def _echo_header(cfg: dict) -> str:
@@ -214,10 +193,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     frames = load_sequence(args.frames)
     if len(frames) < 2:
         raise ConfigError(f"{args.frames}: need at least 2 frames, found {len(frames)}")
-    try:
-        params = MotionParams(args.mb_size, args.search_range, args.algo)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    params = with_overrides(
+        MotionParams(),
+        {"mb_size": args.mb_size, "search_range": args.search_range, "algorithm": args.algo},
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     total = 0
@@ -232,42 +211,56 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_fields_dir(directory: str | Path):
-    files = sorted(Path(directory).glob("*.mvm"))
-    if not files:
+def _load_fields_dir(directory: str | Path) -> list[MotionField]:
+    """Fields of 000001.mvm .. N.mvm, which must all share frame size and params."""
+    numbered = []
+    for f in Path(directory).glob("*.mvm"):
+        if not re.fullmatch("[0-9]+", f.stem):
+            raise MetadataError(f"{f}: metadata file names must be frame numbers")
+        numbered.append((int(f.stem), f))
+    if not numbered:
         raise MissingDataError(f"{directory}: no .mvm metadata files")
-    return [decode_metadata(f.read_bytes()) for f in files]
+    numbered.sort()
+    fields: list[MotionField] = []
+    for t, (n, f) in enumerate(numbered, 1):
+        if n != t:
+            raise MissingDataError(f"{directory}: no metadata file for frame {t} (next is {f.name})")
+        try:
+            fld = decode_metadata(f.read_bytes())
+        except MetadataError as e:
+            raise MetadataError(f"{f}: {e}") from None
+        first = fields[0] if fields else fld
+        if (fld.width, fld.height, fld.params) != (first.width, first.height, first.params):
+            raise DimensionMismatchError(
+                f"{f}: {fld.width}x{fld.height} {fld.params} differs from "
+                f"{numbered[0][1].name}: {first.width}x{first.height} {first.params}"
+            )
+        fields.append(fld)
+    return fields
 
 
-def run_simulation(cfg: dict) -> tuple[ResultTrace, "object"]:
-    """Execute one simulate run from an effective config; pure in-memory."""
-    if cfg.get("detections") is None:
+def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
+    """Execute one simulate run from an effective config or its JSON echo;
+    pure in-memory."""
+    if isinstance(cfg, dict):
+        cfg = RunConfig.from_dict(cfg)
+    if cfg.detections is None:
         raise ConfigError("config needs a 'detections' trace path")
-    det_path = Path(cfg["detections"])
+    det_path = Path(cfg.detections)
     if not det_path.is_file():
         raise ConfigError(f"detections trace not found: {det_path}")
-    provider_seed = cfg["provider"].get("seed")
-    if provider_seed is None:
-        provider_seed = cfg["seed"]
-    provider = TraceProvider.from_file(
-        det_path,
-        noise_sigma=float(cfg["provider"]["noise_sigma"]),
-        seed=int(provider_seed),
-    )
-    pcfg = _pipeline_config(cfg)
-    if cfg.get("frames_dir") and cfg.get("metadata_dir"):
+    provider_seed = cfg.provider.seed if cfg.provider.seed is not None else cfg.seed
+    provider = TraceProvider.from_file(det_path, noise_sigma=cfg.provider.noise_sigma, seed=provider_seed)
+    if cfg.frames_dir and cfg.metadata_dir:
         raise ConfigError("config must name one input source, not both frames_dir and metadata_dir")
-    if cfg.get("frames_dir"):
-        frames = load_sequence(cfg["frames_dir"])
-        trace = run_pipeline(provider, pcfg, frames=frames)
-    elif cfg.get("metadata_dir"):
-        fields = _load_fields_dir(cfg["metadata_dir"])
-        trace = run_pipeline(provider, pcfg, fields=fields)
+    if cfg.frames_dir:
+        trace = run_pipeline(provider, cfg, frames=load_sequence(cfg.frames_dir))
+    elif cfg.metadata_dir:
+        trace = run_pipeline(provider, cfg, fields=_load_fields_dir(cfg.metadata_dir))
     else:
         raise ConfigError("config needs either 'frames_dir' or 'metadata_dir'")
-    trace.config = cfg
     trace.version = __version__
-    report = summarize(trace, SocConfig.from_dict(cfg["soc"]))
+    report = summarize(trace, cfg.soc)
     return trace, report
 
 
@@ -279,13 +272,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace.save(out / "trace.jsonl")
     (out / "energy.json").write_text(
         json.dumps(
-            {"config": cfg, "version": __version__, "report": report.to_dict()},
+            {"config": trace.config, "version": __version__, "report": report.to_dict()},
             sort_keys=True,
             indent=2,
         )
         + "\n"
     )
-    _write_csv(out / "energy.csv", cfg, ["component", "mj", "percent"], report.csv_rows())
+    _write_csv(out / "energy.csv", trace.config, ["component", "mj", "percent"], report.csv_rows())
     print(report.to_text())
     print(f"wrote trace.jsonl, energy.json, energy.csv to {out}")
     return 0
@@ -322,12 +315,19 @@ def evaluate_trace(
     return result
 
 
+def _eval_config(thresholds: str | None) -> EvalConfig:
+    if thresholds is None:
+        return EvalConfig()
+    try:
+        return EvalConfig(tuple(float(t) for t in thresholds.split(",")))
+    except ValueError as e:
+        raise ConfigError(f"--thresholds {thresholds!r}: {e}") from None
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    thresholds = _eval_config(args.thresholds).thresholds
     trace = ResultTrace.load(args.trace)
     truth = read_detection_trace(args.truth)
-    thresholds = (
-        tuple(float(t) for t in args.thresholds.split(",")) if args.thresholds else DEFAULT_THRESHOLDS
-    )
     cfg = {"trace": str(args.trace), "truth": str(args.truth), "thresholds": list(thresholds)}
     result = evaluate_trace(trace, truth, thresholds)
 
@@ -347,28 +347,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-SWEEP_AXES = ("ew", "mb_size", "algorithm")
+# Sweep axes and the config field each one varies.
+SWEEP_AXES = {"ew": "mode", "mb_size": "motion.mb_size", "algorithm": "motion.algorithm"}
 
 
-def _sweep_variant(cfg: dict, axis: str, value) -> dict:
-    variant = json.loads(json.dumps(cfg))  # deep copy
-    if axis == "ew":
-        variant["mode"] = f"ew:{int(value)}"
-    elif axis == "mb_size":
-        variant["motion"]["mb_size"] = int(value)
-    elif axis == "algorithm":
-        variant["motion"]["algorithm"] = str(value)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
-    return variant
+def _sweep_variant(cfg: RunConfig, axis: str, value) -> RunConfig:
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {list(SWEEP_AXES)}")
+    return with_overrides(cfg, {SWEEP_AXES[axis]: f"ew:{value}" if axis == "ew" else value})
 
 
-def run_sweep(cfg: dict, axis: str, values: list) -> list[dict]:
+def run_sweep(cfg: RunConfig, axis: str, values: list) -> list[dict]:
     """One simulate + evaluate run per value; rows ordered like `values`."""
-    truth_path = cfg.get("truth") or cfg.get("detections")
+    truth_path = cfg.truth or cfg.detections
     if truth_path is None:
         raise ConfigError("sweep needs 'truth' or 'detections' in the config")
-    if axis in ("mb_size", "algorithm") and not cfg.get("frames_dir"):
+    if axis in ("mb_size", "algorithm") and not cfg.frames_dir:
         raise ConfigError(
             f"a {axis} sweep re-estimates motion and needs 'frames_dir'; "
             "precomputed metadata_dir fields are fixed"
@@ -376,9 +370,8 @@ def run_sweep(cfg: dict, axis: str, values: list) -> list[dict]:
     truth = read_detection_trace(truth_path)
 
     def one(value) -> dict:
-        variant = _sweep_variant(cfg, axis, value)
         try:
-            trace, report = run_simulation(variant)
+            trace, report = run_simulation(_sweep_variant(cfg, axis, value))
             result = evaluate_trace(trace, truth, (0.5,))
             ap05 = dict(result["ap"])[0.5]
             return {
@@ -388,7 +381,6 @@ def run_sweep(cfg: dict, axis: str, values: list) -> list[dict]:
                 "achieved_fps": report.achieved_fps,
                 "trace": trace,
                 "report": report,
-                "config": variant,
             }
         except EuphratesError as e:
             raise ConfigError(f"sweep run {axis}={value}: {e.__class__.__name__}: {e}") from None
@@ -418,7 +410,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         row["trace"].save(sub / "trace.jsonl")
         (sub / "energy.json").write_text(
             json.dumps(
-                {"config": row["config"], "version": __version__, "report": row["report"].to_dict()},
+                {"config": row["trace"].config, "version": __version__, "report": row["report"].to_dict()},
                 sort_keys=True,
                 indent=2,
             )
@@ -430,7 +422,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     _write_csv(
         out / "sweep.csv",
-        {**cfg, "sweep": {"axis": args.axis, "values": values}},
+        {**cfg.to_dict(), "sweep": {"axis": args.axis, "values": values}},
         [args.axis, "accuracy_at_0.5", "energy_saving", "achieved_fps"],
         table,
     )
@@ -466,9 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate motion metadata for a frame directory")
     p.add_argument("--frames", required=True, help="directory of PGM frames")
-    p.add_argument("--mb-size", type=int, default=16)
-    p.add_argument("--search-range", type=int, default=7)
-    p.add_argument("--algo", choices=["es", "tss"], default="es")
+    p.add_argument("--mb-size", type=int, help=f"default {MotionParams.mb_size}")
+    p.add_argument("--search-range", type=int, help=f"default {MotionParams.search_range}")
+    p.add_argument("--algo", choices=["es", "tss"], help=f"default {MotionParams.algorithm}")
     p.add_argument("--out", required=True, help="output directory for .mvm files")
     p.set_defaults(func=cmd_estimate)
 

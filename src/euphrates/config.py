@@ -1,0 +1,111 @@
+"""Strict loading and echoing of frozen dataclass config trees.
+
+A config node is a frozen dataclass that derives from `ConfigNode`. Its field
+annotations are the schema and its field defaults are the only defaults.
+`from_dict` checks every JSON value against the annotation of its field,
+fills absent keys from the defaults and rejects unknown keys, so a typo or a
+mistyped value ends in a `ConfigError` naming its dotted path. `to_dict` is
+the JSON echo, and `from_dict(node.to_dict()) == node`.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import types
+import typing
+from dataclasses import asdict, replace
+from functools import lru_cache
+
+from .errors import ConfigError
+
+
+class ConfigNode:
+    """Mixin for frozen config dataclasses: strict `from_dict`, JSON `to_dict`."""
+
+    @classmethod
+    def from_dict(cls, data, path: str = ""):
+        return build(cls, data, path)
+
+    def to_dict(self) -> dict:
+        return json.loads(json.dumps(asdict(self)))  # tuples become lists
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+@lru_cache(maxsize=None)
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def build(cls, data, path: str = "", base=None):
+    """A `cls` node from the JSON object `data`; absent keys keep the values
+    of `base` (an instance of `cls`) or else the field defaults."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object, got {data!r}")
+    hints = _hints(cls)
+    unknown = [_join(path, str(k)) for k in data if k not in hints]
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
+    values = {k: check(hints[k], v, _join(path, k)) for k, v in data.items()}
+    try:
+        return replace(base, **values) if base is not None else cls(**values)
+    except (ValueError, ConfigError) as e:
+        raise ConfigError(f"{path}: {e}" if path else str(e)) from None
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_LEAVES = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check(tp, value, path: str):
+    """`value` as the JSON form of type `tp` holds it, else ConfigError.
+
+    A JSON int stays an int in a float field, so echoes repeat it as given.
+    """
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        if value is None and type(None) in typing.get_args(tp):
+            return None
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    if isinstance(tp, type) and issubclass(tp, ConfigNode):
+        return tp.from_dict(value, path)
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ConfigError(f"{path}: expected a list of {len(args)}, got {value!r}")
+        return tuple(check(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    what, ok = _LEAVES[tp]
+    if not ok(value):
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    return value
+
+
+def with_overrides(node, changes: dict[str, object]):
+    """`node` with the fields at the dotted paths of `changes` replaced, checked
+    like loaded values. None values leave their field unchanged."""
+    changes = {k: v for k, v in changes.items() if v is not None}
+    if not changes:
+        return node
+    data = node.to_dict()
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        target = data
+        for name in parents:
+            target = target[name]
+        target[key] = value
+    return type(node).from_dict(data)

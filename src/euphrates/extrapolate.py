@@ -26,12 +26,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ConfigNode
 from .errors import EmptyRoiError
 from .motion import MotionField
 from .roi import Roi, bounding_box
 
-DEFAULT_SUB_ROI_GRID = (2, 2)
-DEFAULT_FILTER_THRESHOLD = 0.7
+
+@dataclass(frozen=True)
+class ExtrapolationParams(ConfigNode):
+    """Sub-ROI grid (rows, cols) and the filter's confidence threshold."""
+
+    grid: tuple[int, int] = (2, 2)
+    filter_threshold: float = 0.7
+
+    def __post_init__(self):
+        if min(self.grid) < 1:
+            raise ValueError(f"sub-roi grid must be at least 1x1, got {list(self.grid)}")
+        if not 0.0 <= self.filter_threshold <= 1.0:
+            raise ValueError(f"filter_threshold must be within [0, 1], got {self.filter_threshold}")
 
 
 @dataclass(frozen=True)
@@ -48,12 +60,12 @@ class TrackState:
 
     track_id: int
     sub_tracks: tuple[SubTrack, ...]
-    filter_threshold: float = DEFAULT_FILTER_THRESHOLD
+    filter_threshold: float = ExtrapolationParams.filter_threshold
     last_roi: Roi | None = None
     lost: bool = False
 
 
-def split_sub_rois(roi: Roi, grid: tuple[int, int] = DEFAULT_SUB_ROI_GRID) -> list[Roi]:
+def split_sub_rois(roi: Roi, grid: tuple[int, int] = ExtrapolationParams.grid) -> list[Roi]:
     """Tile `roi` into a rows x cols grid of disjoint, exactly covering boxes.
 
     Edges are real-valued fractions of the ROI, so no area is lost to
@@ -81,7 +93,9 @@ def _overlap_weights(field: MotionField, roi: Roi) -> np.ndarray:
     return ov_y[:, None] * ov_x[None, :]
 
 
-def _roi_motion_stats(field: MotionField, roi: Roi) -> tuple[float, float, float]:
+def roi_motion_stats(field: MotionField, roi: Roi) -> tuple[float, float, float]:
+    """(mu_u, mu_v, alpha): area-weighted mean motion vector and confidence
+    of the MBs covered by `roi`."""
     weights = _overlap_weights(field, roi)
     total = weights.sum()
     if total <= 0.0:
@@ -99,22 +113,11 @@ def _roi_motion_stats(field: MotionField, roi: Roi) -> tuple[float, float, float
     return mu_u, mu_v, min(1.0, max(0.0, alpha))
 
 
-def roi_average_mv(field: MotionField, roi: Roi) -> tuple[float, float]:
-    """Area-weighted mean motion vector of the MBs covered by `roi`."""
-    mu_u, mu_v, _ = _roi_motion_stats(field, roi)
-    return mu_u, mu_v
-
-
-def roi_confidence(field: MotionField, roi: Roi) -> float:
-    """Area-weighted mean confidence of the MBs covered by `roi`."""
-    return _roi_motion_stats(field, roi)[2]
-
-
 def filtered_mv(
     mu: tuple[float, float],
     alpha: float,
     prev_mv: tuple[float, float],
-    filter_threshold: float = DEFAULT_FILTER_THRESHOLD,
+    filter_threshold: float = ExtrapolationParams.filter_threshold,
 ) -> tuple[tuple[float, float], float]:
     """Confidence-weighted recursive filter blending mu with the previous MV.
 
@@ -132,8 +135,8 @@ def filtered_mv(
 def init_track(
     track_id: int,
     roi: Roi,
-    grid: tuple[int, int] = DEFAULT_SUB_ROI_GRID,
-    filter_threshold: float = DEFAULT_FILTER_THRESHOLD,
+    grid: tuple[int, int] = ExtrapolationParams.grid,
+    filter_threshold: float = ExtrapolationParams.filter_threshold,
 ) -> TrackState:
     """Seed a track from an inference result; all filter state starts at zero."""
     subs = tuple(SubTrack(r) for r in split_sub_rois(roi, grid))
@@ -157,7 +160,7 @@ def extrapolate_track(
     new_subs: list[SubTrack] = []
     for sub in state.sub_tracks:
         try:
-            mu_u, mu_v, alpha = _roi_motion_stats(field, sub.roi)
+            mu_u, mu_v, alpha = roi_motion_stats(field, sub.roi)
         except EmptyRoiError:
             return replace(state, lost=True), None
         mv, _beta = filtered_mv((mu_u, mu_v), alpha, sub.prev_mv, state.filter_threshold)
@@ -175,11 +178,3 @@ def extrapolate_track(
     )
     return new_state, clamped
 
-
-def touched_macroblocks(roi: Roi, mb_size: int) -> int:
-    """Number of grid cells a box overlaps; extrapolation cost scales with it."""
-    c0 = int(np.floor(roi.x / mb_size))
-    c1 = int(np.ceil(roi.x2 / mb_size))
-    r0 = int(np.floor(roi.y / mb_size))
-    r1 = int(np.ceil(roi.y2 / mb_size))
-    return max(0, c1 - c0) * max(0, r1 - r0)

@@ -105,15 +105,6 @@ def average_precision(
     return tp / total
 
 
-def ap_curve(
-    detections: list[list[Roi]],
-    ground_truth: list[list[Roi]],
-    config: EvalConfig | None = None,
-) -> list[tuple[float, float]]:
-    cfg = config or EvalConfig()
-    return [(t, average_precision(detections, ground_truth, t)) for t in cfg.thresholds]
-
-
 def success_curve(
     predictions: list[Roi | None],
     ground_truth: list[Roi],

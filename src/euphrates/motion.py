@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import ConfigNode
 from .errors import DimensionMismatchError, MetadataError
 from .pixels import Frame
 
@@ -39,7 +40,7 @@ _ALGO_NAMES = {v: k for k, v in _ALGO_CODES.items()}
 
 
 @dataclass(frozen=True)
-class MotionParams:
+class MotionParams(ConfigNode):
     """Macroblock edge L (power of two, >= 4), search range d >= 1, algorithm."""
 
     mb_size: int = 16
@@ -395,6 +396,8 @@ def decode_metadata(data: bytes) -> MotionField:
         raise MetadataError(f"bad magic {magic!r}, expected {METADATA_MAGIC!r}")
     if version != METADATA_VERSION:
         raise MetadataError(f"unsupported version {version}")
+    if width == 0 or height == 0:
+        raise MetadataError(f"empty frame {width}x{height} in header")
     if algo_code not in _ALGO_NAMES:
         raise MetadataError(f"unknown algorithm code {algo_code}")
     try:

@@ -9,6 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
+from .config import check
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Roi:
@@ -63,14 +66,15 @@ class Roi:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Roi":
-        return cls(
-            x=float(d["x"]),
-            y=float(d["y"]),
-            w=float(d["w"]),
-            h=float(d["h"]),
-            label=d.get("label"),
-            score=d.get("score"),
-        )
+        """Inverse of `to_dict`; ConfigError unless x, y, w, h are finite numbers."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"box: expected an object, got {d!r}")
+        x, y, w, h = (float(check(float, d.get(k), f"box.{k}")) for k in "xywh")
+        score = check(float | None, d.get("score"), "box.score")
+        try:
+            return cls(x, y, w, h, label=d.get("label"), score=score)
+        except ValueError as e:
+            raise ConfigError(f"box: {e}") from None
 
 
 def bounding_box(rois: list[Roi]) -> Roi:

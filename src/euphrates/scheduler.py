@@ -18,18 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import ConfigNode, check
 from .errors import ConfigError, MissingDataError
-from .extrapolate import (
-    DEFAULT_FILTER_THRESHOLD,
-    DEFAULT_SUB_ROI_GRID,
-    TrackState,
-    extrapolate_track,
-    init_track,
-)
+from .extrapolate import ExtrapolationParams, TrackState, extrapolate_track, init_track
 from .metrics import greedy_match
 from .motion import MotionField, MotionParams, estimate_motion_field
 from .pixels import Frame
@@ -37,11 +32,6 @@ from .roi import Roi
 
 I_FRAME = "I"
 E_FRAME = "E"
-
-DEFAULT_EW_MIN = 1
-DEFAULT_EW_MAX = 32
-DEFAULT_TAU_DIFF = 0.2
-DEFAULT_K_UP = 3
 
 
 # ---------------------------------------------------------------------------
@@ -57,17 +47,10 @@ class TraceProvider:
     (seed, frame index), so results do not depend on query order.
     """
 
-    def __init__(
-        self,
-        records: dict[int, list[Roi]],
-        noise_sigma: float = 0.0,
-        seed: int = 0,
-        ops_per_inference_gop: float | None = None,
-    ):
+    def __init__(self, records: dict[int, list[Roi]], noise_sigma: float = 0.0, seed: int = 0):
         self._records = records
         self.noise_sigma = float(noise_sigma)
         self.seed = int(seed)
-        self.ops_per_inference_gop = ops_per_inference_gop
 
     @classmethod
     def from_file(cls, path: str | Path, **kwargs) -> "TraceProvider":
@@ -89,40 +72,78 @@ class TraceProvider:
         return noisy
 
 
+def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
+    """`parse` of each object line of a JSONL file; blank lines are skipped.
+
+    A missing file raises MissingDataError. A line that is not a JSON object,
+    or that `parse` rejects with ConfigError, raises ConfigError naming
+    path:line.
+    """
+    p = Path(path)
+    if not p.is_file():
+        raise MissingDataError(f"file not found: {p}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{p}: not UTF-8 text: {e}") from None
+    out = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ConfigError(f"expected a JSON object, got {line.strip()!r}")
+            out.append(parse(obj))
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{p}:{lineno}: invalid JSON: {e}") from None
+        except ConfigError as e:
+            raise ConfigError(f"{p}:{lineno}: {e}") from None
+    return out
+
+
+def _parse_frame(obj: dict) -> tuple[int, list[tuple[dict, Roi]]]:
+    """(frame index, [(box object, Roi)]) of a trace line with a "frame" key."""
+    index = check(int, obj["frame"], "frame")
+    boxes = obj.get("boxes", [])
+    if not isinstance(boxes, list):
+        raise ConfigError(f"boxes: expected a list, got {boxes!r}")
+    return index, [(b, Roi.from_dict(b)) for b in boxes]
+
+
 def read_detection_trace(path: str | Path) -> dict[int, list[Roi]]:
     """Parse a JSONL detection trace: {"frame": i, "boxes": [{x,y,w,h,...}]}.
 
     Lines without a "frame" key (e.g. a config echo) are skipped, so result
     traces written by this package can be read back as detection traces.
     """
-    records: dict[int, list[Roi]] = {}
-    p = Path(path)
-    if not p.is_file():
-        raise MissingDataError(f"detection trace not found: {p}")
-    for lineno, line in enumerate(p.read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{p}:{lineno}: invalid JSON: {e}") from None
-        if "frame" not in obj:
-            continue
-        records[int(obj["frame"])] = [Roi.from_dict(b) for b in obj.get("boxes", [])]
-    return records
-
-
-def write_detection_trace(path: str | Path, records: dict[int, list[Roi]]) -> None:
-    lines = []
-    for frame_index in sorted(records):
-        boxes = [b.to_dict() for b in records[frame_index]]
-        lines.append(json.dumps({"frame": frame_index, "boxes": boxes}, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n")
+    frames = _read_jsonl(path, lambda obj: _parse_frame(obj) if "frame" in obj else None)
+    return {index: [roi for _, roi in boxes] for index, boxes in filter(None, frames)}
 
 
 # ---------------------------------------------------------------------------
 # Extrapolation-window control
+
+
+@dataclass(frozen=True)
+class AdaptiveParams(ConfigNode):
+    """Adaptive-EW settings: shrink EW when the prediction/inference diff
+    exceeds tau_diff, grow it after k_up clean I-frames, within
+    [ew_min, ew_max], starting from initial_ew."""
+
+    tau_diff: float = 0.2
+    k_up: int = 3
+    ew_min: int = 1
+    ew_max: int = 32
+    initial_ew: int = 1
+
+    def __post_init__(self):
+        if self.k_up < 1:
+            raise ConfigError(f"k_up must be >= 1, got {self.k_up}")
+        if not 1 <= self.ew_min <= self.initial_ew <= self.ew_max:
+            raise ConfigError(
+                f"need 1 <= ew_min <= initial_ew <= ew_max, got {self.ew_min}, {self.initial_ew}, {self.ew_max}"
+            )
 
 
 @dataclass(frozen=True)
@@ -136,11 +157,11 @@ class EWState:
 
     mode: str = "constant"  # "constant" or "adaptive"
     ew: int = 1
-    ew_min: int = DEFAULT_EW_MIN
-    ew_max: int = DEFAULT_EW_MAX
+    ew_min: int = AdaptiveParams.ew_min
+    ew_max: int = AdaptiveParams.ew_max
     streak: int = 0
-    tau_diff: float = DEFAULT_TAU_DIFF
-    k_up: int = DEFAULT_K_UP
+    tau_diff: float = AdaptiveParams.tau_diff
+    k_up: int = AdaptiveParams.k_up
 
     def __post_init__(self):
         if self.mode not in ("constant", "adaptive"):
@@ -149,6 +170,15 @@ class EWState:
             raise ConfigError(
                 f"EW {self.ew} outside bounds [{self.ew_min}, {self.ew_max}]"
             )
+
+    def update(self, diff: float) -> "EWState":
+        """State after an I-frame whose prediction/inference diff is `diff`."""
+        if diff > self.tau_diff:
+            return replace(self, ew=max(self.ew_min, self.ew - 1), streak=0)
+        streak = self.streak + 1
+        if streak >= self.k_up:
+            return replace(self, ew=min(self.ew_max, self.ew + 1), streak=0)
+        return replace(self, streak=streak)
 
 
 def prediction_diff(predicted: list[Roi], inferred: list[Roi]) -> float:
@@ -162,33 +192,6 @@ def prediction_diff(predicted: list[Roi], inferred: list[Roi]) -> float:
     if total == 0:
         return 0.0
     return 1.0 - sum(s for _, _, s in pairs) / total
-
-
-def _apply_diff(state: EWState, diff: float) -> EWState:
-    if diff > state.tau_diff:
-        return replace(state, ew=max(state.ew_min, state.ew - 1), streak=0)
-    streak = state.streak + 1
-    if streak >= state.k_up:
-        return replace(state, ew=min(state.ew_max, state.ew + 1), streak=0)
-    return replace(state, streak=streak)
-
-
-def adaptive_update(state: EWState, predicted: list[Roi], inferred: list[Roi]) -> EWState:
-    """EW update at an I-frame from the prediction/inference comparison."""
-    return _apply_diff(state, prediction_diff(predicted, inferred))
-
-
-@dataclass
-class Association:
-    pairs: list[tuple[int, int, float]]
-    unmatched_predicted: list[int]
-    unmatched_inferred: list[int]
-
-
-def associate(predicted: list[Roi], inferred: list[Roi]) -> Association:
-    """Greedy one-to-one association by descending IoU (IoU > 0 pairs only)."""
-    pairs, un_p, un_i = greedy_match(predicted, inferred)
-    return Association(pairs, un_p, un_i)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +233,6 @@ class ResultTrace:
     def kinds(self) -> list[str]:
         return [f.kind for f in self.frames]
 
-    def detections_per_frame(self) -> list[list[Roi]]:
-        return [[d.roi for d in f.detections] for f in self.frames]
-
     def to_jsonl(self) -> str:
         lines = [json.dumps({"config": self.config, "version": self.version}, sort_keys=True)]
         for f in self.frames:
@@ -253,32 +253,29 @@ class ResultTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "ResultTrace":
-        frames: list[FrameRecord] = []
-        config: dict = {}
-        version = ""
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
+        header: dict = {}
+
+        def parse(obj: dict) -> FrameRecord | None:
             if "frame" not in obj:
-                config = obj.get("config", {})
-                version = obj.get("version", "")
-                continue
+                header.update(obj)
+                return None
+            index, boxes = _parse_frame(obj)
+            kind = obj.get("kind")
+            if kind not in (I_FRAME, E_FRAME):
+                raise ConfigError(f"kind: expected {I_FRAME!r} or {E_FRAME!r}, got {kind!r}")
             dets = tuple(
-                Detection(int(b.get("id", i)), Roi.from_dict(b))
-                for i, b in enumerate(obj.get("boxes", []))
+                Detection(check(int, b.get("id", i), "id"), roi) for i, (b, roi) in enumerate(boxes)
             )
-            frames.append(
-                FrameRecord(
-                    int(obj["frame"]),
-                    obj.get("kind", I_FRAME),
-                    dets,
-                    ew=obj.get("ew"),
-                    diff=obj.get("diff"),
-                )
-            )
+            ew = check(int | None, obj.get("ew"), "ew")
+            diff = check(float | None, obj.get("diff"), "diff")
+            return FrameRecord(index, kind, dets, ew=ew, diff=diff)
+
+        frames = [f for f in _read_jsonl(path, parse) if f is not None]
         frames.sort(key=lambda f: f.index)
+        config = header.get("config", {})
+        version = header.get("version", "")
+        if not isinstance(config, dict) or not isinstance(version, str):
+            raise ConfigError(f"{path}: header needs an object 'config' and a string 'version'")
         return cls(frames, config, version)
 
 
@@ -287,27 +284,19 @@ class ResultTrace:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(ConfigNode):
     mode: str = "ew:4"  # "ew:N" or "adaptive"
     motion: MotionParams = field(default_factory=MotionParams)
-    sub_roi_grid: tuple[int, int] = DEFAULT_SUB_ROI_GRID
-    filter_threshold: float = DEFAULT_FILTER_THRESHOLD
-    tau_diff: float = DEFAULT_TAU_DIFF
-    k_up: int = DEFAULT_K_UP
-    ew_min: int = DEFAULT_EW_MIN
-    ew_max: int = DEFAULT_EW_MAX
-    initial_ew: int = 1  # adaptive mode's starting window
+    extrapolation: ExtrapolationParams = field(default_factory=ExtrapolationParams)
+    adaptive: AdaptiveParams = field(default_factory=AdaptiveParams)
+
+    def __post_init__(self):
+        self.initial_ew_state()  # validates the mode
 
     def initial_ew_state(self) -> EWState:
         if self.mode == "adaptive":
-            return EWState(
-                "adaptive",
-                ew=self.initial_ew,
-                ew_min=self.ew_min,
-                ew_max=self.ew_max,
-                tau_diff=self.tau_diff,
-                k_up=self.k_up,
-            )
+            ad = self.adaptive
+            return EWState("adaptive", ad.initial_ew, ad.ew_min, ad.ew_max, tau_diff=ad.tau_diff, k_up=ad.k_up)
         if self.mode.startswith("ew:"):
             try:
                 n = int(self.mode[3:])
@@ -317,26 +306,6 @@ class PipelineConfig:
                 raise ConfigError(f"constant EW must be >= 1, got {n}")
             return EWState("constant", ew=n, ew_min=n, ew_max=n)
         raise ConfigError(f"invalid mode {self.mode!r}, expected 'ew:N' or 'adaptive'")
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "motion": {
-                "mb_size": self.motion.mb_size,
-                "search_range": self.motion.search_range,
-                "algorithm": self.motion.algorithm,
-            },
-            "sub_roi_grid": list(self.sub_roi_grid),
-            "filter_threshold": self.filter_threshold,
-            "adaptive": {
-                "tau_diff": self.tau_diff,
-                "k_up": self.k_up,
-                "ew_min": self.ew_min,
-                "ew_max": self.ew_max,
-                "initial_ew": self.initial_ew,
-            },
-            "sub_roi_persistence": "across-ew",  # re-split only at I-frames
-        }
 
 
 def run_pipeline(
@@ -390,11 +359,13 @@ def run_pipeline(
                     if p is not None:
                         predicted.append(p)
                 diff = prediction_diff(predicted, inferred)
-                ew_state = _apply_diff(ew_state, diff)
+                ew_state = ew_state.update(diff)
             dets = []
             new_tracks = []
             for r in inferred:
-                new_tracks.append(init_track(next_id, r, cfg.sub_roi_grid, cfg.filter_threshold))
+                new_tracks.append(
+                    init_track(next_id, r, cfg.extrapolation.grid, cfg.extrapolation.filter_threshold)
+                )
                 dets.append(Detection(next_id, r))
                 next_id += 1
             tracks = new_tracks

@@ -18,14 +18,12 @@ length. All functions are pure.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
+from .config import ConfigNode, build
 from .errors import ConfigError
-
-I_FRAME_KIND = "I"
+from .scheduler import E_FRAME, I_FRAME
 
 # Per-inference compute of the modeled networks (giga-operations), derived
 # from their per-second demand at a 60 FPS target.
@@ -35,7 +33,7 @@ MDNET_GOP = 635 / 60  # 10.58
 
 
 @dataclass(frozen=True)
-class SocConfig:
+class SocConfig(ConfigNode):
     """Calibrated component powers, rates, and per-frame traffic volumes.
 
     Defaults describe a 1080p60 capture pipeline with a 1.152 TOPS
@@ -72,23 +70,17 @@ class SocConfig:
         if not self.nnx_utilization <= 1.0:
             raise ConfigError(f"nnx_utilization must be in (0, 1], got {self.nnx_utilization}")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
-    def from_dict(cls, d: dict) -> "SocConfig":
-        base = d.get("preset")
-        cfg = PRESETS[base]() if base else cls()
-        overrides = {k: v for k, v in d.items() if k != "preset"}
-        known = {f.name for f in fields(cls)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(f"unknown SocConfig fields: {sorted(unknown)}")
-        return replace(cfg, **overrides)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SocConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+    def from_dict(cls, data, path: str = "") -> "SocConfig":
+        """Fields over the values of `"preset"` (a PRESETS name) or the defaults."""
+        if not (isinstance(data, dict) and "preset" in data):
+            return build(cls, data, path)
+        data = dict(data)
+        name = data.pop("preset")
+        if not isinstance(name, str) or name not in PRESETS:
+            where = f"{path}.preset" if path else "preset"
+            raise ConfigError(f"{where}: unknown preset {name!r}, expected one of {sorted(PRESETS)}")
+        return build(cls, data, path, base=PRESETS[name]())
 
 
 def yolov2_config() -> SocConfig:
@@ -154,10 +146,10 @@ def frame_energy(kind: str, cfg: SocConfig) -> EnergyBreakdown:
     period = 1.0 / cfg.capture_fps
     frontend = (cfg.sensor_power_mw + cfg.isp_power_mw) * period
     dram_idle = cfg.dram_idle_power_mw * period
-    if kind == "I":
+    if kind == I_FRAME:
         traffic = cfg.iframe_traffic_bytes
         backend = cfg.nnx_power_mw * inference_time(cfg) + cfg.mc_power_mw * period
-    elif kind == "E":
+    elif kind == E_FRAME:
         traffic = cfg.eframe_traffic_bytes
         if cfg.cpu_extrapolation:
             backend = cfg.cpu_power_mw * cfg.cpu_extrapolate_time_s
@@ -204,21 +196,7 @@ class EnergyReport:
         return rows
 
     def to_dict(self) -> dict:
-        return {
-            "n_frames": self.n_frames,
-            "n_iframes": self.n_iframes,
-            "frontend_mj": self.frontend_mj,
-            "dram_mj": self.dram_mj,
-            "backend_mj": self.backend_mj,
-            "total_mj": self.total_mj,
-            "per_frame_mj": self.per_frame_mj,
-            "achieved_fps": self.achieved_fps,
-            "inference_rate": self.inference_rate,
-            "baseline_total_mj": self.baseline_total_mj,
-            "saving_vs_baseline": self.saving_vs_baseline,
-            "ops_per_frame_gop": self.ops_per_frame_gop,
-            "traffic_per_frame_mb": self.traffic_per_frame_mb,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [
@@ -251,11 +229,11 @@ def summarize(trace, cfg: SocConfig) -> EnergyReport:
     n = len(kinds)
     if n == 0:
         raise ValueError("trace is empty")
-    n_i = sum(1 for k in kinds if k == I_FRAME_KIND)
+    n_i = sum(1 for k in kinds if k == I_FRAME)
     n_e = n - n_i
 
-    e_i = frame_energy("I", cfg)
-    e_e = frame_energy("E", cfg)
+    e_i = frame_energy(I_FRAME, cfg)
+    e_e = frame_energy(E_FRAME, cfg)
     frontend = n_i * e_i.frontend_mj + n_e * e_e.frontend_mj
     dram = n_i * e_i.dram_mj + n_e * e_e.dram_mj
     backend = n_i * e_i.backend_mj + n_e * e_e.backend_mj
@@ -291,4 +269,4 @@ def constant_schedule_kinds(n_frames: int, ew: int) -> list[str]:
     """Frame kinds of a constant-EW schedule: inference at multiples of ew."""
     if ew < 1:
         raise ConfigError(f"ew must be >= 1, got {ew}")
-    return ["I" if t % ew == 0 else "E" for t in range(n_frames)]
+    return [I_FRAME if t % ew == 0 else E_FRAME for t in range(n_frames)]

@@ -318,3 +318,104 @@ def test_threads_env_validation(synth_dir, tmp_path, monkeypatch, capsys):
     rc = run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,2", "--out", tmp_path / "s"])
     assert rc == 2
     assert "EUPHRATES_THREADS" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs end in one error line and exit 2
+
+
+def error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.fixture()
+def sim_trace(synth_dir, tmp_path):
+    cfgp = write_run_config(
+        tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl")
+    )
+    assert run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"]) == 0
+    return tmp_path / "sim" / "trace.jsonl"
+
+
+def test_evaluate_missing_trace_file(synth_dir, tmp_path, capsys):
+    rc = run(["evaluate", "--trace", tmp_path / "absent.jsonl", "--truth", synth_dir / "truth.jsonl",
+              "--out", tmp_path / "e"])
+    assert rc == 2
+    assert error_line(capsys).startswith("error MissingDataError:")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"frame": 3, "kind": "E", "boxes": [', "invalid JSON"),
+        ("3", "expected a JSON object"),
+        ('{"frame": 3, "boxes": []}', "kind: expected 'I' or 'E', got None"),
+        ('{"frame": 3, "kind": "P", "boxes": []}', "kind: expected 'I' or 'E', got 'P'"),
+        ('{"frame": 3, "kind": "E", "boxes": [{"x": NaN, "y": 0, "w": 4, "h": 4}]}', "box.x"),
+        ('{"frame": 3, "kind": "E", "boxes": [{"x": "1", "y": 0, "w": 4, "h": 4}]}', "box.x"),
+        ('{"frame": 3, "kind": "E", "boxes": [{"x": 1, "y": 0, "w": 0, "h": 4}]}', "extent must be positive"),
+        ('{"frame": "3", "kind": "E", "boxes": []}', "frame: expected an integer"),
+    ],
+)
+def test_evaluate_rejects_malformed_trace_line(synth_dir, sim_trace, capsys, line, message):
+    lines = sim_trace.read_text().splitlines()
+    lines[4] = line
+    sim_trace.write_text("\n".join(lines) + "\n")
+    rc = run(["evaluate", "--trace", sim_trace, "--truth", synth_dir / "truth.jsonl",
+              "--out", sim_trace.parent / "e"])
+    assert rc == 2
+    err = error_line(capsys)
+    assert err.startswith(f"error ConfigError: {sim_trace}:5: ") and message in err
+
+
+def test_detections_with_nan_box_rejected(synth_dir, tmp_path, capsys):
+    truth = tmp_path / "truth.jsonl"
+    lines = (synth_dir / "truth.jsonl").read_text().splitlines()
+    lines[2] = json.dumps({"frame": 1, "boxes": [{"x": float("nan"), "y": 1, "w": 5, "h": 5}]})
+    truth.write_text("\n".join(lines) + "\n")
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(truth))
+    assert run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"]) == 2
+    assert error_line(capsys).startswith(f"error ConfigError: {truth}:3: box.x: expected a finite number")
+
+
+@pytest.mark.parametrize("thresholds", ["2,-1", "a", "0.5,0.2"])
+def test_evaluate_rejects_bad_thresholds(synth_dir, sim_trace, capsys, thresholds):
+    rc = run(["evaluate", "--trace", sim_trace, "--truth", synth_dir / "truth.jsonl",
+              "--thresholds", thresholds, "--out", sim_trace.parent / "e"])
+    assert rc == 2
+    assert error_line(capsys).startswith(f"error ConfigError: --thresholds {thresholds!r}")
+
+
+def simulate_from_mvm(synth_dir, tmp_path, mv):
+    cfgp = write_run_config(tmp_path / "run.json", metadata_dir=str(mv), detections=str(synth_dir / "truth.jsonl"))
+    return run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"])
+
+
+def test_simulate_rejects_gap_in_mvm_numbering(synth_dir, tmp_path, capsys):
+    mv = tmp_path / "mv"
+    assert run(["estimate", "--frames", synth_dir, "--out", mv]) == 0
+    (mv / "000003.mvm").unlink()
+    assert simulate_from_mvm(synth_dir, tmp_path, mv) == 2
+    err = error_line(capsys)
+    assert err.startswith("error MissingDataError:") and "no metadata file for frame 3" in err
+
+
+def test_simulate_rejects_mixed_mvm_fields(synth_dir, tmp_path, capsys):
+    mv = tmp_path / "mv"
+    assert run(["estimate", "--frames", synth_dir, "--out", mv]) == 0
+    wide = tmp_path / "wide"
+    wide.mkdir()
+    for name in ("000000.pgm", "000001.pgm"):
+        save_frame(Frame(np.zeros((96, 160), dtype=np.uint8)), wide / name)
+    assert run(["estimate", "--frames", wide, "--out", tmp_path / "mv_wide"]) == 0
+    (mv / "000004.mvm").write_bytes((tmp_path / "mv_wide" / "000001.mvm").read_bytes())
+    assert simulate_from_mvm(synth_dir, tmp_path, mv) == 2
+    err = error_line(capsys)
+    assert err.startswith(f"error DimensionMismatchError: {mv / '000004.mvm'}: 160x96")
+
+
+def test_estimate_flags_checked_like_config(synth_dir, tmp_path, capsys):
+    assert run(["estimate", "--frames", synth_dir, "--out", tmp_path / "mv", "--mb-size", "12"]) == 2
+    assert error_line(capsys).startswith("error ConfigError: mb_size must be a power of two")

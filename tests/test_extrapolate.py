@@ -5,13 +5,12 @@ import pytest
 
 from euphrates.errors import EmptyRoiError
 from euphrates.extrapolate import (
+    _overlap_weights,
     extrapolate_track,
     filtered_mv,
     init_track,
-    roi_average_mv,
-    roi_confidence,
+    roi_motion_stats,
     split_sub_rois,
-    touched_macroblocks,
 )
 from euphrates.motion import MotionField, MotionParams, uniform_field
 from euphrates.roi import Roi
@@ -35,7 +34,7 @@ def field_from_grid(u, v, sads=None, L=16):
 def test_average_two_equal_mbs():
     field = field_from_grid([[2, 4]], [[0, 2]])
     # roi covers both 16x16 MBs fully
-    assert roi_average_mv(field, Roi(0, 0, 32, 16)) == (3.0, 1.0)
+    assert roi_motion_stats(field, Roi(0, 0, 32, 16))[:2] == (3.0, 1.0)
 
 
 def test_average_uniform_field_any_roi():
@@ -45,7 +44,7 @@ def test_average_uniform_field_any_roi():
         x = rng.uniform(0, 100)
         y = rng.uniform(0, 70)
         roi = Roi(x, y, rng.uniform(1, 27), rng.uniform(1, 25))
-        mu = roi_average_mv(field, roi)
+        mu = roi_motion_stats(field, roi)[:2]
         assert mu == (5.0, -3.0)
 
 
@@ -53,7 +52,7 @@ def test_average_partial_coverage_vs_pixel_oracle():
     # 75% of an MV (4,0) MB and 25% of an MV (0,4) MB -> (3, 1)
     field = field_from_grid([[4, 0]], [[0, 4]])
     roi = Roi(4, 0, 16, 16)  # 12 columns of MB0, 4 columns of MB1
-    mu = roi_average_mv(field, roi)
+    mu = roi_motion_stats(field, roi)[:2]
     assert mu == (3.0, 1.0)
     assert pixel_average_mv(field, roi) == mu
 
@@ -69,7 +68,7 @@ def test_average_random_integer_rois_vs_pixel_oracle():
         w = int(rng.integers(1, 80 - x + 1))
         h = int(rng.integers(1, 64 - y + 1))
         roi = Roi(x, y, w, h)
-        got = roi_average_mv(field, roi)
+        got = roi_motion_stats(field, roi)[:2]
         want = pixel_average_mv(field, roi)
         assert got[0] == pytest.approx(want[0], abs=1e-9)
         assert got[1] == pytest.approx(want[1], abs=1e-9)
@@ -78,19 +77,19 @@ def test_average_random_integer_rois_vs_pixel_oracle():
 def test_average_empty_intersection():
     field = uniform_field(64, 64)
     with pytest.raises(EmptyRoiError):
-        roi_average_mv(field, Roi(100, 100, 10, 10))
+        roi_motion_stats(field, Roi(100, 100, 10, 10))
 
 
 def test_confidence_all_ones():
     field = uniform_field(64, 64)
-    assert roi_confidence(field, Roi(3, 5, 30, 20)) == 1.0
+    assert roi_motion_stats(field, Roi(3, 5, 30, 20))[2] == 1.0
 
 
 def test_confidence_two_equal_mbs():
     max_sad = 255 * 256
     sads = [[int(0.6 * max_sad), int(round(0.2 * max_sad))]]
     field = field_from_grid([[0, 0]], [[0, 0]], sads=sads)
-    got = roi_confidence(field, Roi(0, 0, 32, 16))
+    got = roi_motion_stats(field, Roi(0, 0, 32, 16))[2]
     assert got == pytest.approx(0.6, abs=1e-9)
 
 
@@ -99,7 +98,7 @@ def test_confidence_weighted_vs_pixel_oracle():
     sads = [[0, int(0.6 * 255 * 256)]]
     field = field_from_grid([[0, 0]], [[0, 0]], sads=sads)
     roi = Roi(0, 0, 24, 16)
-    got = roi_confidence(field, roi)
+    got = roi_motion_stats(field, roi)[2]
     assert got == pytest.approx(0.8, abs=1e-12)
     assert got == pytest.approx(pixel_average_confidence(field, roi), abs=1e-12)
 
@@ -290,7 +289,13 @@ def test_extrapolate_deterministic():
 
 
 def test_touched_macroblocks_cost_bound():
-    assert touched_macroblocks(Roi(0, 0, 100, 50), 16) == 7 * 4
-    assert touched_macroblocks(Roi(0, 0, 16, 16), 16) == 1
+    # the MBs an ROI average reads are those with a nonzero overlap weight
+    field = uniform_field(256, 128)
+
+    def touched(roi):
+        return int(np.count_nonzero(_overlap_weights(field, roi)))
+
+    assert touched(Roi(0, 0, 100, 50)) == 7 * 4
+    assert touched(Roi(0, 0, 16, 16)) == 1
     # cost grows with covered MBs, not with pixel count
-    assert touched_macroblocks(Roi(0, 0, 200, 100), 16) == 13 * 7
+    assert touched(Roi(0, 0, 200, 100)) == 13 * 7

@@ -5,7 +5,6 @@ import pytest
 
 from euphrates.metrics import (
     EvalConfig,
-    ap_curve,
     average_precision,
     greedy_match,
     iou,
@@ -128,8 +127,7 @@ def test_ap_curve_monotone_non_increasing():
         boxes = [random_roi(rng, span=40) for _ in range(3)]
         gt.append(boxes)
         det.append([Roi(b.x + rng.uniform(-3, 3), b.y + rng.uniform(-3, 3), b.w, b.h) for b in boxes])
-    curve = ap_curve(det, gt)
-    values = [v for _, v in curve]
+    values = [average_precision(det, gt, t) for t in EvalConfig().thresholds]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 

@@ -280,6 +280,14 @@ def test_codec_bad_version():
         decode_metadata(bytes(data))
 
 
+@pytest.mark.parametrize("offset", [6, 8])  # header width, height
+def test_codec_rejects_empty_frame(offset):
+    data = bytearray(encode_metadata(uniform_field(32, 32)))
+    data[offset : offset + 2] = b"\x00\x00"
+    with pytest.raises(MetadataError, match="empty frame"):
+        decode_metadata(bytes(data))
+
+
 def test_codec_truncated_and_oversized():
     data = encode_metadata(uniform_field(32, 32))
     with pytest.raises(MetadataError, match="truncated"):

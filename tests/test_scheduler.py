@@ -1,5 +1,6 @@
 """Pipeline sequencing: schedules, association, adaptive EW, traces."""
 
+import json
 import math
 
 import numpy as np
@@ -10,17 +11,16 @@ from euphrates.metrics import iou
 from euphrates.motion import uniform_field
 from euphrates.pixels import SyntheticSpec, generate_sequence
 from euphrates.roi import Roi
+from euphrates.metrics import greedy_match
 from euphrates.scheduler import (
+    AdaptiveParams,
     EWState,
     PipelineConfig,
     ResultTrace,
     TraceProvider,
-    adaptive_update,
-    associate,
     prediction_diff,
     read_detection_trace,
     run_pipeline,
-    write_detection_trace,
 )
 
 
@@ -108,25 +108,25 @@ def test_bad_mode_strings():
 
 def test_associate_identical():
     boxes = [Roi(0, 0, 10, 10), Roi(30, 0, 10, 10)]
-    res = associate(boxes, list(boxes))
-    assert sorted((i, j) for i, j, _ in res.pairs) == [(0, 0), (1, 1)]
-    assert all(s == 1.0 for _, _, s in res.pairs)
-    assert res.unmatched_predicted == [] and res.unmatched_inferred == []
+    pairs, unmatched_predicted, unmatched_inferred = greedy_match(boxes, list(boxes))
+    assert sorted((i, j) for i, j, _ in pairs) == [(0, 0), (1, 1)]
+    assert all(s == 1.0 for _, _, s in pairs)
+    assert unmatched_predicted == [] and unmatched_inferred == []
 
 
 def test_associate_disjoint():
-    res = associate([Roi(0, 0, 5, 5)], [Roi(50, 50, 5, 5)])
-    assert res.pairs == []
-    assert res.unmatched_predicted == [0] and res.unmatched_inferred == [0]
+    pairs, unmatched_predicted, unmatched_inferred = greedy_match([Roi(0, 0, 5, 5)], [Roi(50, 50, 5, 5)])
+    assert pairs == []
+    assert unmatched_predicted == [0] and unmatched_inferred == [0]
 
 
 def test_associate_greedy_example():
     a = Roi(0, 0, 10, 10)
     b = Roi(40, 0, 10, 10)
     a_prime = Roi(1, 0, 10, 10)
-    res = associate([a, b], [a_prime])
-    assert len(res.pairs) == 1 and res.pairs[0][:2] == (0, 0)
-    assert res.unmatched_predicted == [1]
+    pairs, unmatched_predicted, _ = greedy_match([a, b], [a_prime])
+    assert len(pairs) == 1 and pairs[0][:2] == (0, 0)
+    assert unmatched_predicted == [1]
 
 
 def test_prediction_diff_values():
@@ -138,6 +138,10 @@ def test_prediction_diff_values():
     # one perfect pair plus one unmatched: 1 - (1 + 0)/2
     far = Roi(100, 100, 10, 10)
     assert prediction_diff([box, far], [box]) == 0.5
+
+
+def adaptive_update(state, predicted, inferred):
+    return state.update(prediction_diff(predicted, inferred))
 
 
 def test_adaptive_update_grows_after_streak():
@@ -201,7 +205,7 @@ def test_adaptive_stays_in_bounds_with_noisy_provider():
     boxes = [Roi(20.0, 20.0, 24.0, 18.0, label=0, score=1.0)]
     fields = [uniform_field(64, 64)] * (n - 1)
     provider = TraceProvider({i: list(boxes) for i in range(n)}, noise_sigma=6.0, seed=3)
-    trace = run_pipeline(provider, PipelineConfig(mode="adaptive", initial_ew=4), fields=fields)
+    trace = run_pipeline(provider, PipelineConfig(mode="adaptive", adaptive=AdaptiveParams(initial_ew=4)), fields=fields)
     ews = [f.ew for f in trace.frames if f.kind == "I"]
     assert all(1 <= e <= 32 for e in ews)
     assert all(abs(b - a) <= 1 for a, b in zip(ews, ews[1:]))
@@ -251,7 +255,8 @@ def test_detection_trace_file_round_trip(tmp_path):
         2: [Roi(0.0, 0.0, 5.0, 5.0), Roi(9.0, 9.0, 2.0, 2.0)],
     }
     p = tmp_path / "dets.jsonl"
-    write_detection_trace(p, records)
+    lines = [json.dumps({"frame": i, "boxes": [b.to_dict() for b in records[i]]}) for i in records]
+    p.write_text("\n".join(lines) + "\n")
     again = read_detection_trace(p)
     assert again == records
 

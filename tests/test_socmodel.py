@@ -200,5 +200,5 @@ def test_config_file_round_trip(tmp_path):
     cfg = mdnet_config()
     p = tmp_path / "soc.json"
     p.write_text(json.dumps(cfg.to_dict()))
-    again = SocConfig.from_file(p)
+    again = SocConfig.from_dict(json.loads(p.read_text()))
     assert again == cfg
