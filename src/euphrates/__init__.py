@@ -30,12 +30,10 @@ from .motion import (
     MotionField,
     MotionParams,
     MotionVector,
-    confidence,
     decode_metadata,
     encode_metadata,
     estimate_motion_field,
     exhaustive_search,
-    sad,
     three_step_search,
     uniform_field,
 )

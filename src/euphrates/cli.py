@@ -26,7 +26,7 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
@@ -60,7 +60,9 @@ def _max_workers(n_tasks: int) -> int:
     return max(1, min(n_tasks, cap_n))
 
 
-def _parse_pair(text: str, what: str) -> tuple[int, int]:
+def _parse_pair(text: str | None, what: str) -> tuple[int, int] | None:
+    if text is None:
+        return None
     sep = "x" if "x" in text else ","
     parts = text.split(sep)
     if len(parts) != 2:
@@ -106,6 +108,46 @@ class RunConfig(PipelineConfig):
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
+@dataclass(frozen=True)
+class SynthConfig(ConfigNode):
+    """Recipe of `synth`; its `to_dict`, with the trajectory spelled out, is
+    the echo in truth.jsonl. A one-entry trajectory is a constant velocity."""
+
+    canvas: tuple[int, int] = (128, 96)
+    object: tuple[int, int] = (32, 16)
+    frames: int = 24  # the centred object at velocity 2,1 stays in for 25
+    trajectory: tuple[tuple[int, int], ...] = ((2, 1),)
+    seed: int = 0
+    background: str = "flat"
+    start: tuple[int, int] | None = None  # None: centred
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    def spec(self) -> SyntheticSpec:
+        traj = self.trajectory * (self.frames - 1) if len(self.trajectory) == 1 else self.trajectory
+        return SyntheticSpec(*self.canvas, *self.object, self.frames, traj, self.seed, self.background, self.start)
+
+
+def _load_config(node: ConfigNode, config_path: str | None, flags: dict[str, object]):
+    """Effective configuration: `node` (the defaults) <- config file <- flags,
+    where `flags` maps dotted field paths to flag values (None: not given)."""
+    if config_path:
+        p = Path(config_path)
+        if not p.is_file():
+            raise ConfigError(f"config file not found: {p}")
+        try:
+            node = type(node).from_dict(json.loads(p.read_text(encoding="utf-8")))
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{p}: not UTF-8 text: {e}") from None
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{p}: invalid JSON: {e}") from None
+        except ConfigError as e:
+            raise ConfigError(f"{p}: {e}") from None
+    return with_overrides(node, flags)
+
+
 # Flags of simulate and sweep, and the config fields they override.
 FLAG_FIELDS = {
     "mode": "mode",
@@ -120,20 +162,8 @@ FLAG_FIELDS = {
 
 def build_run_config(config_path: str | None, args: argparse.Namespace | None = None) -> RunConfig:
     """Effective run configuration: defaults <- config file <- flags."""
-    cfg = RunConfig()
-    if config_path:
-        p = Path(config_path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        try:
-            cfg = RunConfig.from_dict(json.loads(p.read_text()))
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{p}: invalid JSON: {e}") from None
-        except ConfigError as e:
-            raise ConfigError(f"{p}: {e}") from None
-    if args is not None:
-        cfg = with_overrides(cfg, {path: getattr(args, flag, None) for flag, path in FLAG_FIELDS.items()})
-    return cfg
+    flags = {path: getattr(args, flag, None) for flag, path in FLAG_FIELDS.items()}
+    return _load_config(RunConfig(), config_path, flags)
 
 
 def _echo_header(cfg: dict) -> str:
@@ -155,33 +185,18 @@ def _write_csv(path: Path, cfg: dict, header: list[str], rows: list[tuple]) -> N
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.config:
-        p = Path(args.config)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        spec = SyntheticSpec.from_dict(json.loads(p.read_text()))
-        if args.seed is not None:
-            spec = SyntheticSpec.from_dict({**spec.to_dict(), "seed": args.seed})
-    else:
-        canvas = _parse_pair(args.canvas, "--canvas")
-        obj = _parse_pair(args.object, "--object")
-        velocity = _parse_pair(args.velocity, "--velocity")
-        start = _parse_pair(args.start, "--start") if args.start else None
-        spec = SyntheticSpec.constant(
-            canvas,
-            obj,
-            velocity,
-            args.frames,
-            seed=args.seed if args.seed is not None else 0,
-            background=args.background,
-            start=start,
-        )
+    pairs = {name: _parse_pair(getattr(args, name), f"--{name}") for name in ("canvas", "object", "start", "velocity")}
+    velocity = pairs.pop("velocity")
+    flags = {**pairs, "frames": args.frames, "seed": args.seed, "background": args.background,
+             "trajectory": None if velocity is None else [velocity]}
+    cfg = _load_config(SynthConfig(), args.config, flags)
+    spec = cfg.spec()
     frames, rois = generate_sequence(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_sequence(frames, out)
 
-    lines = [_echo_header({"synthetic": spec.to_dict()})]
+    lines = [_echo_header({"synthetic": replace(cfg, trajectory=spec.trajectory).to_dict()})]
     for t, roi in enumerate(rois):
         lines.append(json.dumps({"frame": t, "boxes": [roi.to_dict()]}, sort_keys=True))
     (out / "truth.jsonl").write_text("\n".join(lines) + "\n")
@@ -264,20 +279,19 @@ def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
     return trace, report
 
 
+def _write_run(out: Path, trace: ResultTrace, report: EnergyReport) -> None:
+    """trace.jsonl and energy.json of one simulate run, in directory `out`."""
+    out.mkdir(parents=True, exist_ok=True)
+    trace.save(out / "trace.jsonl")
+    energy = {"config": trace.config, "version": __version__, "report": report.to_dict()}
+    (out / "energy.json").write_text(json.dumps(energy, sort_keys=True, indent=2) + "\n")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = build_run_config(args.config, args)
     trace, report = run_simulation(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace.save(out / "trace.jsonl")
-    (out / "energy.json").write_text(
-        json.dumps(
-            {"config": trace.config, "version": __version__, "report": report.to_dict()},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    _write_run(out, trace, report)
     _write_csv(out / "energy.csv", trace.config, ["component", "mj", "percent"], report.csv_rows())
     print(report.to_text())
     print(f"wrote trace.jsonl, energy.json, energy.csv to {out}")
@@ -405,17 +419,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for row in rows:
-        sub = out / f"{args.axis}_{row['value']}"
-        sub.mkdir(parents=True, exist_ok=True)
-        row["trace"].save(sub / "trace.jsonl")
-        (sub / "energy.json").write_text(
-            json.dumps(
-                {"config": row["trace"].config, "version": __version__, "report": row["report"].to_dict()},
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
+        _write_run(out / f"{args.axis}_{row['value']}", row["trace"], row["report"])
     table = [
         (row["value"], row["accuracy_at_0.5"], row["energy_saving"], row["achieved_fps"])
         for row in rows
@@ -445,14 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic sequence with ground truth")
-    p.add_argument("--config", help="SyntheticSpec JSON file")
-    p.add_argument("--canvas", default="128x96", help="canvas WxH (default 128x96)")
-    p.add_argument("--object", default="32x16", help="object WxH (default 32x16)")
-    p.add_argument("--frames", type=int, default=30)
-    p.add_argument("--velocity", default="2,1", help="per-frame displacement dx,dy")
-    p.add_argument("--start", default=None, help="initial top-left x,y (default: centered)")
-    p.add_argument("--background", choices=["flat", "noise"], default="flat")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--config", help="synthetic sequence JSON; flags override its fields")
+    p.add_argument("--canvas", help="canvas WxH (default %dx%d)" % SynthConfig.canvas)
+    p.add_argument("--object", help="object WxH (default %dx%d)" % SynthConfig.object)
+    p.add_argument("--frames", type=int, help=f"default {SynthConfig.frames}")
+    p.add_argument("--velocity", help="per-frame displacement dx,dy (default %d,%d)" % SynthConfig.trajectory[0])
+    p.add_argument("--start", help="initial top-left x,y (default: centred)")
+    p.add_argument("--background", choices=["flat", "noise"], help=f"default {SynthConfig.background}")
+    p.add_argument("--seed", type=int, help=f"default {SynthConfig.seed}")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

@@ -86,8 +86,11 @@ def check(tp, value, path: str):
         return tp.from_dict(value, path)
     if typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)
+        if args[-1:] == (...,) and isinstance(value, (list, tuple)):
+            args = args[:1] * len(value)  # tuple[X, ...] holds any number of X
         if not isinstance(value, (list, tuple)) or len(value) != len(args):
-            raise ConfigError(f"{path}: expected a list of {len(args)}, got {value!r}")
+            size = "any length" if ... in args else len(args)
+            raise ConfigError(f"{path}: expected a list of {size}, got {value!r}")
         return tuple(check(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
     what, ok = _LEAVES[tp]
     if not ok(value):

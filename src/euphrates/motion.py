@@ -127,23 +127,6 @@ def uniform_field(
 # Searches
 
 
-def sad(block_a: np.ndarray, block_b: np.ndarray) -> int:
-    """Sum of absolute differences over two equally shaped blocks."""
-    a = np.asarray(block_a)
-    b = np.asarray(block_b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"block shapes differ: {a.shape} vs {b.shape}")
-    return int(np.abs(a.astype(np.int16) - b.astype(np.int16)).sum(dtype=np.int64))
-
-
-def confidence(sad_value: int, mb_size: int) -> float:
-    """Motion-vector confidence: 1 - SAD / (255 * L^2)."""
-    max_sad = 255 * mb_size * mb_size
-    if not 0 <= sad_value <= max_sad:
-        raise ValueError(f"sad {sad_value} outside [0, {max_sad}] for L={mb_size}")
-    return 1.0 - sad_value / max_sad
-
-
 def _tie_key(u: int, v: int) -> tuple[int, int, int]:
     # Prefer short vectors (stabilizes static scenes), then smallest v, then u.
     return (abs(u) + abs(v), v, u)

@@ -293,35 +293,6 @@ class SyntheticSpec:
         traj = tuple((int(velocity[0]), int(velocity[1])) for _ in range(frame_count - 1))
         return cls(canvas[0], canvas[1], obj[0], obj[1], frame_count, traj, **kwargs)
 
-    def to_dict(self) -> dict:
-        return {
-            "canvas": [self.canvas_w, self.canvas_h],
-            "object": [self.object_w, self.object_h],
-            "frames": self.frame_count,
-            "trajectory": [list(d) for d in self.trajectory],
-            "seed": self.seed,
-            "background": self.background,
-            "start": list(self.start) if self.start is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        traj = d.get("trajectory", [])
-        frames = int(d["frames"])
-        if len(traj) == 1 and frames > 2:
-            traj = traj * (frames - 1)  # single displacement = constant velocity
-        return cls(
-            canvas_w=int(d["canvas"][0]),
-            canvas_h=int(d["canvas"][1]),
-            object_w=int(d["object"][0]),
-            object_h=int(d["object"][1]),
-            frame_count=frames,
-            trajectory=tuple((int(a), int(b)) for a, b in traj),
-            seed=int(d.get("seed", 0)),
-            background=d.get("background", "flat"),
-            start=tuple(d["start"]) if d.get("start") is not None else None,
-        )
-
 
 def generate_sequence(spec: SyntheticSpec) -> tuple[list[Frame], list[Roi]]:
     """Render the sequence described by `spec`.

@@ -150,34 +150,24 @@ class AdaptiveParams(ConfigNode):
 class EWState:
     """Extrapolation-window controller state.
 
-    Constant mode never mutates `ew`. Adaptive mode moves it by at most one
-    per I-frame: down when the prediction/inference difference exceeds
-    tau_diff, up after k_up consecutive clean comparisons.
+    With `adaptive` None the window stays at `ew`. Otherwise `update` moves
+    it by at most one per I-frame within [ew_min, ew_max]: down when the
+    prediction/inference difference exceeds tau_diff, up after k_up
+    consecutive clean comparisons.
     """
 
-    mode: str = "constant"  # "constant" or "adaptive"
     ew: int = 1
-    ew_min: int = AdaptiveParams.ew_min
-    ew_max: int = AdaptiveParams.ew_max
     streak: int = 0
-    tau_diff: float = AdaptiveParams.tau_diff
-    k_up: int = AdaptiveParams.k_up
-
-    def __post_init__(self):
-        if self.mode not in ("constant", "adaptive"):
-            raise ConfigError(f"unknown EW mode {self.mode!r}")
-        if not 1 <= self.ew_min <= self.ew <= self.ew_max:
-            raise ConfigError(
-                f"EW {self.ew} outside bounds [{self.ew_min}, {self.ew_max}]"
-            )
+    adaptive: AdaptiveParams | None = None
 
     def update(self, diff: float) -> "EWState":
         """State after an I-frame whose prediction/inference diff is `diff`."""
-        if diff > self.tau_diff:
-            return replace(self, ew=max(self.ew_min, self.ew - 1), streak=0)
+        p = self.adaptive
+        if diff > p.tau_diff:
+            return replace(self, ew=max(p.ew_min, self.ew - 1), streak=0)
         streak = self.streak + 1
-        if streak >= self.k_up:
-            return replace(self, ew=min(self.ew_max, self.ew + 1), streak=0)
+        if streak >= p.k_up:
+            return replace(self, ew=min(p.ew_max, self.ew + 1), streak=0)
         return replace(self, streak=streak)
 
 
@@ -295,8 +285,7 @@ class PipelineConfig(ConfigNode):
 
     def initial_ew_state(self) -> EWState:
         if self.mode == "adaptive":
-            ad = self.adaptive
-            return EWState("adaptive", ad.initial_ew, ad.ew_min, ad.ew_max, tau_diff=ad.tau_diff, k_up=ad.k_up)
+            return EWState(self.adaptive.initial_ew, adaptive=self.adaptive)
         if self.mode.startswith("ew:"):
             try:
                 n = int(self.mode[3:])
@@ -304,7 +293,7 @@ class PipelineConfig(ConfigNode):
                 raise ConfigError(f"invalid mode {self.mode!r}, expected 'ew:N' or 'adaptive'") from None
             if n < 1:
                 raise ConfigError(f"constant EW must be >= 1, got {n}")
-            return EWState("constant", ew=n, ew_min=n, ew_max=n)
+            return EWState(n)
         raise ConfigError(f"invalid mode {self.mode!r}, expected 'ew:N' or 'adaptive'")
 
 
@@ -341,7 +330,6 @@ def run_pipeline(
         return estimate_motion_field(frames[t - 1], frames[t], cfg.motion)
 
     ew_state = cfg.initial_ew_state()
-    adaptive = ew_state.mode == "adaptive"
     tracks: list[TrackState] = []
     next_id = 0
     next_iframe = 0
@@ -351,7 +339,7 @@ def run_pipeline(
         if t == next_iframe:
             inferred = provider.detections(t)
             diff = None
-            if adaptive and t > 0:
+            if ew_state.adaptive is not None and t > 0:
                 carried = field_for(t)
                 predicted = []
                 for tr in tracks:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from euphrates.cli import main
+from euphrates.cli import SynthConfig, main
 from euphrates.motion import decode_metadata
 from euphrates.pixels import Frame, save_frame
 from euphrates.scheduler import ResultTrace, read_detection_trace
@@ -50,6 +50,37 @@ def test_synth_rejects_bad_trajectory(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error ConfigError:") and "out of canvas" in err
+
+
+def synth_echo(out):
+    return json.loads((out / "truth.jsonl").read_text().splitlines()[0])["config"]["synthetic"]
+
+
+def test_bare_synth_renders_the_defaults(tmp_path):
+    assert run(["synth", "--out", tmp_path]) == 0
+    echo = synth_echo(tmp_path)
+    assert echo == {**SynthConfig().to_dict(), "trajectory": [[2, 1]] * (SynthConfig.frames - 1)}
+    assert len(list(tmp_path.glob("*.pgm"))) == SynthConfig.frames
+
+
+def test_synth_flags_override_config_file(tmp_path):
+    cfgp = tmp_path / "synth.json"
+    cfgp.write_text(json.dumps({"canvas": [96, 64], "frames": 20, "trajectory": [[1, 0]], "seed": 4}))
+    assert run(["synth", "--config", cfgp, "--frames", "5", "--velocity", "0,1", "--out", tmp_path / "a"]) == 0
+    echo = synth_echo(tmp_path / "a")
+    # File fields hold where no flag is given; keys absent from both take the defaults.
+    assert echo["canvas"] == [96, 64] and echo["seed"] == 4 and echo["object"] == list(SynthConfig.object)
+    assert echo["frames"] == 5 and echo["trajectory"] == [[0, 1]] * 4
+    assert len(list((tmp_path / "a").glob("*.pgm"))) == 5
+
+
+def test_synth_config_echo_reruns_byte_exactly(tmp_path):
+    args = ["synth", "--frames", "6", "--velocity=-1,2", "--start", "40,10", "--background", "noise"]
+    assert run(args + ["--out", tmp_path / "a"]) == 0
+    (tmp_path / "echo.json").write_text(json.dumps(synth_echo(tmp_path / "a")))
+    assert run(["synth", "--config", tmp_path / "echo.json", "--out", tmp_path / "b"]) == 0
+    for f in (tmp_path / "a").iterdir():
+        assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
 
 def test_estimate_outputs(synth_dir, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The typed run-config tree and strict parsing at every input boundary."""
+"""The typed config trees and strict parsing at every input boundary."""
 
 import json
 import struct
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from euphrates.cli import RunConfig, main
+from euphrates.cli import RunConfig, SynthConfig, main
 from euphrates.config import ConfigNode
 from euphrates.errors import ConfigError, EuphratesError
 from euphrates.motion import decode_metadata
@@ -102,7 +102,9 @@ def _plausible(tp):
     if isinstance(tp, type) and issubclass(tp, ConfigNode):
         return _node_dicts(tp)
     if typing.get_origin(tp) is tuple:
-        return st.lists(st.integers(-1, 4), min_size=1, max_size=3)
+        args = typing.get_args(tp)
+        item = _plausible(args[0]) if args[-1:] == (...,) else st.integers(-1, 4)
+        return st.lists(item, min_size=1, max_size=3)
     leaf = {
         bool: st.booleans(),
         int: st.integers(-2, 40),
@@ -119,15 +121,16 @@ def _node_dicts(cls):
     return st.fixed_dictionaries({}, optional=optional)
 
 
-@PROPERTY
-@given(st.one_of(JSON, _node_dicts(RunConfig)))
-def test_any_json_loads_or_raises_config_error(data):
+@settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)
+@given(st.one_of(*(st.tuples(st.just(cls), JSON | _node_dicts(cls)) for cls in (RunConfig, SynthConfig))))
+def test_any_json_loads_or_raises_config_error(case):
+    cls, data = case
     try:
-        cfg = RunConfig.from_dict(data)
+        cfg = cls.from_dict(data)
     except ConfigError:
         return
-    assert isinstance(cfg, RunConfig)
-    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert isinstance(cfg, cls)
+    assert cls.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +236,30 @@ def test_cli_rejects_probe_config(tmp_path, capsys, probe):
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error ConfigError: {p}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("synth", b'{"canvas": 5}', "canvas: expected a list of 2"),
+        ("synth", b'{"start": [1]}', "start: expected a list of 2"),
+        ("synth", b"[64, 48]", "config: expected an object"),
+        ("synth", b'{"frames": 1e400}', "frames: expected an integer"),
+        ("synth", b'{"frames": "x"}', "frames: expected an integer"),
+        ("synth", b'{"seed": -1}', "seed must be >= 0"),
+        ("synth", b'{"canvas": [64', "invalid JSON"),
+        ("synth", b'{"seed": "\xff"}', "not UTF-8 text"),
+        ("synth", b'{"colour": 3}', "unknown config keys ['colour']"),
+        ("synth", b'{"canvas": [64.7, 48]}', "canvas[0]: expected an integer"),
+        ("synth", b'{"trajectory": [[true, 0]]}', "trajectory[0][0]: expected an integer"),
+        ("synth", b'{"trajectory": 5}', "trajectory: expected a list of any length"),
+        ("simulate", b'{"seed": "\xff"}', "not UTF-8 text"),
+    ],
+)
+def test_cli_rejects_malformed_config_file(tmp_path, capsys, command, content, message):
+    p = tmp_path / "in.json"
+    p.write_bytes(content)
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ConfigError: {p}: ") and err.count("\n") == 1
+    assert message in err

@@ -8,13 +8,11 @@ from euphrates.motion import (
     MotionField,
     MotionParams,
     MotionVector,
-    confidence,
     decode_metadata,
     encode_metadata,
     encoded_size,
     estimate_motion_field,
     exhaustive_search,
-    sad,
     three_step_search,
     uniform_field,
 )
@@ -29,57 +27,64 @@ def random_frame(seed, h=64, w=64):
 
 
 # ---------------------------------------------------------------------------
-# SAD
+# SAD, as exhaustive search reports it, and confidence
+
+
+def block_sad(a, b):
+    """SAD that exhaustive search reports for a frame pair of one macroblock
+    each, where the zero offset is the only in-frame candidate."""
+    mv, s = exhaustive_search(a, b, (0, 0), MotionParams(mb_size=a.shape[0]))
+    assert (mv.u, mv.v) == (0, 0)
+    return s
 
 
 def test_sad_identity():
     b = random_frame(0, 16, 16)
-    assert sad(b, b) == 0
+    assert block_sad(b, b) == 0
 
 
 def test_sad_maximum():
     a = np.zeros((16, 16), dtype=np.uint8)
     b = np.full((16, 16), 255, dtype=np.uint8)
-    assert sad(a, b) == 65280  # 255 * 16^2
+    assert block_sad(a, b) == 65280  # 255 * 16^2
 
 
 def test_sad_direct_arithmetic():
-    a = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-    b = np.array([[2, 2], [3, 2]], dtype=np.uint8)
-    assert sad(a, b) == 3
+    a = np.zeros((4, 4), dtype=np.uint8)
+    b = np.zeros((4, 4), dtype=np.uint8)
+    a[:2, :2] = [[1, 2], [3, 4]]
+    b[:2, :2] = [[2, 2], [3, 2]]
+    assert block_sad(a, b) == 3
 
 
 def test_sad_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        sad(np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 8), dtype=np.uint8))
+        estimate_motion_field(np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 8), dtype=np.uint8))
 
 
 def test_sad_symmetry_and_triangle():
     rng = np.random.default_rng(3)
     for _ in range(50):
         a, b, c = (rng.integers(0, 256, size=(8, 8), dtype=np.uint8) for _ in range(3))
-        assert sad(a, b) == sad(b, a)
-        assert sad(a, c) <= sad(a, b) + sad(b, c)
+        assert block_sad(a, b) == block_sad(b, a)
+        assert block_sad(a, c) <= block_sad(a, b) + block_sad(b, c)
 
 
 def test_confidence_endpoints():
-    assert confidence(0, 16) == 1.0
-    assert confidence(65280, 16) == 0.0
-    assert confidence(32640, 16) == 0.5
+    for s, c in ((0, 1.0), (65280, 0.0), (32640, 0.5)):
+        assert uniform_field(16, 16, sad=s).confidences[0, 0] == c
 
 
 def test_confidence_monotone_and_range():
-    prev = None
-    for s in range(0, 65281, 4080):
-        c = confidence(s, 16)
-        assert 0.0 <= c <= 1.0
-        if prev is not None:
-            assert c < prev
-        prev = c
-    with pytest.raises(ValueError):
-        confidence(65281, 16)
-    with pytest.raises(ValueError):
-        confidence(-1, 16)
+    sads = np.arange(0, 65281, 4080, dtype=np.int64)[None, :]
+    field = MotionField(16 * sads.size, 16, MotionParams(), np.zeros((1, sads.size, 2), np.int16), sads)
+    conf = field.confidences[0]
+    assert np.all((0.0 <= conf) & (conf <= 1.0))
+    assert np.all(np.diff(conf) < 0)
+    # A SAD outside [0, 255 * L^2] cannot be stored, so no confidence leaves [0, 1].
+    for bad in (65281, -1):
+        with pytest.raises(MetadataError, match="sad outside"):
+            encode_metadata(uniform_field(16, 16, sad=bad))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Frame I/O and synthetic sequence generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from euphrates.cli import SynthConfig
 from euphrates.errors import ConfigError, FrameFormatError
 from euphrates.pixels import (
     Frame,
@@ -177,9 +180,8 @@ def test_spec_validation():
 
 def test_spec_dict_round_trip_and_broadcast():
     spec = SyntheticSpec.constant((64, 48), (16, 8), (2, 1), 7, seed=2, background="noise")
-    again = SyntheticSpec.from_dict(spec.to_dict())
-    assert again == spec
-    short = SyntheticSpec.from_dict(
-        {"canvas": [64, 48], "object": [16, 8], "frames": 7, "trajectory": [[2, 1]]}
-    )
-    assert short.trajectory == spec.trajectory
+    cfg = SynthConfig(canvas=(64, 48), object=(16, 8), frames=7, seed=2, background="noise")
+    assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+    assert cfg.spec() == spec  # a one-entry trajectory is a constant velocity
+    full = replace(cfg, trajectory=spec.trajectory)
+    assert SynthConfig.from_dict(full.to_dict()) == full and full.spec() == spec

@@ -145,7 +145,7 @@ def adaptive_update(state, predicted, inferred):
 
 
 def test_adaptive_update_grows_after_streak():
-    state = EWState("adaptive", ew=4, streak=0, k_up=3)
+    state = EWState(4, adaptive=AdaptiveParams(k_up=3))
     box = Roi(0, 0, 10, 10)
     for _ in range(2):
         state = adaptive_update(state, [box], [box])
@@ -155,29 +155,33 @@ def test_adaptive_update_grows_after_streak():
 
 
 def test_adaptive_update_shrinks_on_disagreement():
-    state = EWState("adaptive", ew=4, streak=2)
+    state = EWState(4, streak=2, adaptive=AdaptiveParams())
     state = adaptive_update(state, [Roi(0, 0, 10, 10)], [Roi(50, 50, 10, 10)])
     assert state.ew == 3 and state.streak == 0
 
 
 def test_adaptive_update_saturates():
     box = Roi(0, 0, 10, 10)
-    state = EWState("adaptive", ew=32, streak=0)
+    state = EWState(32, adaptive=AdaptiveParams())
     for _ in range(9):
         state = adaptive_update(state, [box], [box])
         assert state.ew == 32
-    state = EWState("adaptive", ew=1, streak=0)
+    state = EWState(1, adaptive=AdaptiveParams())
     state = adaptive_update(state, [box], [Roi(50, 50, 10, 10)])
     assert state.ew == 1
 
 
 def test_ew_state_validation():
+    # An EWState comes from a validated PipelineConfig: its mode and bounds.
+    assert PipelineConfig(mode="ew:3").initial_ew_state() == EWState(3)
+    adaptive = AdaptiveParams(initial_ew=2)
+    assert PipelineConfig(mode="adaptive", adaptive=adaptive).initial_ew_state() == EWState(2, adaptive=adaptive)
     with pytest.raises(ConfigError):
-        EWState("sometimes")
+        PipelineConfig(mode="sometimes")
     with pytest.raises(ConfigError):
-        EWState("constant", ew=0)
+        PipelineConfig(mode="ew:0")
     with pytest.raises(ConfigError):
-        EWState("adaptive", ew=40, ew_max=32)
+        AdaptiveParams(initial_ew=40, ew_max=32)
 
 
 # ---------------------------------------------------------------------------
