@@ -1,5 +1,7 @@
 """Block matching: SAD, ES/TSS searches, field estimation, metadata codec."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,23 @@ def test_field_tss_matches_per_mb_tss():
             assert field.vector_at(r, c) == mv and field.sads[r, c] == s
 
 
+@pytest.mark.parametrize(
+    "d, digest",
+    [
+        (7, "197bb442d16d702687ca08b4cf64de54b506d6d09dc5f927981aeb44741f7595"),
+        (9, "6e3f57ee043e311d0a1db021b0cca2b7ae97321108eb6a38568ec46869fd35ca"),
+    ],
+)
+def test_tss_field_golden(d, digest):
+    """TSS vectors and SADs on a noisy, shifted pair with partial edge MBs."""
+    prev, cur = shifted_pair(41, 72, 100, (5, -3))
+    noise = np.random.default_rng(42).integers(-6, 7, size=cur.shape)
+    cur = np.clip(cur.astype(np.int16) + noise, 0, 255).astype(np.uint8)
+    field = estimate_motion_field(Frame(prev), Frame(cur), MotionParams(16, d, "tss"))
+    h = hashlib.sha256(field.vectors.astype("<i2").tobytes() + field.sads.astype("<i8").tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_1080p_grid_dims():
     field = uniform_field(1920, 1080)
     assert (field.cols, field.rows) == (120, 68)
@@ -238,6 +257,16 @@ def test_codec_nibble_byte_definition():
     assert data[:4] == b"EUMV"
     assert data[14] == 0x3E  # u=3 high nibble, v=-2 -> 0xE low nibble
     assert data[15:19] == (5).to_bytes(4, "little")
+
+
+def test_codec_wide_form_byte_definition():
+    field = uniform_field(32, 32, mv=(-9, 12), sad=70000, params=MotionParams(32, 12))
+    data = encode_metadata(field)
+    assert len(data) == 14 + 6
+    assert data[12:14] == (12).to_bytes(2, "little")  # header d selects the wide form
+    assert data[14] == 0xF7  # u=-9 as a two's-complement byte
+    assert data[15] == 0x0C  # v=12
+    assert data[16:20] == (70000).to_bytes(4, "little")
 
 
 def test_codec_round_trip_random_fields():
