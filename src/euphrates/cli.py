@@ -23,7 +23,6 @@ import csv
 import io
 import json
 import os
-import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -34,7 +33,7 @@ from .config import ConfigNode, with_overrides
 from .errors import ConfigError, DimensionMismatchError, EuphratesError, MetadataError, MissingDataError
 from .metrics import EvalConfig, average_precision, success_curve
 from .motion import MotionField, MotionParams, decode_metadata, encode_metadata, estimate_motion_field
-from .pixels import SyntheticSpec, generate_sequence, load_sequence, save_sequence
+from .pixels import SyntheticSpec, generate_sequence, list_frame_files, load_sequence, save_sequence
 from .roi import Roi
 from .scheduler import (
     PipelineConfig,
@@ -228,18 +227,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _load_fields_dir(directory: str | Path) -> list[MotionField]:
     """Fields of 000001.mvm .. N.mvm, which must all share frame size and params."""
-    numbered = []
-    for f in Path(directory).glob("*.mvm"):
-        if not re.fullmatch("[0-9]+", f.stem):
-            raise MetadataError(f"{f}: metadata file names must be frame numbers")
-        numbered.append((int(f.stem), f))
-    if not numbered:
-        raise MissingDataError(f"{directory}: no .mvm metadata files")
-    numbered.sort()
+    files = list_frame_files(directory, ".mvm", 1)
     fields: list[MotionField] = []
-    for t, (n, f) in enumerate(numbered, 1):
-        if n != t:
-            raise MissingDataError(f"{directory}: no metadata file for frame {t} (next is {f.name})")
+    for f in files:
         try:
             fld = decode_metadata(f.read_bytes())
         except MetadataError as e:
@@ -248,7 +238,7 @@ def _load_fields_dir(directory: str | Path) -> list[MotionField]:
         if (fld.width, fld.height, fld.params) != (first.width, first.height, first.params):
             raise DimensionMismatchError(
                 f"{f}: {fld.width}x{fld.height} {fld.params} differs from "
-                f"{numbered[0][1].name}: {first.width}x{first.height} {first.params}"
+                f"{files[0].name}: {first.width}x{first.height} {first.params}"
             )
         fields.append(fld)
     return fields
@@ -453,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canvas", help="canvas WxH (default %dx%d)" % SynthConfig.canvas)
     p.add_argument("--object", help="object WxH (default %dx%d)" % SynthConfig.object)
     p.add_argument("--frames", type=int, help=f"default {SynthConfig.frames}")
-    p.add_argument("--velocity", help="per-frame displacement dx,dy (default %d,%d)" % SynthConfig.trajectory[0])
-    p.add_argument("--start", help="initial top-left x,y (default: centred)")
+    p.add_argument("--velocity", help="per-frame displacement dx,dy (default %d,%d); "
+                   "write a negative value as --velocity=-1,2" % SynthConfig.trajectory[0])
+    p.add_argument("--start", help="initial top-left x,y, inside the canvas (default: centred)")
     p.add_argument("--background", choices=["flat", "noise"], help=f"default {SynthConfig.background}")
     p.add_argument("--seed", type=int, help=f"default {SynthConfig.seed}")
     p.add_argument("--out", required=True, help="output directory")

@@ -109,13 +109,17 @@ class MotionField:
         )
 
 
+def _grid(width: int, height: int, L: int) -> tuple[int, int]:
+    """(rows, cols) of the L-grid covering a width x height frame."""
+    return -(-height // L), -(-width // L)
+
+
 def uniform_field(
     width: int, height: int, mv: tuple[int, int] = (0, 0), sad: int = 0, params: MotionParams | None = None
 ) -> MotionField:
     """Constant motion field; handy for tests and schedule-only simulations."""
     params = params or MotionParams()
-    rows = -(-height // params.mb_size)
-    cols = -(-width // params.mb_size)
+    rows, cols = _grid(width, height, params.mb_size)
     vectors = np.empty((rows, cols, 2), dtype=np.int16)
     vectors[..., 0] = mv[0]
     vectors[..., 1] = mv[1]
@@ -151,6 +155,29 @@ def _check_origin(origin: tuple[int, int], px: np.ndarray, L: int) -> tuple[int,
     return x, y
 
 
+def _evaluator(
+    prev: Frame | np.ndarray, cur: Frame | np.ndarray, mb_origin: tuple[int, int], params: MotionParams
+):
+    """`key(u, v)` for the MB of `cur` at `mb_origin`: the ranking key
+    (SAD, tie key, u, v) of candidate (u, v), or None when the candidate
+    block falls outside `prev`. The least key is the best candidate."""
+    prev_px = _pixels(prev)
+    cur_px = _pixels(cur)
+    L = params.mb_size
+    x, y = _check_origin(mb_origin, cur_px, L)
+    h, w = prev_px.shape
+    block = cur_px[y : y + L, x : x + L].astype(np.int16)
+
+    def key(u: int, v: int) -> tuple[int, tuple[int, int, int], int, int] | None:
+        sx, sy = x - u, y - v
+        if not (0 <= sx <= w - L and 0 <= sy <= h - L):
+            return None
+        sad = int(np.abs(block - prev_px[sy : sy + L, sx : sx + L]).sum(dtype=np.int64))
+        return sad, _tie_key(u, v), u, v
+
+    return key
+
+
 def exhaustive_search(
     prev: Frame | np.ndarray, cur: Frame | np.ndarray, mb_origin: tuple[int, int], params: MotionParams
 ) -> tuple[MotionVector, int]:
@@ -159,24 +186,9 @@ def exhaustive_search(
     Candidate blocks that fall outside `prev` are skipped. Ties break toward
     the smallest |u|+|v|, then smallest v, then smallest u.
     """
-    prev_px = _pixels(prev)
-    cur_px = _pixels(cur)
-    L = params.mb_size
-    x, y = _check_origin(mb_origin, cur_px, L)
-    h, w = prev_px.shape
-    block = cur_px[y : y + L, x : x + L].astype(np.int16)
-
-    best: tuple[int, tuple[int, int, int], int, int] | None = None
-    for u, v in _canonical_offsets(params.search_range):
-        sx, sy = x - u, y - v
-        if not (0 <= sx <= w - L and 0 <= sy <= h - L):
-            continue
-        cand = prev_px[sy : sy + L, sx : sx + L]
-        s = int(np.abs(block - cand).sum(dtype=np.int64))
-        key = (s, _tie_key(u, v), u, v)
-        if best is None or key < best:
-            best = key
-    assert best is not None  # zero offset is always in-frame
+    key = _evaluator(prev, cur, mb_origin, params)
+    # The zero offset is always in-frame, so the minimum is never empty.
+    best = min(filter(None, (key(u, v) for u, v in _canonical_offsets(params.search_range))))
     return MotionVector(best[2], best[3]), best[0]
 
 
@@ -194,39 +206,15 @@ def three_step_search(
     2^(ceil(log2(d+1)) - 1) in general. Candidates outside [-d, d]^2 or
     outside `prev` are skipped; ties break as in exhaustive search.
     """
-    prev_px = _pixels(prev)
-    cur_px = _pixels(cur)
-    L = params.mb_size
+    key = _evaluator(prev, cur, mb_origin, params)
     d = params.search_range
-    x, y = _check_origin(mb_origin, cur_px, L)
-    h, w = prev_px.shape
-    block = cur_px[y : y + L, x : x + L].astype(np.int16)
-
-    def eval_at(u: int, v: int) -> int | None:
-        sx, sy = x - u, y - v
-        if not (0 <= sx <= w - L and 0 <= sy <= h - L):
-            return None
-        return int(np.abs(block - prev_px[sy : sy + L, sx : sx + L]).sum(dtype=np.int64))
-
-    s0 = eval_at(0, 0)
-    assert s0 is not None
-    best = (s0, _tie_key(0, 0), 0, 0)
+    best = key(0, 0)
     step = _tss_initial_step(d)
     while step >= 1:
         cu, cv = best[2], best[3]
-        for du in (-step, 0, step):
-            for dv in (-step, 0, step):
-                if du == 0 and dv == 0:
-                    continue
-                u, v = cu + du, cv + dv
-                if abs(u) > d or abs(v) > d:
-                    continue
-                s = eval_at(u, v)
-                if s is None:
-                    continue
-                key = (s, _tie_key(u, v), u, v)
-                if key < best:
-                    best = key
+        ring = [key(cu + du, cv + dv) for du in (-step, 0, step) for dv in (-step, 0, step)
+                if (du or dv) and abs(cu + du) <= d and abs(cv + dv) <= d]
+        best = min(filter(None, [best, *ring]))
         step //= 2
     return MotionVector(best[2], best[3]), best[0]
 
@@ -302,7 +290,7 @@ def estimate_motion_field(
     if params.algorithm == ES:
         vectors, sads = _es_field(prev_pad, cur_pad, L, params.search_range)
     else:
-        rows, cols = cur_pad.shape[0] // L, cur_pad.shape[1] // L
+        rows, cols = _grid(width, height, L)
         vectors = np.zeros((rows, cols, 2), dtype=np.int16)
         sads = np.zeros((rows, cols), dtype=np.int64)
         for r in range(rows):
@@ -319,17 +307,23 @@ def estimate_motion_field(
 # Little-endian layout:
 #   header: magic "EUMV", version u8, algorithm u8, width u16, height u16,
 #           L u16, d u16
-#   then one record per MB in row-major grid order:
+#   then one packed record per MB in row-major grid order (_record):
 #     d <= 7: 1 byte, u in the high nibble and v in the low nibble, both
 #             two's-complement 4-bit; then SAD as u32
 #     d >  7: u and v as two's-complement 8-bit bytes; then SAD as u32
 
 
+def _record(d: int) -> np.dtype:
+    """Packed per-MB record: the nibble form (field "uv") for d <= 7, else the
+    wide form (fields "u", "v")."""
+    if d <= 7:
+        return np.dtype([("uv", "u1"), ("sad", "<u4")])
+    return np.dtype([("u", "i1"), ("v", "i1"), ("sad", "<u4")])
+
+
 def encoded_size(width: int, height: int, params: MotionParams) -> int:
-    rows = -(-height // params.mb_size)
-    cols = -(-width // params.mb_size)
-    per_mb = 5 if params.search_range <= 7 else 6
-    return _HEADER.size + per_mb * rows * cols
+    rows, cols = _grid(width, height, params.mb_size)
+    return _HEADER.size + _record(params.search_range).itemsize * rows * cols
 
 
 def encode_metadata(field: MotionField) -> bytes:
@@ -357,16 +351,12 @@ def encode_metadata(field: MotionField) -> bytes:
         params.mb_size,
         d,
     )
-    n = u.size
-    if d <= 7:
-        records = np.empty((n, 5), dtype=np.uint8)
-        records[:, 0] = ((u & 0xF) << 4 | (v & 0xF)).astype(np.uint8)
-        records[:, 1:5] = sads.astype("<u4").view(np.uint8).reshape(n, 4)
+    records = np.empty(u.size, dtype=_record(d))
+    if "uv" in records.dtype.names:
+        records["uv"] = (u & 0xF) << 4 | (v & 0xF)
     else:
-        records = np.empty((n, 6), dtype=np.uint8)
-        records[:, 0] = u.astype(np.int8).view(np.uint8)
-        records[:, 1] = v.astype(np.int8).view(np.uint8)
-        records[:, 2:6] = sads.astype("<u4").view(np.uint8).reshape(n, 4)
+        records["u"], records["v"] = u, v
+    records["sad"] = sads
     return header + records.tobytes()
 
 
@@ -388,30 +378,24 @@ def decode_metadata(data: bytes) -> MotionField:
     except ValueError as e:
         raise MetadataError(f"invalid header parameters: {e}") from None
 
-    rows = -(-height // L)
-    cols = -(-width // L)
-    n = rows * cols
-    per_mb = 5 if d <= 7 else 6
-    expected = _HEADER.size + per_mb * n
+    expected = encoded_size(width, height, params)
     if len(data) != expected:
         kind = "truncated" if len(data) < expected else "oversized"
         raise MetadataError(f"{kind} stream: expected {expected} bytes, got {len(data)}")
 
-    records = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size).reshape(n, per_mb)
-    if d <= 7:
-        u = (records[:, 0] >> 4).astype(np.int16)
-        v = (records[:, 0] & 0xF).astype(np.int16)
-        u[u >= 8] -= 16
-        v[v >= 8] -= 16
-        sads = records[:, 1:5].reshape(-1).view("<u4").astype(np.int64)
+    records = np.frombuffer(data, dtype=_record(d), offset=_HEADER.size)
+    if "uv" in records.dtype.names:
+        uv = records["uv"].astype(np.int16)
+        # (n ^ 8) - 8 sign-extends a 4-bit two's-complement nibble n.
+        u, v = ((uv >> 4) ^ 8) - 8, ((uv & 0xF) ^ 8) - 8
     else:
-        u = records[:, 0].view(np.int8).astype(np.int16)
-        v = records[:, 1].view(np.int8).astype(np.int16)
-        sads = records[:, 2:6].reshape(-1).view("<u4").astype(np.int64)
+        u, v = records["u"].astype(np.int16), records["v"].astype(np.int16)
+    sads = records["sad"].astype(np.int64)
     if np.abs(u).max(initial=0) > d or np.abs(v).max(initial=0) > d:
         raise MetadataError(f"decoded motion vector outside +-{d}")
     if sads.max(initial=0) > params.max_sad:
         raise MetadataError(f"decoded sad exceeds {params.max_sad}")
 
+    rows, cols = _grid(width, height, L)
     vectors = np.stack([u.reshape(rows, cols), v.reshape(rows, cols)], axis=-1)
     return MotionField(width, height, params, vectors, sads.reshape(rows, cols))

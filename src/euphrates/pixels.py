@@ -2,21 +2,21 @@
 
 Frames are single-channel 8-bit luminance images. Two on-disk formats are
 supported: binary PGM (P5, maxval 255) and headerless raw Y8 with dimensions
-supplied out of band. Frame sequences are directories of zero-padded,
-numerically ordered files.
+supplied out of band; the file extension selects the format. Frame
+sequences are directories of files named by frame number alone (000000.pgm,
+000001.pgm, ...), numbered without a gap.
 
 All operations here are pure and safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FrameFormatError
+from .errors import ConfigError, FrameFormatError, MissingDataError
 from .roi import Roi
 
 FLAT_BACKGROUND_VALUE = 128
@@ -113,77 +113,63 @@ def _parse_pgm(data: bytes, path: str) -> Frame:
     return Frame.from_bytes(width, height, payload)
 
 
-def load_frame(
-    path: str | Path,
-    format: str | None = None,
-    width: int | None = None,
-    height: int | None = None,
-) -> Frame:
-    """Load a frame from `path`.
+def _is_raw(p: Path) -> bool:
+    """False for PGM (.pgm), True for raw Y8 (.raw, .y8); other extensions fail."""
+    ext = p.suffix.lower()
+    if ext not in (".pgm", ".raw", ".y8"):
+        raise FrameFormatError(f"{p}: cannot infer format from extension {ext!r}")
+    return ext != ".pgm"
 
-    `format` is "pgm" or "raw"; when None it is inferred from the extension
-    (.pgm -> pgm, .raw/.y8 -> raw). Raw frames need `width` and `height`.
-    """
+
+def load_frame(path: str | Path, width: int | None = None, height: int | None = None) -> Frame:
+    """Load a PGM or raw Y8 frame from `path`; raw frames need `width` and `height`."""
     p = Path(path)
-    if format is None:
-        ext = p.suffix.lower()
-        if ext == ".pgm":
-            format = "pgm"
-        elif ext in (".raw", ".y8"):
-            format = "raw"
-        else:
-            raise FrameFormatError(f"{p}: cannot infer format from extension {ext!r}")
+    raw = _is_raw(p)
     if not p.is_file():
         raise FrameFormatError(f"{p}: file not found")
     data = p.read_bytes()
-
-    if format == "pgm":
+    if not raw:
         return _parse_pgm(data, str(p))
-    if format == "raw":
-        if width is None or height is None:
-            raise FrameFormatError(f"{p}: raw format requires declared width and height")
-        try:
-            return Frame.from_bytes(width, height, data)
-        except FrameFormatError as e:
-            raise FrameFormatError(f"{p}: {e}") from None
-    raise FrameFormatError(f"{p}: unsupported format {format!r}")
+    if width is None or height is None:
+        raise FrameFormatError(f"{p}: raw format requires declared width and height")
+    try:
+        return Frame.from_bytes(width, height, data)
+    except FrameFormatError as e:
+        raise FrameFormatError(f"{p}: {e}") from None
 
 
-def save_frame(frame: Frame, path: str | Path, format: str | None = None) -> None:
-    """Write `frame` losslessly as PGM (P5) or raw Y8."""
+def save_frame(frame: Frame, path: str | Path) -> None:
+    """Write `frame` losslessly as PGM (P5) or raw Y8, by the extension of `path`."""
     p = Path(path)
-    if format is None:
-        ext = p.suffix.lower()
-        format = "pgm" if ext == ".pgm" else "raw" if ext in (".raw", ".y8") else None
-        if format is None:
-            raise FrameFormatError(f"{p}: cannot infer format from extension {ext!r}")
-    if format == "pgm":
-        header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-        p.write_bytes(header + frame.pixels.tobytes())
-    elif format == "raw":
-        p.write_bytes(frame.pixels.tobytes())
-    else:
-        raise FrameFormatError(f"{p}: unsupported format {format!r}")
+    header = b"" if _is_raw(p) else f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
+    p.write_bytes(header + frame.pixels.tobytes())
 
 
-def _numeric_key(path: Path) -> tuple:
-    m = re.search(r"(\d+)", path.stem)
-    return (int(m.group(1)) if m else -1, path.name)
+def list_frame_files(directory: str | Path, suffix: str = ".pgm", first: int = 0) -> list[Path]:
+    """The `suffix` files of a sequence directory in frame order.
+
+    Names must be a frame number alone (e.g. 000000.pgm), numbered from
+    `first` without a gap, so no frame can be skipped or misplaced.
+    """
+    numbered = []
+    for f in Path(directory).glob("*" + suffix):
+        if not (f.stem.isascii() and f.stem.isdigit()):
+            raise FrameFormatError(f"{f}: {suffix} file names must be frame numbers")
+        numbered.append((int(f.stem), f))
+    if not numbered:
+        raise MissingDataError(f"{directory}: no {suffix} files")
+    numbered.sort()
+    for n, (number, f) in enumerate(numbered, first):
+        if number != n:
+            raise MissingDataError(f"{directory}: no {suffix} file for frame {n} (next is {f.name})")
+    return [f for _, f in numbered]
 
 
-def list_frame_files(directory: str | Path, pattern: str = "*.pgm") -> list[Path]:
-    """Frame files of a sequence directory in numeric order."""
-    files = sorted(Path(directory).glob(pattern), key=_numeric_key)
-    if not files:
-        raise FrameFormatError(f"{directory}: no frame files matching {pattern!r}")
-    return files
-
-
-def load_sequence(directory: str | Path, pattern: str = "*.pgm") -> list[Frame]:
+def load_sequence(directory: str | Path) -> list[Frame]:
     """Load all frames of a sequence; every frame must share dimensions."""
     frames: list[Frame] = []
     dims: tuple[int, int] | None = None
-    for f in list_frame_files(directory, pattern):
+    for f in list_frame_files(directory):
         frame = load_frame(f)
         if dims is None:
             dims = (frame.width, frame.height)
@@ -211,34 +197,33 @@ def save_sequence(frames: list[Frame], directory: str | Path) -> list[Path]:
 # Synthetic sequences
 
 
-def noise_image(
-    height: int,
-    width: int,
-    rng: np.random.Generator,
-    carrier_period: float = 16.0,
-    carrier_weight: float = 0.93,
-) -> np.ndarray:
+CARRIER_PERIOD = 16.0
+CARRIER_WEIGHT = 0.93
+
+
+def noise_image(height: int, width: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded random texture, uint8, built for reliable block matching.
 
-    A two-axis cosine carrier with random phases dominates the image and a
-    thin layer of white speckle sits on top. The carrier makes the matching
-    cost grow monotonically with misalignment in each axis, so coarse-to-fine
-    searches descend to the true offset instead of getting trapped on the
-    flat cost landscape pure white noise produces; the speckle keeps the
-    zero-cost match unique. The default period equals the 16-pixel
-    macroblock edge: every block then spans one full period (discrimination
-    does not depend on block position) and no carrier alias fits inside a
-    +-7 search window. The result is stretched to the full [0, 255] range so
-    matches against flat regions stay unambiguous.
+    A two-axis cosine carrier with random phases makes up CARRIER_WEIGHT
+    (0.93) of the image and white speckle the remaining 7%. At that weight
+    the carrier dominates: it makes the matching cost grow monotonically
+    with misalignment in each axis, so coarse-to-fine searches descend to
+    the true offset instead of getting trapped on the flat cost landscape
+    pure white noise produces, while the thin speckle still keeps the
+    zero-cost match unique. CARRIER_PERIOD equals the 16-pixel macroblock edge: every block then
+    spans one full period (discrimination does not depend on block
+    position) and no carrier alias fits inside a +-7 search window. The
+    result is stretched to the full [0, 255] range so matches against flat
+    regions stay unambiguous.
     """
     phase_x, phase_y = rng.uniform(0.0, 2.0 * np.pi, 2)
     yy = np.arange(height)[:, None]
     xx = np.arange(width)[None, :]
     carrier = 0.5 * (
-        np.cos(2.0 * np.pi * xx / carrier_period + phase_x)
-        + np.cos(2.0 * np.pi * yy / carrier_period + phase_y)
+        np.cos(2.0 * np.pi * xx / CARRIER_PERIOD + phase_x)
+        + np.cos(2.0 * np.pi * yy / CARRIER_PERIOD + phase_y)
     )
-    img = carrier_weight * (carrier + 1.0) / 2.0 + (1.0 - carrier_weight) * rng.random(
+    img = CARRIER_WEIGHT * (carrier + 1.0) / 2.0 + (1.0 - CARRIER_WEIGHT) * rng.random(
         (height, width)
     )
     lo, hi = img.min(), img.max()
@@ -280,6 +265,13 @@ class SyntheticSpec:
                 f"trajectory has {len(self.trajectory)} entries, "
                 f"need frame_count - 1 = {self.frame_count - 1}"
             )
+        if self.start is not None:
+            x, y = self.start
+            if not (0 <= x <= self.canvas_w - self.object_w and 0 <= y <= self.canvas_h - self.object_h):
+                raise ConfigError(
+                    f"start {x},{y} puts the {self.object_w}x{self.object_h} object outside "
+                    f"the {self.canvas_w}x{self.canvas_h} canvas"
+                )
 
     @classmethod
     def constant(

@@ -102,9 +102,13 @@ def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
     return out
 
 
-def _parse_frame(obj: dict) -> tuple[int, list[tuple[dict, Roi]]]:
-    """(frame index, [(box object, Roi)]) of a trace line with a "frame" key."""
+def _parse_frame(obj: dict, seen: set[int]) -> tuple[int, list[tuple[dict, Roi]]]:
+    """(frame index, [(box object, Roi)]) of a trace line with a "frame" key;
+    an index already in `seen` (the indices of earlier lines) is rejected."""
     index = check(int, obj["frame"], "frame")
+    if index in seen:
+        raise ConfigError(f"frame {index} is repeated")
+    seen.add(index)
     boxes = obj.get("boxes", [])
     if not isinstance(boxes, list):
         raise ConfigError(f"boxes: expected a list, got {boxes!r}")
@@ -117,7 +121,8 @@ def read_detection_trace(path: str | Path) -> dict[int, list[Roi]]:
     Lines without a "frame" key (e.g. a config echo) are skipped, so result
     traces written by this package can be read back as detection traces.
     """
-    frames = _read_jsonl(path, lambda obj: _parse_frame(obj) if "frame" in obj else None)
+    seen: set[int] = set()
+    frames = _read_jsonl(path, lambda obj: _parse_frame(obj, seen) if "frame" in obj else None)
     return {index: [roi for _, roi in boxes] for index, boxes in filter(None, frames)}
 
 
@@ -244,12 +249,13 @@ class ResultTrace:
     @classmethod
     def load(cls, path: str | Path) -> "ResultTrace":
         header: dict = {}
+        seen: set[int] = set()
 
         def parse(obj: dict) -> FrameRecord | None:
             if "frame" not in obj:
                 header.update(obj)
                 return None
-            index, boxes = _parse_frame(obj)
+            index, boxes = _parse_frame(obj, seen)
             kind = obj.get("kind")
             if kind not in (I_FRAME, E_FRAME):
                 raise ConfigError(f"kind: expected {I_FRAME!r} or {E_FRAME!r}, got {kind!r}")

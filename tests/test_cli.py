@@ -52,6 +52,18 @@ def test_synth_rejects_bad_trajectory(tmp_path, capsys):
     assert err.startswith("error ConfigError:") and "out of canvas" in err
 
 
+def test_synth_rejects_start_outside_canvas(tmp_path, capsys):
+    assert run(["synth", "--out", tmp_path / "x", "--start", "200,0"]) == 2
+    assert error_line(capsys) == "error ConfigError: start 200,0 puts the 32x16 object outside the 128x96 canvas\n"
+
+
+def test_synth_negative_velocity_in_equals_form(tmp_path):
+    # argparse reads "--velocity -1,2" as a missing value; the "=" form passes it.
+    assert run(["synth", "--velocity=-1,2", "--start=40,0", "--out", tmp_path]) == 0
+    echo = synth_echo(tmp_path)
+    assert echo["trajectory"] == [[-1, 2]] * (SynthConfig.frames - 1) and echo["start"] == [40, 0]
+
+
 def synth_echo(out):
     return json.loads((out / "truth.jsonl").read_text().splitlines()[0])["config"]["synthetic"]
 
@@ -430,7 +442,7 @@ def test_simulate_rejects_gap_in_mvm_numbering(synth_dir, tmp_path, capsys):
     (mv / "000003.mvm").unlink()
     assert simulate_from_mvm(synth_dir, tmp_path, mv) == 2
     err = error_line(capsys)
-    assert err.startswith("error MissingDataError:") and "no metadata file for frame 3" in err
+    assert err.startswith("error MissingDataError:") and "no .mvm file for frame 3" in err
 
 
 def test_simulate_rejects_mixed_mvm_fields(synth_dir, tmp_path, capsys):
@@ -450,3 +462,56 @@ def test_simulate_rejects_mixed_mvm_fields(synth_dir, tmp_path, capsys):
 def test_estimate_flags_checked_like_config(synth_dir, tmp_path, capsys):
     assert run(["estimate", "--frames", synth_dir, "--out", tmp_path / "mv", "--mb-size", "12"]) == 2
     assert error_line(capsys).startswith("error ConfigError: mb_size must be a power of two")
+
+
+def repeat_frame_line(src, dst, frame):
+    """Copy trace `src` to `dst` with the line of `frame` written twice;
+    returns the 1-based line number of the repeat."""
+    lines = src.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if json.loads(line).get("frame") == frame)
+    lines.insert(i + 1, lines[i])
+    dst.write_text("\n".join(lines) + "\n")
+    return i + 2
+
+
+def test_simulate_rejects_repeated_detection_frame(synth_dir, tmp_path, capsys):
+    dets = tmp_path / "dets.jsonl"
+    lineno = repeat_frame_line(synth_dir / "truth.jsonl", dets, 3)
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(dets))
+    assert run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"]) == 2
+    assert error_line(capsys) == f"error ConfigError: {dets}:{lineno}: frame 3 is repeated\n"
+
+
+@pytest.mark.parametrize("which", ["trace", "truth"])
+def test_evaluate_rejects_repeated_frame(synth_dir, sim_trace, tmp_path, capsys, which):
+    inputs = {"trace": sim_trace, "truth": synth_dir / "truth.jsonl"}
+    bad = tmp_path / f"repeated_{which}.jsonl"
+    lineno = repeat_frame_line(inputs[which], bad, 3)
+    inputs[which] = bad
+    assert run(["evaluate", "--trace", inputs["trace"], "--truth", inputs["truth"], "--out", tmp_path / "e"]) == 2
+    assert error_line(capsys) == f"error ConfigError: {bad}:{lineno}: frame 3 is repeated\n"
+
+
+def break_numbering(frames, case):
+    """Mutate a synth frame directory; returns (error class, message part)."""
+    if case == "gap":
+        (frames / "000005.pgm").unlink()
+        return "MissingDataError", "no .pgm file for frame 5 (next is 000006.pgm)"
+    if case == "stray":
+        (frames / "thumb.pgm").write_bytes((frames / "000000.pgm").read_bytes())
+        return "FrameFormatError", "thumb.pgm: .pgm file names must be frame numbers"
+    for t in reversed(range(12)):  # renumber 000000..000011 as 000001..000012
+        (frames / f"{t:06d}.pgm").rename(frames / f"{t + 1:06d}.pgm")
+    return "MissingDataError", "no .pgm file for frame 0 (next is 000001.pgm)"
+
+
+@pytest.mark.parametrize("case", ["gap", "stray", "from_one"])
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_frame_directory_numbering_is_strict(synth_dir, tmp_path, capsys, command, case):
+    cls, message = break_numbering(synth_dir, case)
+    args = ["--frames", synth_dir, "--out", tmp_path / "o"]
+    if command == "simulate":
+        args += ["--detections", synth_dir / "truth.jsonl"]
+    assert run([command, *args]) == 2
+    err = error_line(capsys)
+    assert err.startswith(f"error {cls}: ") and message in err
