@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from euphrates.errors import ConfigError, MissingDataError
+from euphrates.extrapolate import ExtrapolationParams
 from euphrates.metrics import iou
-from euphrates.motion import uniform_field
-from euphrates.pixels import SyntheticSpec, generate_sequence
+from euphrates.motion import MotionParams, estimate_motion_field, uniform_field
+from euphrates.pixels import Frame, SyntheticSpec, generate_sequence, noise_image
 from euphrates.roi import Roi
 from euphrates.metrics import greedy_match
 from euphrates.scheduler import (
@@ -100,6 +101,63 @@ def test_bad_mode_strings():
         PipelineConfig(mode="every-other").initial_ew_state()
     with pytest.raises(ConfigError):
         PipelineConfig(mode="ew:two").initial_ew_state()
+
+
+def moving_objects_scene(width=90, height=70, n_frames=12, seed=11):
+    """Noise-textured objects over a noise background, and their true boxes.
+
+    The third object leaves the frame to the right, so tracks seeded on it
+    are lost; the fourth is detected entirely off-frame.
+    """
+    rng = np.random.default_rng(seed)
+    bg = noise_image(height, width, rng)
+    objects = [((24, 16), (10, 8), (2, 1)), ((20, 20), (50, 40), (-3, 0)), ((16, 12), (66, 30), (6, 0))]
+    textures = [noise_image(h, w, rng) for (w, h), _, _ in objects]
+    frames, records = [], {}
+    for t in range(n_frames):
+        canvas = bg.copy()
+        boxes = []
+        for tex, ((w, h), (x0, y0), (vx, vy)) in zip(textures, objects):
+            x, y = x0 + vx * t, y0 + vy * t
+            boxes.append(Roi(float(x), float(y), float(w), float(h), label=0, score=1.0))
+            vis = canvas[max(0, y) : y + h, max(0, x) : x + w]
+            vis[...] = tex[max(0, -y) : max(0, -y) + vis.shape[0], max(0, -x) : max(0, -x) + vis.shape[1]]
+        boxes.append(Roi(width + 10.0, 5.0, 12.0, 12.0, label=0, score=1.0))
+        frames.append(Frame(canvas))
+        records[t] = boxes
+    return frames, records
+
+
+@pytest.mark.parametrize(
+    "mode, algorithm, grid, L, d",
+    [
+        ("ew:1", "es", (1, 1), 16, 7),
+        ("ew:3", "es", (2, 2), 4, 9),
+        ("ew:3", "tss", (3, 2), 16, 7),
+        ("ew:3", "tss", (1, 1), 4, 9),
+        ("adaptive", "es", (3, 2), 16, 9),
+        ("adaptive", "tss", (2, 2), 4, 7),
+    ],
+)
+def test_frames_path_equals_fields_path(mode, algorithm, grid, L, d):
+    """Estimating motion while the pipeline runs gives the trace that the
+    full fields of the same frames give."""
+    frames, records = moving_objects_scene()
+    assert frames[0].width % L and frames[0].height % L
+    provider = TraceProvider(records, noise_sigma=1.5, seed=5)
+    cfg = PipelineConfig(
+        mode=mode,
+        motion=MotionParams(L, d, algorithm),
+        extrapolation=ExtrapolationParams(grid=grid),
+        adaptive=AdaptiveParams(initial_ew=2, k_up=1),
+    )
+    fields = [estimate_motion_field(a, b, cfg.motion) for a, b in zip(frames, frames[1:])]
+    from_frames = run_pipeline(provider, cfg, frames=frames)
+    assert from_frames.to_jsonl() == run_pipeline(provider, cfg, fields=fields).to_jsonl()
+    if mode != "ew:1":
+        # Some E-frame reports fewer objects than the frame before it: a track was lost.
+        counts = [len(f.detections) for f in from_frames.frames]
+        assert any(f.kind == "E" and n < m for f, n, m in zip(from_frames.frames[1:], counts[1:], counts))
 
 
 # ---------------------------------------------------------------------------
