@@ -404,6 +404,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"--values for axis {args.axis} must be integers") from None
     if not values:
         raise ConfigError("--values is empty")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"--values lists {args.axis}={repeated} more than once")
 
     rows = run_sweep(cfg, args.axis, values)
     out = Path(args.out)

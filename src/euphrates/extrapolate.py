@@ -23,6 +23,7 @@ may be processed concurrently as long as each state is owned by one update.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -83,11 +84,12 @@ def split_sub_rois(roi: Roi, grid: tuple[int, int] = ExtrapolationParams.grid) -
     return tiles
 
 
-def _overlap_weights(field: MotionField, roi: Roi) -> np.ndarray:
-    """Overlap area between `roi` and each grid cell, shape (rows, cols)."""
-    L = field.params.mb_size
-    edges_x = np.arange(field.cols + 1) * L
-    edges_y = np.arange(field.rows + 1) * L
+def _overlap_weights(grid: tuple[int, int], L: int, roi: Roi) -> np.ndarray:
+    """Overlap area between `roi` and each cell of a (rows, cols) grid of
+    L x L cells, shape (rows, cols)."""
+    rows, cols = grid
+    edges_x = np.arange(cols + 1) * L
+    edges_y = np.arange(rows + 1) * L
     ov_x = np.clip(np.minimum(roi.x2, edges_x[1:]) - np.maximum(roi.x, edges_x[:-1]), 0.0, None)
     ov_y = np.clip(np.minimum(roi.y2, edges_y[1:]) - np.maximum(roi.y, edges_y[:-1]), 0.0, None)
     return ov_y[:, None] * ov_x[None, :]
@@ -96,7 +98,7 @@ def _overlap_weights(field: MotionField, roi: Roi) -> np.ndarray:
 def roi_motion_stats(field: MotionField, roi: Roi) -> tuple[float, float, float]:
     """(mu_u, mu_v, alpha): area-weighted mean motion vector and confidence
     of the MBs covered by `roi`."""
-    weights = _overlap_weights(field, roi)
+    weights = _overlap_weights((field.rows, field.cols), field.params.mb_size, roi)
     total = weights.sum()
     if total <= 0.0:
         raise EmptyRoiError(f"roi {roi} does not overlap the {field.cols}x{field.rows} MB grid")
@@ -111,6 +113,18 @@ def roi_motion_stats(field: MotionField, roi: Roi) -> tuple[float, float, float]
     mu_v = v0 + float((weights * (field.vectors[..., 1] - v0)).sum() / total)
     alpha = a0 + float((weights * (confidences - a0)).sum() / total)
     return mu_u, mu_v, min(1.0, max(0.0, alpha))
+
+
+def cells_read(tracks: Iterable[TrackState], grid: tuple[int, int], L: int) -> np.ndarray:
+    """Boolean (rows, cols) mask of the MBs whose motion `extrapolate_track`
+    reads for `tracks`: those some sub-ROI overlaps. `roi_motion_stats`
+    weights every other MB by exactly 0, so their vectors and SADs cannot
+    change a result."""
+    cells = np.zeros(grid, dtype=bool)
+    for state in tracks:
+        for sub in state.sub_tracks:
+            cells |= _overlap_weights(grid, L, sub.roi) > 0.0
+    return cells
 
 
 def filtered_mv(

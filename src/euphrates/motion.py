@@ -11,9 +11,10 @@ Two search strategies are provided: exhaustive search (ES) over the whole
 window and the classic three-step search (TSS), which walks a logarithmically
 shrinking candidate ring. Per-MB confidence is 1 - SAD / (255 * L^2).
 
-All search functions are pure; the per-MB loop in `estimate_motion_field`
-could run in parallel (results land in disjoint grid slots) and tie-breaking
-is position-free, so the output never depends on evaluation order.
+A full exhaustive-search field is computed one offset at a time across the
+whole frame. A field restricted to the MBs a caller reads (`cells`) runs the
+per-MB search on those MBs alone; tie-breaking is position-free, so every
+searched MB gets the vector and SAD the full field gives it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ConfigNode
 from .errors import DimensionMismatchError, MetadataError
@@ -109,7 +111,7 @@ class MotionField:
         )
 
 
-def _grid(width: int, height: int, L: int) -> tuple[int, int]:
+def grid_shape(width: int, height: int, L: int) -> tuple[int, int]:
     """(rows, cols) of the L-grid covering a width x height frame."""
     return -(-height // L), -(-width // L)
 
@@ -119,7 +121,7 @@ def uniform_field(
 ) -> MotionField:
     """Constant motion field; handy for tests and schedule-only simulations."""
     params = params or MotionParams()
-    rows, cols = _grid(width, height, params.mb_size)
+    rows, cols = grid_shape(width, height, params.mb_size)
     vectors = np.empty((rows, cols, 2), dtype=np.int16)
     vectors[..., 0] = mv[0]
     vectors[..., 1] = mv[1]
@@ -178,6 +180,17 @@ def _evaluator(
     return key
 
 
+@lru_cache(maxsize=32)
+def _source_ranks(d: int) -> np.ndarray:
+    """Rank of each candidate in `_canonical_offsets(d)`, indexed by where its
+    source block sits in the search window: [d - v, d - u]."""
+    ranks = np.empty((2 * d + 1, 2 * d + 1), dtype=np.int64)
+    for rank, (u, v) in enumerate(_canonical_offsets(d)):
+        ranks[d - v, d - u] = rank
+    ranks.flags.writeable = False
+    return ranks
+
+
 def exhaustive_search(
     prev: Frame | np.ndarray, cur: Frame | np.ndarray, mb_origin: tuple[int, int], params: MotionParams
 ) -> tuple[MotionVector, int]:
@@ -186,10 +199,21 @@ def exhaustive_search(
     Candidate blocks that fall outside `prev` are skipped. Ties break toward
     the smallest |u|+|v|, then smallest v, then smallest u.
     """
-    key = _evaluator(prev, cur, mb_origin, params)
-    # The zero offset is always in-frame, so the minimum is never empty.
-    best = min(filter(None, (key(u, v) for u, v in _canonical_offsets(params.search_range))))
-    return MotionVector(best[2], best[3]), best[0]
+    prev_px = _pixels(prev)
+    cur_px = _pixels(cur)
+    L, d = params.mb_size, params.search_range
+    x, y = _check_origin(mb_origin, cur_px, L)
+    h, w = prev_px.shape
+    # Top-left corners (x - u, y - v) of the candidate blocks inside `prev`;
+    # the zero offset is always among them.
+    y0, y1 = max(0, y - d), min(h - L, y + d)
+    x0, x1 = max(0, x - d), min(w - L, x + d)
+    windows = sliding_window_view(prev_px[y0 : y1 + L, x0 : x1 + L], (L, L))
+    diff = np.abs(windows - cur_px[y : y + L, x : x + L].astype(np.int16))
+    sads = diff.reshape(*diff.shape[:2], L * L).sum(axis=-1, dtype=np.int64)
+    ranks = _source_ranks(d)[y0 - y + d : y1 - y + d + 1, x0 - x + d : x1 - x + d + 1]
+    i, j = divmod(int(np.argmin(sads * (2 * d + 1) ** 2 + ranks)), sads.shape[1])
+    return MotionVector(x - x0 - j, y - y0 - i), int(sads[i, j])
 
 
 def _tss_initial_step(d: int) -> int:
@@ -267,13 +291,21 @@ def _es_field(prev: np.ndarray, cur: np.ndarray, L: int, d: int) -> tuple[np.nda
 
 
 def estimate_motion_field(
-    prev: Frame | np.ndarray, cur: Frame | np.ndarray, params: MotionParams | None = None
+    prev: Frame | np.ndarray,
+    cur: Frame | np.ndarray,
+    params: MotionParams | None = None,
+    cells: np.ndarray | None = None,
 ) -> MotionField:
     """One (motion vector, SAD) per macroblock of `cur` matched against `prev`.
 
     Frames must share dimensions. Partial edge MBs are padded by edge
     replication to the L-grid before matching; the result is identical to
     running the configured per-MB search on the padded frames.
+
+    `cells`, a boolean (rows, cols) array, restricts the search to the MBs it
+    marks. The field still covers the whole grid: every MB outside `cells`
+    gets vector (0, 0) and SAD 255 * L^2 (confidence 0), and every MB inside
+    gets what the unrestricted search gives it.
     """
     params = params or MotionParams()
     prev_px = _pixels(prev)
@@ -284,20 +316,25 @@ def estimate_motion_field(
         )
     height, width = cur_px.shape
     L = params.mb_size
+    rows, cols = grid_shape(width, height, L)
+    if cells is not None and np.shape(cells) != (rows, cols):
+        raise ValueError(f"cells has shape {np.shape(cells)}, expected the ({rows}, {cols}) MB grid")
     prev_pad = _pad_to_grid(prev_px, L)
     cur_pad = _pad_to_grid(cur_px, L)
 
-    if params.algorithm == ES:
+    if params.algorithm == ES and cells is None:
         vectors, sads = _es_field(prev_pad, cur_pad, L, params.search_range)
-    else:
-        rows, cols = _grid(width, height, L)
-        vectors = np.zeros((rows, cols, 2), dtype=np.int16)
-        sads = np.zeros((rows, cols), dtype=np.int64)
-        for r in range(rows):
-            for c in range(cols):
-                mv, s = three_step_search(prev_pad, cur_pad, (c * L, r * L), params)
-                vectors[r, c] = (mv.u, mv.v)
-                sads[r, c] = s
+        return MotionField(width, height, params, vectors, sads)
+
+    search = exhaustive_search if params.algorithm == ES else three_step_search
+    if cells is None:
+        cells = np.ones((rows, cols), dtype=bool)
+    vectors = np.zeros((rows, cols, 2), dtype=np.int16)
+    sads = np.full((rows, cols), params.max_sad, dtype=np.int64)
+    for r, c in np.argwhere(cells).tolist():
+        mv, s = search(prev_pad, cur_pad, (c * L, r * L), params)
+        vectors[r, c] = (mv.u, mv.v)
+        sads[r, c] = s
     return MotionField(width, height, params, vectors, sads)
 
 
@@ -322,7 +359,7 @@ def _record(d: int) -> np.dtype:
 
 
 def encoded_size(width: int, height: int, params: MotionParams) -> int:
-    rows, cols = _grid(width, height, params.mb_size)
+    rows, cols = grid_shape(width, height, params.mb_size)
     return _HEADER.size + _record(params.search_range).itemsize * rows * cols
 
 
@@ -396,6 +433,6 @@ def decode_metadata(data: bytes) -> MotionField:
     if sads.max(initial=0) > params.max_sad:
         raise MetadataError(f"decoded sad exceeds {params.max_sad}")
 
-    rows, cols = _grid(width, height, L)
+    rows, cols = grid_shape(width, height, L)
     vectors = np.stack([u.reshape(rows, cols), v.reshape(rows, cols)], axis=-1)
     return MotionField(width, height, params, vectors, sads.reshape(rows, cols))

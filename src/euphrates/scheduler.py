@@ -8,9 +8,9 @@ I-frame's own motion field and compared against the inference output, and
 the extrapolation window (EW) shrinks or grows based on the disagreement.
 
 Motion fields always pair a frame with its immediate predecessor, regardless
-of frame kind. The per-frame loop is inherently sequential (state-carrying);
-field computation for upcoming frames could be pipelined ahead without
-changing the trace.
+of frame kind. When the pipeline estimates motion from frames, it searches
+only the macroblocks that the live tracks' sub-ROIs overlap, the only ones
+extrapolation reads, so the trace equals the one the full fields give.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import numpy as np
 
 from .config import ConfigNode, check
 from .errors import ConfigError, MissingDataError
-from .extrapolate import ExtrapolationParams, TrackState, extrapolate_track, init_track
+from .extrapolate import ExtrapolationParams, TrackState, cells_read, extrapolate_track, init_track
 from .metrics import greedy_match
-from .motion import MotionField, MotionParams, estimate_motion_field
+from .motion import MotionField, MotionParams, estimate_motion_field, grid_shape
 from .pixels import Frame
 from .roi import Roi
 
@@ -327,13 +327,15 @@ def run_pipeline(
     if n < 1:
         raise ConfigError("sequence must contain at least one frame")
 
-    def field_for(t: int) -> MotionField:
+    def field_for(t: int, tracks: list[TrackState]) -> MotionField:
         if fields is not None:
             f = fields[t - 1]
             if f is None:
                 raise MissingDataError(f"no motion field for frame {t}")
             return f
-        return estimate_motion_field(frames[t - 1], frames[t], cfg.motion)
+        L = cfg.motion.mb_size
+        cells = cells_read(tracks, grid_shape(frames[t].width, frames[t].height, L), L)
+        return estimate_motion_field(frames[t - 1], frames[t], cfg.motion, cells=cells)
 
     ew_state = cfg.initial_ew_state()
     tracks: list[TrackState] = []
@@ -346,7 +348,7 @@ def run_pipeline(
             inferred = provider.detections(t)
             diff = None
             if ew_state.adaptive is not None and t > 0:
-                carried = field_for(t)
+                carried = field_for(t, tracks)
                 predicted = []
                 for tr in tracks:
                     _, p = extrapolate_track(tr, carried, size)
@@ -366,7 +368,7 @@ def run_pipeline(
             records.append(FrameRecord(t, I_FRAME, tuple(dets), ew=ew_state.ew, diff=diff))
             next_iframe = t + ew_state.ew
         else:
-            f = field_for(t)
+            f = field_for(t, tracks)
             dets = []
             survivors = []
             for tr in tracks:

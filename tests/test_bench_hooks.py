@@ -6,7 +6,8 @@ import sys
 from pathlib import Path
 
 from euphrates import cli, metrics, pixels, scheduler
-from euphrates.scheduler import ResultTrace, TraceProvider
+from euphrates.pixels import SyntheticSpec, generate_sequence
+from euphrates.scheduler import AdaptiveParams, PipelineConfig, ResultTrace, TraceProvider
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 OWNERS = (cli, metrics, pixels, scheduler, ResultTrace, TraceProvider)
@@ -36,3 +37,24 @@ def test_instrument_wraps_the_hooked_names_and_uninstall_restores_them():
     for owner, names in zip(OWNERS, before):
         now = vars(owner)
         assert all(now[name] is value for name, value in names.items()), owner
+
+
+def test_pipeline_estimates_each_needed_field_through_the_hooked_name():
+    # The traced run counts fields by the spans of scheduler.estimate_motion_field;
+    # a search that bypassed that name would drop out of motion.unique_field_ratio.
+    tracer_mod = load_tracer()
+    tracer = tracer_mod.Tracer()
+    frames, rois = generate_sequence(SyntheticSpec.constant((96, 64), (32, 24), (2, 1), 9, seed=4))
+    provider = TraceProvider({i: [r] for i, r in enumerate(rois)})
+    cfg = PipelineConfig(mode="adaptive", adaptive=AdaptiveParams(initial_ew=2, k_up=1))
+    try:
+        tracer_mod.instrument(tracer)
+        trace = scheduler.run_pipeline(provider, cfg, frames=frames)
+    finally:
+        tracer.uninstall()
+    # E-frames, and I-frames that compare a carried prediction, each need one field.
+    needed = [f for f in trace.frames if f.kind == "E" or f.diff is not None]
+    spans = [s for s in tracer.spans if s.name == "motion.estimate"]
+    assert len(needed) >= 4 and any(f.kind == "I" for f in needed)
+    assert len(spans) == len(needed)
+    assert all(s.attrs["site"] == "scheduler" for s in spans)

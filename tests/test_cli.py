@@ -351,6 +351,20 @@ def test_sweep_labels_failing_run(synth_dir, tmp_path, capsys):
     assert "mb_size=12" in capsys.readouterr().err
 
 
+def test_sweep_rejects_repeated_values(synth_dir, tmp_path, capsys):
+    cfgp = write_run_config(
+        tmp_path / "run.json",
+        frames_dir=str(synth_dir),
+        detections=str(synth_dir / "truth.jsonl"),
+    )
+    out = tmp_path / "s"
+    assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "2,4,02", "--out", out]) == 2
+    assert error_line(capsys) == "error ConfigError: --values lists ew=2 more than once\n"
+    assert run(["sweep", "--config", cfgp, "--axis", "algorithm", "--values", "es,es", "--out", out]) == 2
+    assert error_line(capsys) == "error ConfigError: --values lists algorithm=es more than once\n"
+    assert not out.exists()
+
+
 def test_threads_env_validation(synth_dir, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EUPHRATES_THREADS", "many")
     cfgp = write_run_config(

@@ -293,7 +293,7 @@ def test_touched_macroblocks_cost_bound():
     field = uniform_field(256, 128)
 
     def touched(roi):
-        return int(np.count_nonzero(_overlap_weights(field, roi)))
+        return int(np.count_nonzero(_overlap_weights((field.rows, field.cols), 16, roi)))
 
     assert touched(Roi(0, 0, 100, 50)) == 7 * 4
     assert touched(Roi(0, 0, 16, 16)) == 1

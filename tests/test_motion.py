@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from euphrates.errors import DimensionMismatchError, MetadataError
 from euphrates.motion import (
@@ -199,6 +201,45 @@ def test_field_tss_matches_per_mb_tss():
         for c in range(field.cols):
             mv, s = three_step_search(prev, cur, (c * 16, r * 16), params)
             assert field.vector_at(r, c) == mv and field.sads[r, c] == s
+
+
+@st.composite
+def masked_pairs(draw):
+    """(prev, cur, L, d, cells): a random frame pair of any size, few or many
+    grey levels (few make SAD ties common), and a random MB mask."""
+    L = draw(st.sampled_from([4, 8, 16]))
+    d = draw(st.integers(1, 12))
+    width, height = draw(st.integers(1, 5 * L)), draw(st.integers(1, 5 * L))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 256]))
+    prev, cur = (rng.integers(0, levels, size=(height, width), dtype=np.uint8) for _ in range(2))
+    rows, cols = -(-height // L), -(-width // L)
+    cells = np.array(draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)), dtype=bool)
+    return prev, cur, L, d, cells.reshape(rows, cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(masked_pairs())
+def test_masked_field_equals_full_field_on_masked_mbs(case):
+    prev, cur, L, d, cells = case
+    height, width = cur.shape
+    pad = ((0, -height % L), (0, -width % L))
+    ref_vectors, ref_sads = naive_field(np.pad(prev, pad, mode="edge"), np.pad(cur, pad, mode="edge"), L, d)
+    for algorithm in ("es", "tss"):
+        params = MotionParams(L, d, algorithm)
+        full = estimate_motion_field(prev, cur, params)
+        masked = estimate_motion_field(prev, cur, params, cells=cells)
+        assert (masked.width, masked.height, masked.vectors.shape) == (full.width, full.height, full.vectors.shape)
+        assert np.array_equal(masked.vectors[cells], full.vectors[cells])
+        assert np.array_equal(masked.sads[cells], full.sads[cells])
+        # Unsearched MBs read as zero motion at zero confidence.
+        assert not masked.vectors[~cells].any()
+        assert np.all(masked.confidences[~cells] == 0.0)
+        if algorithm == "es":
+            assert np.array_equal(masked.vectors[cells], ref_vectors[cells])
+            assert np.array_equal(masked.sads[cells], ref_sads[cells])
+    with pytest.raises(DimensionMismatchError):
+        estimate_motion_field(prev, np.zeros((height, width + 1), np.uint8), params, cells=np.zeros_like(cells))
 
 
 @pytest.mark.parametrize(
