@@ -1,5 +1,6 @@
 """Pipeline sequencing: schedules, association, adaptive EW, traces."""
 
+import hashlib
 import json
 import math
 
@@ -103,11 +104,12 @@ def test_bad_mode_strings():
         PipelineConfig(mode="ew:two").initial_ew_state()
 
 
-def moving_objects_scene(width=90, height=70, n_frames=12, seed=11):
+def moving_objects_scene(width=90, height=70, n_frames=12, seed=11, tags=((0, 1.0),) * 4):
     """Noise-textured objects over a noise background, and their true boxes.
 
     The third object leaves the frame to the right, so tracks seeded on it
-    are lost; the fourth is detected entirely off-frame.
+    are lost; the fourth is detected entirely off-frame. `tags` holds each
+    object's (label, score), in that order.
     """
     rng = np.random.default_rng(seed)
     bg = noise_image(height, width, rng)
@@ -117,12 +119,13 @@ def moving_objects_scene(width=90, height=70, n_frames=12, seed=11):
     for t in range(n_frames):
         canvas = bg.copy()
         boxes = []
-        for tex, ((w, h), (x0, y0), (vx, vy)) in zip(textures, objects):
+        for tex, ((w, h), (x0, y0), (vx, vy)), (label, score) in zip(textures, objects, tags):
             x, y = x0 + vx * t, y0 + vy * t
-            boxes.append(Roi(float(x), float(y), float(w), float(h), label=0, score=1.0))
+            boxes.append(Roi(float(x), float(y), float(w), float(h), label=label, score=score))
             vis = canvas[max(0, y) : y + h, max(0, x) : x + w]
             vis[...] = tex[max(0, -y) : max(0, -y) + vis.shape[0], max(0, -x) : max(0, -x) + vis.shape[1]]
-        boxes.append(Roi(width + 10.0, 5.0, 12.0, 12.0, label=0, score=1.0))
+        label, score = tags[3]
+        boxes.append(Roi(width + 10.0, 5.0, 12.0, 12.0, label=label, score=score))
         frames.append(Frame(canvas))
         records[t] = boxes
     return frames, records
@@ -158,6 +161,55 @@ def test_frames_path_equals_fields_path(mode, algorithm, grid, L, d):
         # Some E-frame reports fewer objects than the frame before it: a track was lost.
         counts = [len(f.detections) for f in from_frames.frames]
         assert any(f.kind == "E" and n < m for f, n, m in zip(from_frames.frames[1:], counts[1:], counts))
+
+
+# Golden frame records: the sha256 of whole traces, with labels and scores
+# of every kind on the boxes. On this scene filter thresholds 0.95 and 1.0
+# give other frame records than the default 0.7, so a pipeline that dropped
+# the configured threshold would change those digests.
+GOLDEN_TAGS = (("car", 0.9), (3, None), (None, 0.5), ("sign", 0.75))
+
+
+@pytest.mark.parametrize(
+    "mode, grid, threshold, source, digest",
+    [
+        ("ew:1", (1, 1), 0.7, "fields",
+         "f2d62b485f7f56ee9fa93999e14f1c95b68d22ae7773b601740f0eed4a190539"),
+        ("ew:1", (3, 2), 0.95, "frames",
+         "b91ded8d9443007d2dcc75aeb7b57bd3817b89cd953a4cd60d22cf20d1879172"),
+        ("ew:3", (2, 2), 0.7, "frames",
+         "4e752fbbbf3e0574b56b33db3d9994084157410535a1c8ec323fc98150d9a75e"),
+        ("ew:3", (3, 2), 0.95, "fields",
+         "57791c944d086852f38ef99298ae8e6aa276b487c3eb6f32a1091f654c2f93ca"),
+        ("ew:3", (1, 1), 1.0, "frames",
+         "f229c69dc98b4363a8cea085def90b8c53065912a14ae7c8443a6da7ff911300"),
+        ("adaptive", (3, 2), 0.7, "frames",
+         "2dbd9741077766417cfaf59d791167a638a80b3536e3028b9f03e0f2fb8d94ab"),
+        ("adaptive", (2, 2), 0.95, "frames",
+         "ab1df854b6b415de02b442365e2b6998673bf6b5f81af090c6dad45679976fa7"),
+        ("adaptive", (1, 1), 1.0, "fields",
+         "621f777d438f3fc84b63617910c73603bce9989130a922fcb10e05c5c47d6b29"),
+    ],
+)
+def test_golden_frame_records(mode, grid, threshold, source, digest):
+    frames, records = moving_objects_scene(tags=GOLDEN_TAGS)
+    provider = TraceProvider(records, noise_sigma=1.5, seed=5)
+
+    def trace(filter_threshold):
+        cfg = PipelineConfig(
+            mode=mode,
+            extrapolation=ExtrapolationParams(grid=grid, filter_threshold=filter_threshold),
+            adaptive=AdaptiveParams(initial_ew=2, k_up=1),
+        )
+        if source == "frames":
+            return run_pipeline(provider, cfg, frames=frames).to_jsonl()
+        fields = [estimate_motion_field(a, b, cfg.motion) for a, b in zip(frames, frames[1:])]
+        return run_pipeline(provider, cfg, fields=fields).to_jsonl()
+
+    text = trace(threshold)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    if threshold != 0.7 and mode != "ew:1":
+        assert text.splitlines()[1:] != trace(0.7).splitlines()[1:]
 
 
 # ---------------------------------------------------------------------------
