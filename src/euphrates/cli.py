@@ -165,6 +165,17 @@ def build_run_config(config_path: str | None, args: argparse.Namespace | None = 
     return _load_config(RunConfig(), config_path, flags)
 
 
+def _out_dir(path: str | Path) -> Path:
+    """`path` as a directory, made with its parents if missing; ConfigError
+    when it or one of its parents is a file."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as e:
+        raise ConfigError(f"output directory {out}: {e.strerror}") from None
+    return out
+
+
 def _echo_header(cfg: dict) -> str:
     return json.dumps({"config": cfg, "version": __version__}, sort_keys=True)
 
@@ -191,8 +202,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _load_config(SynthConfig(), args.config, flags)
     spec = cfg.spec()
     frames, rois = generate_sequence(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     save_sequence(frames, out)
 
     lines = [_echo_header({"synthetic": replace(cfg, trajectory=spec.trajectory).to_dict()})]
@@ -211,8 +221,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         MotionParams(),
         {"mb_size": args.mb_size, "search_range": args.search_range, "algorithm": args.algo},
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     total = 0
     for t in range(1, len(frames)):
         field = estimate_motion_field(frames[t - 1], frames[t], params)
@@ -271,7 +280,7 @@ def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
 
 def _write_run(out: Path, trace: ResultTrace, report: EnergyReport) -> None:
     """trace.jsonl and energy.json of one simulate run, in directory `out`."""
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out)
     trace.save(out / "trace.jsonl")
     energy = {"config": trace.config, "version": __version__, "report": report.to_dict()}
     (out / "energy.json").write_text(json.dumps(energy, sort_keys=True, indent=2) + "\n")
@@ -335,8 +344,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = {"trace": str(args.trace), "truth": str(args.truth), "thresholds": list(thresholds)}
     result = evaluate_trace(trace, truth, thresholds)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     _write_csv(out / "ap.csv", cfg, ["threshold", "ap"], result["ap"])
     if result["success"] is not None:
         _write_csv(out / "success.csv", cfg, ["threshold", "success_rate"], result["success"])
@@ -409,8 +417,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--values lists {args.axis}={repeated} more than once")
 
     rows = run_sweep(cfg, args.axis, values)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     for row in rows:
         _write_run(out / f"{args.axis}_{row['value']}", row["trace"], row["report"])
     table = [

@@ -22,7 +22,7 @@ may be processed concurrently as long as each state is owned by one update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -61,13 +61,11 @@ class TrackState:
 
     track_id: int
     sub_tracks: tuple[SubTrack, ...]
-    filter_threshold: float = ExtrapolationParams.filter_threshold
-    last_roi: Roi | None = None
-    lost: bool = False
 
 
 def split_sub_rois(roi: Roi, grid: tuple[int, int] = ExtrapolationParams.grid) -> list[Roi]:
-    """Tile `roi` into a rows x cols grid of disjoint, exactly covering boxes.
+    """Tile `roi` into a rows x cols grid of disjoint, exactly covering boxes
+    that carry its label and score.
 
     Edges are real-valued fractions of the ROI, so no area is lost to
     rounding; adjacent tiles start at bit-identical shared edge values.
@@ -80,7 +78,7 @@ def split_sub_rois(roi: Roi, grid: tuple[int, int] = ExtrapolationParams.grid) -
     tiles = []
     for j in range(rows):
         for i in range(cols):
-            tiles.append(Roi(xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j]))
+            tiles.append(Roi(xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j], label=roi.label, score=roi.score))
     return tiles
 
 
@@ -146,49 +144,39 @@ def filtered_mv(
     return (u, v), beta
 
 
-def init_track(
-    track_id: int,
-    roi: Roi,
-    grid: tuple[int, int] = ExtrapolationParams.grid,
-    filter_threshold: float = ExtrapolationParams.filter_threshold,
-) -> TrackState:
+def init_track(track_id: int, roi: Roi, grid: tuple[int, int] = ExtrapolationParams.grid) -> TrackState:
     """Seed a track from an inference result; all filter state starts at zero."""
     subs = tuple(SubTrack(r) for r in split_sub_rois(roi, grid))
-    return TrackState(track_id, subs, filter_threshold, last_roi=roi)
+    return TrackState(track_id, subs)
 
 
 def extrapolate_track(
-    state: TrackState, field: MotionField, frame_size: tuple[int, int]
+    state: TrackState,
+    field: MotionField,
+    frame_size: tuple[int, int],
+    filter_threshold: float = ExtrapolationParams.filter_threshold,
 ) -> tuple[TrackState, Roi | None]:
     """Advance a track by one frame using `field`.
 
     Each sub-ROI is moved by its own filtered vector; the composed ROI is the
     minimal bounding box of the moved sub-ROIs intersected with the frame
-    rectangle (label and score carried over). When the composed box leaves
-    the frame entirely, or a sub-ROI drifts off the MB grid, the returned
-    state is flagged lost and the ROI is None; the caller decides what to do
-    (typically: drop the track until the next inference re-seeds it).
+    rectangle, with the label and score the sub-ROIs carry from the seed box.
+    When a sub-ROI drifts off the MB grid, or the composed box leaves the
+    frame entirely, the track is lost and the ROI is None; the caller decides
+    what to do (typically: drop the track until the next inference re-seeds
+    it).
     """
     width, height = frame_size
-    moved: list[Roi] = []
     new_subs: list[SubTrack] = []
     for sub in state.sub_tracks:
         try:
             mu_u, mu_v, alpha = roi_motion_stats(field, sub.roi)
         except EmptyRoiError:
-            return replace(state, lost=True), None
-        mv, _beta = filtered_mv((mu_u, mu_v), alpha, sub.prev_mv, state.filter_threshold)
-        roi = sub.roi.translated(*mv)
-        new_subs.append(SubTrack(roi, mv))
-        moved.append(roi)
+            return state, None
+        mv, _beta = filtered_mv((mu_u, mu_v), alpha, sub.prev_mv, filter_threshold)
+        new_subs.append(SubTrack(sub.roi.translated(*mv), mv))
 
-    template = state.last_roi if state.last_roi is not None else moved[0]
-    composed = replace(bounding_box(moved), label=template.label, score=template.score)
-    clamped = composed.intersect(Roi(0.0, 0.0, float(width), float(height)))
-    if clamped is None:
-        return replace(state, sub_tracks=tuple(new_subs), lost=True), None
-    new_state = TrackState(
-        state.track_id, tuple(new_subs), state.filter_threshold, last_roi=clamped, lost=False
-    )
-    return new_state, clamped
+    new_state = TrackState(state.track_id, tuple(new_subs))
+    composed = bounding_box([sub.roi for sub in new_subs])
+    return new_state, composed.intersect(Roi(0.0, 0.0, float(width), float(height)))
 

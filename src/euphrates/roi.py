@@ -6,6 +6,7 @@ repeated extrapolation does not accumulate truncation drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -66,15 +67,21 @@ class Roi:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Roi":
-        """Inverse of `to_dict`; ConfigError unless x, y, w, h are finite numbers."""
+        """Inverse of `to_dict`; ConfigError unless x, y, w, h are finite
+        numbers and the far corner x + w, y + h is finite and beyond x, y."""
         if not isinstance(d, dict):
             raise ConfigError(f"box: expected an object, got {d!r}")
         x, y, w, h = (float(check(float, d.get(k), f"box.{k}")) for k in "xywh")
         score = check(float | None, d.get("score"), "box.score")
         try:
-            return cls(x, y, w, h, label=d.get("label"), score=score)
+            roi = cls(x, y, w, h, label=d.get("label"), score=score)
         except ValueError as e:
             raise ConfigError(f"box: {e}") from None
+        if not (x < roi.x2 < math.inf and y < roi.y2 < math.inf):
+            raise ConfigError(
+                f"box: far corner ({roi.x2!r}, {roi.y2!r}) is not finite or not beyond ({x!r}, {y!r})"
+            )
+        return roi
 
 
 def bounding_box(rois: list[Roi]) -> Roi:

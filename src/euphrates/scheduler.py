@@ -337,6 +337,14 @@ def run_pipeline(
         cells = cells_read(tracks, grid_shape(frames[t].width, frames[t].height, L), L)
         return estimate_motion_field(frames[t - 1], frames[t], cfg.motion, cells=cells)
 
+    def advance(t: int, tracks: list[TrackState]) -> list[tuple[TrackState, Roi]]:
+        """Every track carried through field t: the survivors and their ROIs.
+        A lost track drops out until the next I-frame re-seeds it."""
+        f = field_for(t, tracks)
+        threshold = cfg.extrapolation.filter_threshold
+        moved = [extrapolate_track(tr, f, size, filter_threshold=threshold) for tr in tracks]
+        return [(state, roi) for state, roi in moved if roi is not None]
+
     ew_state = cfg.initial_ew_state()
     tracks: list[TrackState] = []
     next_id = 0
@@ -348,36 +356,20 @@ def run_pipeline(
             inferred = provider.detections(t)
             diff = None
             if ew_state.adaptive is not None and t > 0:
-                carried = field_for(t, tracks)
-                predicted = []
-                for tr in tracks:
-                    _, p = extrapolate_track(tr, carried, size)
-                    if p is not None:
-                        predicted.append(p)
-                diff = prediction_diff(predicted, inferred)
+                diff = prediction_diff([roi for _, roi in advance(t, tracks)], inferred)
                 ew_state = ew_state.update(diff)
             dets = []
             new_tracks = []
             for r in inferred:
-                new_tracks.append(
-                    init_track(next_id, r, cfg.extrapolation.grid, cfg.extrapolation.filter_threshold)
-                )
+                new_tracks.append(init_track(next_id, r, cfg.extrapolation.grid))
                 dets.append(Detection(next_id, r))
                 next_id += 1
             tracks = new_tracks
             records.append(FrameRecord(t, I_FRAME, tuple(dets), ew=ew_state.ew, diff=diff))
             next_iframe = t + ew_state.ew
         else:
-            f = field_for(t, tracks)
-            dets = []
-            survivors = []
-            for tr in tracks:
-                new_state, roi = extrapolate_track(tr, f, size)
-                if roi is None:
-                    continue  # lost; next I-frame re-seeds
-                survivors.append(new_state)
-                dets.append(Detection(new_state.track_id, roi))
-            tracks = survivors
-            records.append(FrameRecord(t, E_FRAME, tuple(dets)))
+            moved = advance(t, tracks)
+            tracks = [state for state, _ in moved]
+            records.append(FrameRecord(t, E_FRAME, tuple(Detection(s.track_id, roi) for s, roi in moved)))
 
     return ResultTrace(records, config=cfg.to_dict())

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from euphrates import cli, metrics, pixels, scheduler
 from euphrates.pixels import SyntheticSpec, generate_sequence
+from euphrates.roi import Roi
 from euphrates.scheduler import AdaptiveParams, PipelineConfig, ResultTrace, TraceProvider
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -58,3 +59,23 @@ def test_pipeline_estimates_each_needed_field_through_the_hooked_name():
     assert len(needed) >= 4 and any(f.kind == "I" for f in needed)
     assert len(spans) == len(needed)
     assert all(s.attrs["site"] == "scheduler" for s in spans)
+
+
+def test_extrapolation_spans_read_the_track_field_and_loss():
+    # The tracer reads the track's sub-ROIs and the field from the first two
+    # positional arguments of scheduler.extrapolate_track, and a loss from a
+    # None ROI in its result; the second box here is off-frame and is lost.
+    tracer_mod = load_tracer()
+    tracer = tracer_mod.Tracer()
+    frames, rois = generate_sequence(SyntheticSpec.constant((96, 64), (32, 24), (2, 1), 7, seed=4))
+    provider = TraceProvider({i: [r, Roi(106.0, 5.0, 12.0, 12.0)] for i, r in enumerate(rois)})
+    cfg = PipelineConfig(mode="ew:3")
+    try:
+        tracer_mod.instrument(tracer)
+        trace = scheduler.run_pipeline(provider, cfg, frames=frames)
+    finally:
+        tracer.uninstall()
+    assert trace.to_jsonl() == scheduler.run_pipeline(provider, cfg, frames=frames).to_jsonl()
+    spans = [s for s in tracer.spans if s.name == "extrapolate.extrapolate_track"]
+    assert {s.attrs["lost"] for s in spans} == {True, False}
+    assert all("new_cells" in s.attrs for s in spans)

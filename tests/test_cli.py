@@ -529,3 +529,44 @@ def test_frame_directory_numbering_is_strict(synth_dir, tmp_path, capsys, comman
     assert run([command, *args]) == 2
     err = error_line(capsys)
     assert err.startswith(f"error {cls}: ") and message in err
+
+
+def command_args(command, synth_dir, sim_trace, tmp_path):
+    """Arguments, without --out, of a run of `command` that succeeds."""
+    if command == "synth":
+        return ["synth", "--frames", "3"]
+    if command == "estimate":
+        return ["estimate", "--frames", synth_dir]
+    if command == "evaluate":
+        return ["evaluate", "--trace", sim_trace, "--truth", synth_dir / "truth.jsonl"]
+    cfgp = write_run_config(tmp_path / "out_run.json", frames_dir=str(synth_dir),
+                            detections=str(synth_dir / "truth.jsonl"))
+    if command == "simulate":
+        return ["simulate", "--config", cfgp]
+    return ["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,2"]
+
+
+@pytest.mark.parametrize("where, reason", [("file", "File exists"), ("under_file", "Not a directory")])
+@pytest.mark.parametrize("command", ["synth", "estimate", "simulate", "evaluate", "sweep"])
+def test_output_path_through_a_file_is_rejected(synth_dir, sim_trace, tmp_path, capsys, command, where, reason):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker if where == "file" else blocker / "sub"
+    args = command_args(command, synth_dir, sim_trace, tmp_path)
+    capsys.readouterr()
+    assert run([*args, "--out", out]) == 2
+    assert error_line(capsys) == f"error ConfigError: output directory {out}: {reason}\n"
+    assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("field, value", [("x", 1e308), ("w", 1e-300)])
+def test_detections_with_unrepresentable_corner_rejected(synth_dir, tmp_path, capsys, field, value):
+    truth = tmp_path / "truth.jsonl"
+    lines = (synth_dir / "truth.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record["boxes"][0][field] = value
+    lines[2] = json.dumps(record)
+    truth.write_text("\n".join(lines) + "\n")
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(truth))
+    assert run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"]) == 2
+    assert error_line(capsys).startswith(f"error ConfigError: {truth}:3: box: far corner (")
