@@ -17,11 +17,11 @@ from euphrates.extrapolate import (
 )
 from euphrates.metrics import iou
 from euphrates.motion import estimate_motion_field
-from euphrates.pixels import SyntheticSpec, generate_sequence
+from euphrates.pixels import SynthConfig, generate_sequence
 from euphrates.roi import Roi
 
 # A 64x48 textured object gliding over a flat background at (2, 1) px/frame.
-spec = SyntheticSpec.constant((192, 144), (64, 48), (2, 1), 12, seed=5, background="flat")
+spec = SynthConfig((192, 144), (64, 48), 12, ((2, 1),), seed=5, background="flat")
 frames, truth = generate_sequence(spec)
 
 # Seed the track from the frame-0 ground truth, as an inference pass would.

@@ -37,7 +37,7 @@ from .motion import (
     three_step_search,
     uniform_field,
 )
-from .pixels import Frame, SyntheticSpec, generate_sequence, load_frame, save_frame
+from .pixels import Frame, SynthConfig, generate_sequence, load_frame, save_frame
 from .roi import Roi
 from .scheduler import (
     AdaptiveParams,

@@ -33,7 +33,7 @@ from .config import ConfigNode, with_overrides
 from .errors import ConfigError, DimensionMismatchError, EuphratesError, MetadataError, MissingDataError
 from .metrics import EvalConfig, average_precision, success_curve
 from .motion import MotionField, MotionParams, decode_metadata, encode_metadata, estimate_motion_field
-from .pixels import SyntheticSpec, generate_sequence, list_frame_files, load_sequence, save_sequence
+from .pixels import SynthConfig, generate_sequence, list_frame_files, load_sequence, save_sequence
 from .roi import Roi
 from .scheduler import (
     PipelineConfig,
@@ -107,28 +107,6 @@ class RunConfig(PipelineConfig):
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class SynthConfig(ConfigNode):
-    """Recipe of `synth`; its `to_dict`, with the trajectory spelled out, is
-    the echo in truth.jsonl. A one-entry trajectory is a constant velocity."""
-
-    canvas: tuple[int, int] = (128, 96)
-    object: tuple[int, int] = (32, 16)
-    frames: int = 24  # the centred object at velocity 2,1 stays in for 25
-    trajectory: tuple[tuple[int, int], ...] = ((2, 1),)
-    seed: int = 0
-    background: str = "flat"
-    start: tuple[int, int] | None = None  # None: centred
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    def spec(self) -> SyntheticSpec:
-        traj = self.trajectory * (self.frames - 1) if len(self.trajectory) == 1 else self.trajectory
-        return SyntheticSpec(*self.canvas, *self.object, self.frames, traj, self.seed, self.background, self.start)
-
-
 def _load_config(node: ConfigNode, config_path: str | None, flags: dict[str, object]):
     """Effective configuration: `node` (the defaults) <- config file <- flags,
     where `flags` maps dotted field paths to flag values (None: not given)."""
@@ -200,12 +178,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     flags = {**pairs, "frames": args.frames, "seed": args.seed, "background": args.background,
              "trajectory": None if velocity is None else [velocity]}
     cfg = _load_config(SynthConfig(), args.config, flags)
-    spec = cfg.spec()
-    frames, rois = generate_sequence(spec)
+    frames, rois = generate_sequence(cfg)
     out = _out_dir(args.out)
     save_sequence(frames, out)
 
-    lines = [_echo_header({"synthetic": replace(cfg, trajectory=spec.trajectory).to_dict()})]
+    lines = [_echo_header({"synthetic": replace(cfg, trajectory=cfg.steps).to_dict()})]
     for t, roi in enumerate(rois):
         lines.append(json.dumps({"frame": t, "boxes": [roi.to_dict()]}, sort_keys=True))
     (out / "truth.jsonl").write_text("\n".join(lines) + "\n")
@@ -288,8 +265,8 @@ def _write_run(out: Path, trace: ResultTrace, report: EnergyReport) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = build_run_config(args.config, args)
+    out = _out_dir(args.out)
     trace, report = run_simulation(cfg)
-    out = Path(args.out)
     _write_run(out, trace, report)
     _write_csv(out / "energy.csv", trace.config, ["component", "mj", "percent"], report.csv_rows())
     print(report.to_text())
@@ -416,8 +393,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if repeated is not None:
         raise ConfigError(f"--values lists {args.axis}={repeated} more than once")
 
-    rows = run_sweep(cfg, args.axis, values)
     out = _out_dir(args.out)
+    rows = run_sweep(cfg, args.axis, values)
     for row in rows:
         _write_run(out / f"{args.axis}_{row['value']}", row["trace"], row["report"])
     table = [

@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import ConfigNode
-from .errors import EmptyRoiError
+from .errors import ConfigError, EmptyRoiError
 from .motion import MotionField
 from .roi import Roi, bounding_box
 
@@ -69,17 +69,25 @@ def split_sub_rois(roi: Roi, grid: tuple[int, int] = ExtrapolationParams.grid) -
 
     Edges are real-valued fractions of the ROI, so no area is lost to
     rounding; adjacent tiles start at bit-identical shared edge values.
+    ConfigError when `roi` is too thin for the grid, so that a tile edge
+    rounds onto the next one.
     """
     rows, cols = grid
     if rows < 1 or cols < 1:
         raise ValueError(f"sub-roi grid must be at least 1x1, got {grid}")
     xs = [roi.x + roi.w * i / cols for i in range(cols + 1)]
     ys = [roi.y + roi.h * j / rows for j in range(rows + 1)]
-    tiles = []
-    for j in range(rows):
-        for i in range(cols):
-            tiles.append(Roi(xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j], label=roi.label, score=roi.score))
-    return tiles
+    try:
+        return [
+            Roi(xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j], label=roi.label, score=roi.score)
+            for j in range(rows)
+            for i in range(cols)
+        ]
+    except ValueError:  # a tile edge rounded onto the next one
+        raise ConfigError(
+            f"box at {roi.x!r},{roi.y!r} of size {roi.w!r}x{roi.h!r} is too small to split "
+            f"into a {rows}x{cols} sub-ROI grid"
+        ) from None
 
 
 def _overlap_weights(grid: tuple[int, int], L: int, roi: Roi) -> np.ndarray:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigNode
 from .errors import ConfigError, FrameFormatError, MissingDataError
 from .roi import Roi
 
@@ -233,95 +234,92 @@ def noise_image(height: int, width: int, rng: np.random.Generator) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
-    """Recipe for a moving-object sequence with exact ground truth.
+class SynthConfig(ConfigNode):
+    """Recipe of a moving-object sequence with exact ground truth, the schema
+    of `synth`. Its `to_dict` with `trajectory=steps` is the echo in
+    truth.jsonl.
 
-    `trajectory[t-1]` is the integer displacement applied to the object
-    between frames t-1 and t, so it must contain frame_count - 1 entries.
-    `start` is the object's top-left corner at frame 0 (None = centered).
+    `trajectory` holds the integer displacements [dx, dy] of the object
+    between frames t-1 and t: one entry is a constant velocity, repeated for
+    every frame pair; otherwise it needs frames - 1 entries. `start` is the
+    object's top-left corner at frame 0.
     """
 
-    canvas_w: int
-    canvas_h: int
-    object_w: int
-    object_h: int
-    frame_count: int
-    trajectory: tuple[tuple[int, int], ...]
+    canvas: tuple[int, int] = (128, 96)
+    object: tuple[int, int] = (32, 16)
+    frames: int = 24  # the centred object at velocity 2,1 stays in for 25
+    trajectory: tuple[tuple[int, int], ...] = ((2, 1),)
     seed: int = 0
     background: str = "flat"
-    start: tuple[int, int] | None = None
+    start: tuple[int, int] | None = None  # None: centred
 
     def __post_init__(self):
-        if min(self.canvas_w, self.canvas_h, self.object_w, self.object_h) <= 0:
+        (cw, ch), (ow, oh) = self.canvas, self.object
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if min(cw, ch, ow, oh) <= 0:
             raise ConfigError("canvas and object dimensions must be positive")
-        if self.object_w > self.canvas_w or self.object_h > self.canvas_h:
+        if ow > cw or oh > ch:
             raise ConfigError("object does not fit in canvas")
-        if self.frame_count < 1:
-            raise ConfigError("frame_count must be >= 1")
+        if self.frames < 1:
+            raise ConfigError(f"frames must be >= 1, got {self.frames}")
         if self.background not in ("flat", "noise"):
             raise ConfigError(f"unknown background mode {self.background!r}")
-        if len(self.trajectory) != self.frame_count - 1:
+        if len(self.trajectory) not in (1, self.frames - 1):
             raise ConfigError(
-                f"trajectory has {len(self.trajectory)} entries, "
-                f"need frame_count - 1 = {self.frame_count - 1}"
+                f"trajectory has {len(self.trajectory)} entries, need 1 or frames - 1 = {self.frames - 1}"
             )
-        if self.start is not None:
-            x, y = self.start
-            if not (0 <= x <= self.canvas_w - self.object_w and 0 <= y <= self.canvas_h - self.object_h):
+        # A constant velocity other than 0,0 leaves the canvas within
+        # max(canvas) + 1 frames and 0,0 never does, so the walk stops there.
+        walked = min(self.frames, len(self.trajectory) + max(cw, ch) + 1)
+        for t, (x, y) in enumerate(self._corners(walked)):
+            if not (0 <= x <= cw - ow and 0 <= y <= ch - oh):
+                if t == 0:
+                    raise ConfigError(f"start {x},{y} puts the {ow}x{oh} object outside the {cw}x{ch} canvas")
                 raise ConfigError(
-                    f"start {x},{y} puts the {self.object_w}x{self.object_h} object outside "
-                    f"the {self.canvas_w}x{self.canvas_h} canvas"
+                    f"trajectory pushes object out of canvas at frame {t} "
+                    f"(top-left {x},{y}, object {ow}x{oh}, canvas {cw}x{ch})"
                 )
 
-    @classmethod
-    def constant(
-        cls,
-        canvas: tuple[int, int],
-        obj: tuple[int, int],
-        velocity: tuple[int, int],
-        frame_count: int,
-        **kwargs,
-    ) -> "SyntheticSpec":
-        traj = tuple((int(velocity[0]), int(velocity[1])) for _ in range(frame_count - 1))
-        return cls(canvas[0], canvas[1], obj[0], obj[1], frame_count, traj, **kwargs)
+    def _steps(self, count: int):
+        """The displacements of the first `count` frame pairs, lazily."""
+        last = len(self.trajectory) - 1
+        return (self.trajectory[min(t, last)] for t in range(count))
+
+    @property
+    def steps(self) -> tuple[tuple[int, int], ...]:
+        """The trajectory spelled out: one displacement per frame pair."""
+        return tuple(self._steps(self.frames - 1))
+
+    def _corners(self, count: int):
+        """The object's top-left corner at the first `count` frames, lazily."""
+        x, y = self.start or ((self.canvas[0] - self.object[0]) // 2, (self.canvas[1] - self.object[1]) // 2)
+        yield x, y
+        for dx, dy in self._steps(count - 1):
+            x, y = x + dx, y + dy
+            yield x, y
 
 
-def generate_sequence(spec: SyntheticSpec) -> tuple[list[Frame], list[Roi]]:
-    """Render the sequence described by `spec`.
+def generate_sequence(cfg: SynthConfig) -> tuple[list[Frame], list[Roi]]:
+    """Render the sequence described by `cfg`.
 
-    Frame t equals frame t-1 with the object translated by trajectory[t-1];
+    Frame t equals frame t-1 with the object translated by `cfg.steps[t-1]`;
     the returned ROI at frame t exactly bounds the object. Deterministic for
-    a given seed. Raises ConfigError when the trajectory pushes the object
-    outside the canvas.
+    a given seed.
     """
-    rng = np.random.default_rng(spec.seed)
-    if spec.background == "noise":
-        bg = noise_image(spec.canvas_h, spec.canvas_w, rng)
+    (cw, ch), (ow, oh) = cfg.canvas, cfg.object
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.background == "noise":
+        bg = noise_image(ch, cw, rng)
     else:
-        bg = np.full((spec.canvas_h, spec.canvas_w), FLAT_BACKGROUND_VALUE, dtype=np.uint8)
-    texture = noise_image(spec.object_h, spec.object_w, rng)
-
-    if spec.start is not None:
-        x, y = int(spec.start[0]), int(spec.start[1])
-    else:
-        x = (spec.canvas_w - spec.object_w) // 2
-        y = (spec.canvas_h - spec.object_h) // 2
+        bg = np.full((ch, cw), FLAT_BACKGROUND_VALUE, dtype=np.uint8)
+    texture = noise_image(oh, ow, rng)
 
     frames: list[Frame] = []
     rois: list[Roi] = []
-    for t in range(spec.frame_count):
-        if t > 0:
-            dx, dy = spec.trajectory[t - 1]
-            x += dx
-            y += dy
-        if not (0 <= x <= spec.canvas_w - spec.object_w and 0 <= y <= spec.canvas_h - spec.object_h):
-            raise ConfigError(
-                f"trajectory pushes object out of canvas at frame {t} "
-                f"(top-left {x},{y}, object {spec.object_w}x{spec.object_h}, "
-                f"canvas {spec.canvas_w}x{spec.canvas_h})"
-            )
+    for x, y in cfg._corners(cfg.frames):
         canvas = bg.copy()
-        canvas[y : y + spec.object_h, x : x + spec.object_w] = texture
+        canvas[y : y + oh, x : x + ow] = texture
         frames.append(Frame(canvas))
-        rois.append(Roi(float(x), float(y), float(spec.object_w), float(spec.object_h), label=0, score=1.0))
+        rois.append(Roi(float(x), float(y), float(ow), float(oh), label=0, score=1.0))
     return frames, rois

@@ -33,7 +33,7 @@ from euphrates.motion import (
     estimate_motion_field,
     uniform_field,
 )
-from euphrates.pixels import Frame, SyntheticSpec, generate_sequence, save_sequence
+from euphrates.pixels import Frame, SynthConfig, generate_sequence, save_sequence
 from euphrates.roi import Roi
 from euphrates.scheduler import (
     PipelineConfig,
@@ -195,7 +195,7 @@ def test_criterion_5_motion_oracle_equivalence():
 
 
 def test_criterion_6_rigid_tracking_exactness():
-    spec = SyntheticSpec.constant((192, 144), (64, 48), (2, 1), 32, seed=5, background="flat")
+    spec = SynthConfig((192, 144), (64, 48), 32, ((2, 1),), seed=5, background="flat")
     frames, rois = generate_sequence(spec)
     provider = TraceProvider({i: [r] for i, r in enumerate(rois)})
     trace = run_pipeline(provider, PipelineConfig(mode="ew:4"), frames=frames)
@@ -207,7 +207,7 @@ def test_criterion_6_rigid_tracking_exactness():
     mean_rigid = float(np.mean(ious))
 
     traj = tuple((3, 1) if t % 2 == 0 else (-2, 2) for t in range(31))
-    spec2 = SyntheticSpec(192, 144, 64, 48, 32, traj, seed=6, background="flat", start=(30, 10))
+    spec2 = SynthConfig((192, 144), (64, 48), 32, traj, seed=6, background="flat", start=(30, 10))
     frames2, rois2 = generate_sequence(spec2)
     provider2 = TraceProvider({i: [r] for i, r in enumerate(rois2)})
     trace2 = run_pipeline(provider2, PipelineConfig(mode="ew:4"), frames=frames2)
@@ -340,7 +340,7 @@ def test_criterion_9_qualitative_orderings_via_sweep(tmp_path):
             traj.append((-11, 0))
         else:
             traj.append((3, 1) if t % 2 == 0 else (-3, -1))
-    spec = SyntheticSpec(160, 120, 48, 32, 85, tuple(traj), seed=17, background="noise", start=(30, 30))
+    spec = SynthConfig((160, 120), (48, 32), 85, tuple(traj), seed=17, background="noise", start=(30, 30))
     frames, rois = generate_sequence(spec)
     fast_dir = tmp_path / "fast"
     save_sequence(frames, fast_dir)
@@ -354,7 +354,7 @@ def test_criterion_9_qualitative_orderings_via_sweep(tmp_path):
     # bounded-loop sequence over a textured background for the granularity
     # and search-quality studies
     traj2 = tuple((2, 1) if (t // 10) % 2 == 0 else (-2, -1) for t in range(99))
-    spec2 = SyntheticSpec(192, 128, 64, 48, 100, traj2, seed=21, background="noise", start=(30, 20))
+    spec2 = SynthConfig((192, 128), (64, 48), 100, traj2, seed=21, background="noise", start=(30, 20))
     frames2, rois2 = generate_sequence(spec2)
     loop_dir = tmp_path / "loop"
     save_sequence(frames2, loop_dir)

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from euphrates import cli, metrics, pixels, scheduler
-from euphrates.pixels import SyntheticSpec, generate_sequence
+from euphrates.pixels import SynthConfig, generate_sequence
 from euphrates.roi import Roi
 from euphrates.scheduler import AdaptiveParams, PipelineConfig, ResultTrace, TraceProvider
 
@@ -45,7 +45,7 @@ def test_pipeline_estimates_each_needed_field_through_the_hooked_name():
     # a search that bypassed that name would drop out of motion.unique_field_ratio.
     tracer_mod = load_tracer()
     tracer = tracer_mod.Tracer()
-    frames, rois = generate_sequence(SyntheticSpec.constant((96, 64), (32, 24), (2, 1), 9, seed=4))
+    frames, rois = generate_sequence(SynthConfig((96, 64), (32, 24), 9, ((2, 1),), seed=4))
     provider = TraceProvider({i: [r] for i, r in enumerate(rois)})
     cfg = PipelineConfig(mode="adaptive", adaptive=AdaptiveParams(initial_ew=2, k_up=1))
     try:
@@ -67,7 +67,7 @@ def test_extrapolation_spans_read_the_track_field_and_loss():
     # None ROI in its result; the second box here is off-frame and is lost.
     tracer_mod = load_tracer()
     tracer = tracer_mod.Tracer()
-    frames, rois = generate_sequence(SyntheticSpec.constant((96, 64), (32, 24), (2, 1), 7, seed=4))
+    frames, rois = generate_sequence(SynthConfig((96, 64), (32, 24), 7, ((2, 1),), seed=4))
     provider = TraceProvider({i: [r, Roi(106.0, 5.0, 12.0, 12.0)] for i, r in enumerate(rois)})
     cfg = PipelineConfig(mode="ew:3")
     try:

@@ -64,6 +64,27 @@ def test_synth_negative_velocity_in_equals_form(tmp_path):
     assert echo["trajectory"] == [[-1, 2]] * (SynthConfig.frames - 1) and echo["start"] == [40, 0]
 
 
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        {"canvas": [0, 96]},
+        {"object": [200, 16]},
+        {"frames": 0},
+        {"background": "stripes"},
+        {"frames": 5, "trajectory": [[1, 0], [1, 0]]},
+        {"start": [500, 0]},
+        {"frames": 60, "trajectory": [[3, 0]]},
+    ],
+)
+def test_synth_recipe_error_names_the_file(tmp_path, capsys, recipe):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(recipe))
+    assert run(["synth", "--config", cfgp, "--out", tmp_path / "x"]) == 2
+    err = error_line(capsys)
+    assert err.startswith(f"error ConfigError: {cfgp}: ") and "frame_count" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def synth_echo(out):
     return json.loads((out / "truth.jsonl").read_text().splitlines()[0])["config"]["synthetic"]
 
@@ -532,22 +553,27 @@ def test_frame_directory_numbering_is_strict(synth_dir, tmp_path, capsys, comman
 
 
 def command_args(command, synth_dir, sim_trace, tmp_path):
-    """Arguments, without --out, of a run of `command` that succeeds."""
+    """Arguments, without --out, of a run of `command` that succeeds, or, for
+    the `_without_frames` commands, fails on its missing frames_dir."""
     if command == "synth":
         return ["synth", "--frames", "3"]
     if command == "estimate":
         return ["estimate", "--frames", synth_dir]
     if command == "evaluate":
         return ["evaluate", "--trace", sim_trace, "--truth", synth_dir / "truth.jsonl"]
-    cfgp = write_run_config(tmp_path / "out_run.json", frames_dir=str(synth_dir),
+    frames_dir = tmp_path / "no_frames" if command.endswith("_without_frames") else synth_dir
+    cfgp = write_run_config(tmp_path / "out_run.json", frames_dir=str(frames_dir),
                             detections=str(synth_dir / "truth.jsonl"))
-    if command == "simulate":
+    if command.startswith("simulate"):
         return ["simulate", "--config", cfgp]
     return ["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,2"]
 
 
 @pytest.mark.parametrize("where, reason", [("file", "File exists"), ("under_file", "Not a directory")])
-@pytest.mark.parametrize("command", ["synth", "estimate", "simulate", "evaluate", "sweep"])
+@pytest.mark.parametrize(
+    "command",
+    ["synth", "estimate", "simulate", "evaluate", "sweep", "simulate_without_frames", "sweep_without_frames"],
+)
 def test_output_path_through_a_file_is_rejected(synth_dir, sim_trace, tmp_path, capsys, command, where, reason):
     blocker = tmp_path / "blocker"
     blocker.write_text("keep\n")
@@ -570,3 +596,15 @@ def test_detections_with_unrepresentable_corner_rejected(synth_dir, tmp_path, ca
     cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(truth))
     assert run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"]) == 2
     assert error_line(capsys).startswith(f"error ConfigError: {truth}:3: box: far corner (")
+
+
+def test_detection_too_thin_to_split_rejected(synth_dir, tmp_path, capsys):
+    truth = tmp_path / "truth.jsonl"
+    lines = (synth_dir / "truth.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])  # frame 1, an I-frame at ew:1
+    record["boxes"][0].update(x=10, w=1e-15)
+    lines[2] = json.dumps(record)
+    truth.write_text("\n".join(lines) + "\n")
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(truth))
+    assert run(["simulate", "--config", cfgp, "--mode", "ew:1", "--out", tmp_path / "sim"]) == 2
+    assert error_line(capsys).startswith("error ConfigError: box at 10.0,")

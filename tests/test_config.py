@@ -1,9 +1,13 @@
 """The typed config trees and strict parsing at every input boundary."""
 
 import json
+import re
 import struct
 import typing
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,7 +16,7 @@ from euphrates.cli import RunConfig, SynthConfig, main
 from euphrates.config import ConfigNode
 from euphrates.errors import ConfigError, EuphratesError
 from euphrates.motion import decode_metadata
-from euphrates.pixels import _parse_pgm
+from euphrates.pixels import _parse_pgm, generate_sequence
 from euphrates.scheduler import AdaptiveParams, PipelineConfig, ResultTrace, read_detection_trace
 from euphrates.socmodel import PRESETS, SocConfig, mdnet_config
 
@@ -131,6 +135,78 @@ def test_any_json_loads_or_raises_config_error(case):
         return
     assert isinstance(cfg, cls)
     assert cls.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+# ---------------------------------------------------------------------------
+# Property: a synth recipe loads and renders the positions it spells out, or
+# raises ConfigError
+
+
+PAIR = st.lists(st.integers(-8, 8), min_size=2, max_size=2)
+SPOILED = {  # values for each field, most of which break the recipe
+    "canvas": PAIR, "object": st.lists(st.integers(-1, 80), min_size=2, max_size=2),
+    "frames": st.integers(-1, 0), "trajectory": st.lists(PAIR, max_size=13), "seed": st.just(-1),
+    "background": st.just("stripes"), "start": st.lists(st.integers(-9, 80), min_size=2, max_size=2),
+}
+
+
+@st.composite
+def synth_recipes(draw):
+    """Small recipes as JSON objects: a valid-looking one, in which one field
+    may then be drawn from values that break it."""
+    canvas = [draw(st.integers(1, 64)), draw(st.integers(1, 64))]
+    obj = [draw(st.integers(1, c)) for c in canvas]
+    frames = draw(st.integers(1, 12))
+    n_steps = draw(st.sampled_from([1, frames - 1]))
+    step = st.lists(st.integers(-1, 1) | st.integers(-8, 8), min_size=2, max_size=2)
+    recipe = {
+        "canvas": canvas, "object": obj, "frames": frames,
+        "trajectory": draw(st.lists(step, min_size=n_steps, max_size=n_steps)),
+        "seed": draw(st.integers(0, 3)), "background": draw(st.sampled_from(["flat", "noise"])),
+        "start": draw(st.none() | st.tuples(*(st.integers(0, c - o) for c, o in zip(canvas, obj))).map(list)),
+    }
+    spoil = draw(st.sampled_from([None, None, *SPOILED]))
+    if spoil is not None:
+        recipe[spoil] = draw(SPOILED[spoil])
+    return {k: v for k, v in recipe.items() if draw(st.booleans()) or k in ("canvas", "object", "frames")}
+
+
+def _corners_if_valid(recipe: dict) -> list[tuple[int, int]] | None:
+    """The object's top-left corner at every frame, or None for a recipe that
+    must be rejected; the rule spelled out naively."""
+    (cw, ch), (ow, oh), n, traj = recipe["canvas"], recipe["object"], recipe["frames"], recipe["trajectory"]
+    if recipe["seed"] < 0 or min(cw, ch, ow, oh) <= 0 or ow > cw or oh > ch or n < 1:
+        return None
+    if recipe["background"] not in ("flat", "noise") or len(traj) not in (1, n - 1):
+        return None
+    corners = [tuple(recipe["start"] or ((cw - ow) // 2, (ch - oh) // 2))]
+    for t in range(1, n):
+        dx, dy = traj[0] if len(traj) == 1 else traj[t - 1]
+        corners.append((corners[-1][0] + dx, corners[-1][1] + dy))
+    inside = all(0 <= x <= cw - ow and 0 <= y <= ch - oh for x, y in corners)
+    return corners if inside else None
+
+
+@PROPERTY
+@given(synth_recipes())
+def test_synth_recipe_renders_its_positions_or_raises(data):
+    corners = _corners_if_valid({**SynthConfig().to_dict(), **data})
+    if corners is None:
+        with pytest.raises(ConfigError):
+            SynthConfig.from_dict(data)
+        return
+    cfg = SynthConfig.from_dict(data)
+    frames, rois = generate_sequence(cfg)
+    (ow, oh), (x0, y0) = cfg.object, corners[0]
+    assert [(r.x, r.y, r.w, r.h) for r in rois] == [(x, y, ow, oh) for x, y in corners]
+    texture = frames[0].pixels[y0 : y0 + oh, x0 : x0 + ow]
+    for frame, (x, y) in zip(frames, corners):
+        assert (frame.width, frame.height) == cfg.canvas
+        assert np.array_equal(frame.pixels[y : y + oh, x : x + ow], texture)
+    full = replace(cfg, trajectory=cfg.steps)
+    assert len(full.trajectory) == cfg.frames - 1
+    assert SynthConfig.from_dict(json.loads(json.dumps(full.to_dict()))) == full
+    assert generate_sequence(full) == (frames, rois)
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +339,16 @@ def test_cli_rejects_malformed_config_file(tmp_path, capsys, command, content, m
     err = capsys.readouterr().err
     assert err.startswith(f"error ConfigError: {p}: ") and err.count("\n") == 1
     assert message in err
+
+
+# ---------------------------------------------------------------------------
+# README's schema tables list exactly the schema's keys
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("section, node", [("Run configuration", RunConfig()), ("Synthetic sequences", SynthConfig())])
+def test_readme_schema_table_lists_the_schema_keys(section, node):
+    text = README.read_text(encoding="utf-8").split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in text.splitlines() if line.startswith("|")]
+    assert {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)} == set(node.to_dict())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from euphrates.errors import EmptyRoiError
+from euphrates.errors import ConfigError, EmptyRoiError
 from euphrates.extrapolate import (
     _overlap_weights,
     extrapolate_track,
@@ -165,6 +165,12 @@ def test_split_1x1_identity():
     tiles = split_sub_rois(roi, (1, 1))
     assert len(tiles) == 1
     assert (tiles[0].x, tiles[0].y, tiles[0].w, tiles[0].h) == (3.5, 4.25, 10, 20)
+
+
+def test_split_box_too_thin_for_grid_rejected():
+    with pytest.raises(ConfigError, match=r"box at 10\.0,0\.0 of size 1e-15x8\.0 .* 2x2 sub-ROI grid"):
+        split_sub_rois(Roi(10.0, 0.0, 1e-15, 8.0), (2, 2))
+    assert len(split_sub_rois(Roi(10, 0, 1e-15, 8), (2, 1))) == 2  # no split across the width
 
 
 def test_split_conserves_area_and_cover():

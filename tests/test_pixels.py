@@ -5,11 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from euphrates.cli import SynthConfig
 from euphrates.errors import ConfigError, FrameFormatError
 from euphrates.pixels import (
     Frame,
-    SyntheticSpec,
+    SynthConfig,
     generate_sequence,
     list_frame_files,
     load_frame,
@@ -133,7 +132,7 @@ def test_noise_image_deterministic():
 
 
 def test_generate_constant_motion_truth():
-    spec = SyntheticSpec.constant((128, 128), (32, 16), (2, 1), 10, seed=3, start=(10, 20))
+    spec = SynthConfig((128, 128), (32, 16), 10, ((2, 1),), seed=3, start=(10, 20))
     frames, rois = generate_sequence(spec)
     assert len(frames) == 10 and len(rois) == 10
     for t, r in enumerate(rois):
@@ -141,7 +140,7 @@ def test_generate_constant_motion_truth():
 
 
 def test_generate_frame_is_translated_previous():
-    spec = SyntheticSpec.constant((96, 64), (24, 16), (3, 2), 5, seed=11, start=(8, 8))
+    spec = SynthConfig((96, 64), (24, 16), 5, ((3, 2),), seed=11, start=(8, 8))
     frames, rois = generate_sequence(spec)
     for t in range(1, 5):
         prev_obj = frames[t - 1].pixels[int(rois[t - 1].y) : int(rois[t - 1].y2), int(rois[t - 1].x) : int(rois[t - 1].x2)]
@@ -150,38 +149,36 @@ def test_generate_frame_is_translated_previous():
 
 
 def test_generate_zero_trajectory_identical_frames():
-    spec = SyntheticSpec.constant((64, 64), (16, 16), (0, 0), 4, seed=5)
+    spec = SynthConfig((64, 64), (16, 16), 4, ((0, 0),), seed=5)
     frames, rois = generate_sequence(spec)
     assert all(f == frames[0] for f in frames)
     assert all(r == rois[0] for r in rois)
 
 
 def test_generate_deterministic():
-    spec = SyntheticSpec.constant((80, 60), (20, 12), (1, 1), 6, seed=42, background="noise")
+    spec = SynthConfig((80, 60), (20, 12), 6, ((1, 1),), seed=42, background="noise")
     a, _ = generate_sequence(spec)
     b, _ = generate_sequence(spec)
     assert a == b
 
 
 def test_generate_out_of_canvas_rejected():
-    spec = SyntheticSpec.constant((64, 64), (32, 32), (8, 0), 8, start=(0, 0))
-    with pytest.raises(ConfigError, match="out of canvas"):
-        generate_sequence(spec)
+    with pytest.raises(ConfigError, match="out of canvas at frame 5"):
+        SynthConfig((64, 64), (32, 32), 8, ((8, 0),), start=(0, 0))
 
 
 def test_spec_validation():
     with pytest.raises(ConfigError):
-        SyntheticSpec(64, 64, 128, 16, 2, ((0, 0),))  # object wider than canvas
+        SynthConfig((64, 64), (128, 16), 2, ((0, 0),))  # object wider than canvas
     with pytest.raises(ConfigError):
-        SyntheticSpec(64, 64, 16, 16, 3, ((0, 0),))  # trajectory too short
+        SynthConfig((64, 64), (16, 16), 4, ((0, 0), (0, 0)))  # trajectory too short
     with pytest.raises(ConfigError):
-        SyntheticSpec(64, 64, 16, 16, 2, ((0, 0),), background="stripes")
+        SynthConfig((64, 64), (16, 16), 2, ((0, 0),), background="stripes")
 
 
 def test_spec_dict_round_trip_and_broadcast():
-    spec = SyntheticSpec.constant((64, 48), (16, 8), (2, 1), 7, seed=2, background="noise")
     cfg = SynthConfig(canvas=(64, 48), object=(16, 8), frames=7, seed=2, background="noise")
     assert SynthConfig.from_dict(cfg.to_dict()) == cfg
-    assert cfg.spec() == spec  # a one-entry trajectory is a constant velocity
-    full = replace(cfg, trajectory=spec.trajectory)
-    assert SynthConfig.from_dict(full.to_dict()) == full and full.spec() == spec
+    assert cfg.steps == ((2, 1),) * 6  # a one-entry trajectory is a constant velocity
+    full = replace(cfg, trajectory=cfg.steps)
+    assert SynthConfig.from_dict(full.to_dict()) == full and full.steps == cfg.steps

@@ -11,7 +11,7 @@ from euphrates.errors import ConfigError, MissingDataError
 from euphrates.extrapolate import ExtrapolationParams
 from euphrates.metrics import iou
 from euphrates.motion import MotionParams, estimate_motion_field, uniform_field
-from euphrates.pixels import Frame, SyntheticSpec, generate_sequence, noise_image
+from euphrates.pixels import Frame, SynthConfig, generate_sequence, noise_image
 from euphrates.roi import Roi
 from euphrates.metrics import greedy_match
 from euphrates.scheduler import (
@@ -70,7 +70,7 @@ def test_ew1_equals_provider_verbatim():
 
 
 def test_pipeline_rigid_synthetic_matches_truth():
-    spec = SyntheticSpec.constant((160, 120), (48, 32), (2, 1), 16, seed=2, background="flat")
+    spec = SynthConfig((160, 120), (48, 32), 16, ((2, 1),), seed=2, background="flat")
     frames, rois = generate_sequence(spec)
     provider = TraceProvider({i: [r] for i, r in enumerate(rois)})
     trace = run_pipeline(provider, PipelineConfig(mode="ew:4"), frames=frames)
@@ -341,7 +341,7 @@ def test_adaptive_interval_matches_decided_ew():
 
 
 def test_trace_determinism():
-    spec = SyntheticSpec.constant((96, 72), (24, 16), (1, 2), 12, seed=7, background="noise")
+    spec = SynthConfig((96, 72), (24, 16), 12, ((1, 2),), seed=7, background="noise")
     frames, rois = generate_sequence(spec)
     provider = TraceProvider({i: [r] for i, r in enumerate(rois)})
     cfg = PipelineConfig(mode="ew:3")
