@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigNode, with_overrides
+from .config import ConfigNode, merge_overrides, with_overrides
 from .errors import ConfigError, DimensionMismatchError, EuphratesError, MetadataError, MissingDataError
 from .metrics import EvalConfig, average_precision, success_curve
 from .motion import MotionField, MotionParams, decode_metadata, encode_metadata, estimate_motion_field
@@ -109,13 +109,14 @@ class RunConfig(PipelineConfig):
 
 def _load_config(node: ConfigNode, config_path: str | None, flags: dict[str, object]):
     """Effective configuration: `node` (the defaults) <- config file <- flags,
-    where `flags` maps dotted field paths to flag values (None: not given)."""
+    where `flags` maps dotted field paths to flag values (None: not given).
+    The merged configuration is checked once, so a file may rely on flags."""
     if config_path:
         p = Path(config_path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         try:
-            node = type(node).from_dict(json.loads(p.read_text(encoding="utf-8")))
+            return type(node).from_dict(merge_overrides(json.loads(p.read_text(encoding="utf-8")), flags))
         except UnicodeDecodeError as e:
             raise ConfigError(f"{p}: not UTF-8 text: {e}") from None
         except json.JSONDecodeError as e:

@@ -98,17 +98,21 @@ def check(tp, value, path: str):
     return value
 
 
-def with_overrides(node, changes: dict[str, object]):
-    """`node` with the fields at the dotted paths of `changes` replaced, checked
-    like loaded values. None values leave their field unchanged."""
-    changes = {k: v for k, v in changes.items() if v is not None}
-    if not changes:
-        return node
-    data = node.to_dict()
-    for dotted, value in changes.items():
+def merge_overrides(data, changes: dict[str, object]):
+    """`data` with the values at the dotted paths of `changes` set in place,
+    missing parents made and None values skipped. A path through a value that
+    is not an object is left out, so loading reports that value."""
+    for dotted in [k for k, v in changes.items() if v is not None]:
         *parents, key = dotted.split(".")
         target = data
         for name in parents:
-            target = target[name]
-        target[key] = value
-    return type(node).from_dict(data)
+            target = target.setdefault(name, {}) if isinstance(target, dict) else None
+        if isinstance(target, dict):
+            target[key] = changes[dotted]
+    return data
+
+
+def with_overrides(node, changes: dict[str, object]):
+    """`node` with the fields at the dotted paths of `changes` replaced, checked
+    like loaded values. None values leave their field unchanged."""
+    return type(node).from_dict(merge_overrides(node.to_dict(), changes))

@@ -11,6 +11,7 @@ All operations here are pure and safe to call from multiple threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -269,10 +270,13 @@ class SynthConfig(ConfigNode):
             raise ConfigError(
                 f"trajectory has {len(self.trajectory)} entries, need 1 or frames - 1 = {self.frames - 1}"
             )
-        # A constant velocity other than 0,0 leaves the canvas within
-        # max(canvas) + 1 frames and 0,0 never does, so the walk stops there.
-        walked = min(self.frames, len(self.trajectory) + max(cw, ch) + 1)
-        for t, (x, y) in enumerate(self._corners(walked)):
+        if len(self.trajectory) == 1:  # a line: the first frame outside follows in closed form
+            (x0, y0), ((dx, dy),) = next(self._corners(1)), self.trajectory
+            t = min(self.frames - 1, _frames_within(x0, dx, cw - ow), _frames_within(y0, dy, ch - oh))
+            checked = [(0, (x0, y0)), (t, (x0 + t * dx, y0 + t * dy))]
+        else:  # an explicit trajectory is as long as the recipe
+            checked = enumerate(self._corners(self.frames))
+        for t, (x, y) in checked:
             if not (0 <= x <= cw - ow and 0 <= y <= ch - oh):
                 if t == 0:
                     raise ConfigError(f"start {x},{y} puts the {ow}x{oh} object outside the {cw}x{ch} canvas")
@@ -298,6 +302,11 @@ class SynthConfig(ConfigNode):
         for dx, dy in self._steps(count - 1):
             x, y = x + dx, y + dy
             yield x, y
+
+
+def _frames_within(p: int, d: int, hi: int) -> float:
+    """How many frames from frame 0 on p + t * d stays in [0, hi], given 0 <= p <= hi."""
+    return ((hi if d > 0 else 0) - p) // d + 1 if d else math.inf
 
 
 def generate_sequence(cfg: SynthConfig) -> tuple[list[Frame], list[Roi]]:

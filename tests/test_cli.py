@@ -85,6 +85,29 @@ def test_synth_recipe_error_names_the_file(tmp_path, capsys, recipe):
     assert not (tmp_path / "x").exists()
 
 
+
+@pytest.mark.parametrize(
+    "recipe, flags",
+    [
+        ({"frames": 40}, ["--canvas", "192x144"]),
+        ({"object": [64, 48]}, ["--canvas", "192x144"]),
+        ({"trajectory": [[1, 0]] * 11}, ["--frames", "12"]),
+        ({"canvas": [64, 64], "frames": 60}, ["--velocity", "0,0"]),
+    ],
+)
+def test_synth_recipe_is_checked_after_the_flags_apply(tmp_path, recipe, flags):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(recipe))
+    assert run(["synth", "--config", cfgp, "--out", tmp_path / "x", *flags]) == 0
+
+
+def test_run_config_error_from_a_flag_names_the_file(tmp_path, capsys):
+    cfgp = tmp_path / "run.json"
+    cfgp.write_text(json.dumps({"motion": {"search_range": 4}}))
+    assert run(["simulate", "--config", cfgp, "--mb-size", "12", "--out", tmp_path / "o"]) == 2
+    assert error_line(capsys).startswith(f"error ConfigError: {cfgp}: motion: mb_size must be a power of two")
+
+
 def synth_echo(out):
     return json.loads((out / "truth.jsonl").read_text().splitlines()[0])["config"]["synthetic"]
 

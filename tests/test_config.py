@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from euphrates.cli import RunConfig, SynthConfig, main
-from euphrates.config import ConfigNode
+from euphrates.config import ConfigNode, merge_overrides
 from euphrates.errors import ConfigError, EuphratesError
 from euphrates.motion import decode_metadata
 from euphrates.pixels import _parse_pgm, generate_sequence
@@ -207,6 +207,27 @@ def test_synth_recipe_renders_its_positions_or_raises(data):
     assert len(full.trajectory) == cfg.frames - 1
     assert SynthConfig.from_dict(json.loads(json.dumps(full.to_dict()))) == full
     assert generate_sequence(full) == (frames, rois)
+
+
+
+def test_merge_overrides_makes_missing_parents_and_skips_none():
+    data = {"motion": {"search_range": 4}, "seed": 1}
+    merged = merge_overrides(data, {"motion.mb_size": 8, "soc.capture_fps": 30, "seed": None, "adaptive.k_up": None})
+    assert merged == {"motion": {"search_range": 4, "mb_size": 8}, "soc": {"capture_fps": 30}, "seed": 1}
+    # A path through a non-object leaves that value for the loader to report.
+    assert merge_overrides({"motion": 7}, {"motion.mb_size": 8}) == {"motion": 7}
+    assert merge_overrides([1], {"seed": 2}) == [1]
+
+
+@pytest.mark.parametrize("velocity, frame", [((0, 0), None), ((1, 0), 500_000_001), ((0, -3), 166_666_667)])
+def test_constant_velocity_on_a_huge_canvas_loads_in_closed_form(velocity, frame):
+    # Walking frame by frame would take about 10**9 steps here.
+    recipe = {"canvas": [10**9, 10**9], "object": [1, 1], "frames": 10**9, "trajectory": [list(velocity)]}
+    if frame is None:
+        assert SynthConfig.from_dict(recipe).frames == 10**9
+        return
+    with pytest.raises(ConfigError, match=f"out of canvas at frame {frame} "):
+        SynthConfig.from_dict(recipe)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,19 @@ def test_generate_out_of_canvas_rejected():
         SynthConfig((64, 64), (32, 32), 8, ((8, 0),), start=(0, 0))
 
 
+
+def test_constant_velocity_names_the_first_frame_outside():
+    (cw, ch), (ow, oh), frames = (10, 7), (3, 2), 12
+    for start in [(x, y) for x in range(cw - ow + 1) for y in range(ch - oh + 1)]:
+        for v in [(dx, dy) for dx in range(-3, 4) for dy in range(-3, 4)]:
+            corners = [(start[0] + t * v[0], start[1] + t * v[1]) for t in range(frames)]
+            outside = [t for t, (x, y) in enumerate(corners) if not (0 <= x <= cw - ow and 0 <= y <= ch - oh)]
+            if not outside:
+                SynthConfig((cw, ch), (ow, oh), frames, (v,), start=start)
+                continue
+            with pytest.raises(ConfigError, match=f"at frame {outside[0]} \\(top-left {corners[outside[0]][0]},"):
+                SynthConfig((cw, ch), (ow, oh), frames, (v,), start=start)
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         SynthConfig((64, 64), (128, 16), 2, ((0, 0),))  # object wider than canvas
