@@ -1,6 +1,8 @@
 """End-to-end command-line workflows."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,6 +336,50 @@ def test_evaluate_empty_trace_warns(synth_dir, tmp_path, capsys):
     assert "no detections" in captured.err
     summary = json.loads((tmp_path / "e" / "summary.json").read_text())
     assert all(v == 0.0 for _, v in summary["result"]["ap"])
+
+
+# Golden evaluate outputs: a multi-object trace with an unmatched detection,
+# an empty frame, a frame with ground truth only, equal-IoU ties on both
+# sides and boxes at IoU exactly 0.5, 1/3 and 0.25.
+GOLDEN_EVAL_FRAMES = [
+    # (kind, detections, ground truth); boxes are (x, y, w, h)
+    ("I", [(0, 0, 10, 10), (50, 50, 10, 5), (100, 0, 10, 10), (200, 200, 5, 5)],
+     [(0, 0, 10, 10), (50, 50, 10, 10), (100, 0, 20, 10)]),
+    ("E", [], [(0, 0, 10, 10)]),
+    ("E", [(5, 0, 10, 10), (-5, 0, 10, 10), (40, 0, 10, 10)],
+     [(0, 0, 10, 10), (35, 0, 10, 10), (45, 0, 10, 10)]),
+    ("E", [(2.5, 0, 10, 10), (0, 30, 10, 10), (60, 60, 4, 4)],
+     [(0, 0, 10, 10), (0, 30, 10, 2.5)]),
+    ("I", [(1, 1, 3, 3)], []),
+]
+
+
+@pytest.mark.parametrize(
+    "thresholds, ap_digest, summary_digest",
+    [
+        (None, "52d31db1aaaae35489bf696f4ab90a0b5544ddbe35cb0688664713d9bd312081",
+         "1a003173c44d70a11824c02a7565553da4d7d357fc54fa59bd433096e6f65c17"),
+        ("0,0.5,1", "e7eda2bb8f18367243605dd75293dd9cad30b027d3c8354c52c5a83c0bddee1e",
+         "b23539f13f28b939ef3fc680ff878f304d8ca0ae927e5e029d4940278e8139ec"),
+    ],
+)
+def test_evaluate_golden_outputs(tmp_path, monkeypatch, thresholds, ap_digest, summary_digest):
+    def boxes(rois):
+        return [dict(zip("xywh", r)) for r in rois]
+
+    monkeypatch.chdir(tmp_path)
+    Path("trace.jsonl").write_text("".join(
+        json.dumps({"frame": i, "kind": kind, "boxes": boxes(dets)}) + "\n"
+        for i, (kind, dets, _) in enumerate(GOLDEN_EVAL_FRAMES)
+    ))
+    Path("truth.jsonl").write_text("".join(
+        json.dumps({"frame": i, "boxes": boxes(gts)}) + "\n" for i, (_, _, gts) in enumerate(GOLDEN_EVAL_FRAMES)
+    ))
+    extra = [] if thresholds is None else ["--thresholds", thresholds]
+    assert run(["evaluate", "--trace", "trace.jsonl", "--truth", "truth.jsonl", *extra, "--out", "eval"]) == 0
+    assert not Path("eval/success.csv").exists()
+    assert hashlib.sha256(Path("eval/ap.csv").read_bytes()).hexdigest() == ap_digest
+    assert hashlib.sha256(Path("eval/summary.json").read_bytes()).hexdigest() == summary_digest
 
 
 def test_sweep_ew_axis(synth_dir, tmp_path, monkeypatch):
