@@ -31,7 +31,8 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigNode, merge_overrides, with_overrides
 from .errors import ConfigError, DimensionMismatchError, EuphratesError, MetadataError, MissingDataError
-from .metrics import EvalConfig, average_precision, success_curve
+from .metrics import EvalConfig, precision_at, success_curve
+from .metrics import average_precision  # noqa: F401  bench/tracer.py wraps cli.average_precision
 from .motion import MotionField, MotionParams, decode_metadata, encode_metadata, estimate_motion_field
 from .pixels import SynthConfig, generate_sequence, list_frame_files, load_sequence, save_sequence
 from .roi import Roi
@@ -246,11 +247,15 @@ def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
     if cfg.frames_dir and cfg.metadata_dir:
         raise ConfigError("config must name one input source, not both frames_dir and metadata_dir")
     if cfg.frames_dir:
-        trace = run_pipeline(provider, cfg, frames=load_sequence(cfg.frames_dir))
+        source = {"frames": load_sequence(cfg.frames_dir)}
     elif cfg.metadata_dir:
-        trace = run_pipeline(provider, cfg, fields=_load_fields_dir(cfg.metadata_dir))
+        source = {"fields": _load_fields_dir(cfg.metadata_dir)}
     else:
         raise ConfigError("config needs either 'frames_dir' or 'metadata_dir'")
+    try:
+        trace = run_pipeline(provider, cfg, **source)
+    except ConfigError as e:  # a detection no track can be seeded from
+        raise ConfigError(f"{det_path}: {e}") from None
     trace.version = __version__
     report = summarize(trace, cfg.soc)
     return trace, report
@@ -294,7 +299,7 @@ def evaluate_trace(
     result: dict = {
         "frames": len(dets),
         "detections": sum(len(d) for d in dets),
-        "ap": [(t, average_precision(dets, gts, t)) for t in thresholds],
+        "ap": list(zip(thresholds, precision_at(dets, gts, thresholds))),
     }
     if dets and all(len(g) == 1 for g in gts):
         preds = [d[0] if d else None for d in dets]

@@ -14,7 +14,9 @@ An ROI's displacement for the next frame is estimated in three steps:
 
 Non-rigid deformation is handled by splitting an ROI into a grid of sub-ROIs
 that are each filtered and moved independently; the reported ROI is the
-minimal bounding box of the moved sub-ROIs, clamped to the frame.
+minimal bounding box of the moved sub-ROIs, clamped to the frame. A track's
+sub-ROIs are reduced in one batch over the MB grid, each sum bit-identical
+to a reduction of that sub-ROI alone.
 
 Everything here is pure; a TrackState is never mutated in place, so tracks
 may be processed concurrently as long as each state is owned by one update.
@@ -23,7 +25,7 @@ may be processed concurrently as long as each state is owned by one update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -90,35 +92,43 @@ def split_sub_rois(roi: Roi, grid: tuple[int, int] = ExtrapolationParams.grid) -
         ) from None
 
 
-def _overlap_weights(grid: tuple[int, int], L: int, roi: Roi) -> np.ndarray:
-    """Overlap area between `roi` and each cell of a (rows, cols) grid of
-    L x L cells, shape (rows, cols)."""
+def _overlap_weights(grid: tuple[int, int], L: int, rois: Sequence[Roi]) -> np.ndarray:
+    """Overlap area between each of `rois` and each cell of a (rows, cols)
+    grid of L x L cells, shape (len(rois), rows, cols)."""
     rows, cols = grid
     edges_x = np.arange(cols + 1) * L
     edges_y = np.arange(rows + 1) * L
-    ov_x = np.clip(np.minimum(roi.x2, edges_x[1:]) - np.maximum(roi.x, edges_x[:-1]), 0.0, None)
-    ov_y = np.clip(np.minimum(roi.y2, edges_y[1:]) - np.maximum(roi.y, edges_y[:-1]), 0.0, None)
-    return ov_y[:, None] * ov_x[None, :]
+    x, x2, y, y2 = np.array([(r.x, r.x2, r.y, r.y2) for r in rois], dtype=float).reshape(-1, 4).T[..., None]
+    ov_x = np.clip(np.minimum(x2, edges_x[1:]) - np.maximum(x, edges_x[:-1]), 0.0, None)
+    ov_y = np.clip(np.minimum(y2, edges_y[1:]) - np.maximum(y, edges_y[:-1]), 0.0, None)
+    return ov_y[:, :, None] * ov_x[:, None, :]
+
+
+def _motion_stats(field: MotionField, rois: Sequence[Roi]) -> list[tuple[float, float, float]] | None:
+    """`roi_motion_stats` of each of `rois`, reduced in one batch over the MB
+    grid; None when some ROI does not overlap the grid."""
+    # (S, 1, rows * cols): each ROI's weights, broadcast over the u, v and
+    # confidence planes. Every sum runs over one contiguous rows * cols row,
+    # as a one-ROI call's does, so batching changes no bit of a result.
+    weights = _overlap_weights((field.rows, field.cols), field.params.mb_size, rois).reshape(len(rois), 1, -1)
+    total = weights.sum(axis=2)
+    if (total <= 0.0).any():
+        return None
+    # Anchor the weighted means on one covered cell per ROI: a constant field
+    # then averages to its value bit-exactly (rigid translations stay rigid).
+    planes = np.stack([field.vectors[..., 0], field.vectors[..., 1], field.confidences]).reshape(3, -1)
+    base = planes[:, np.argmax(weights[:, 0], axis=1)].T  # (S, 3): u0, v0, a0 of each ROI
+    means = base + (weights * (planes - base[:, :, None])).sum(axis=2) / total
+    return [(mu_u, mu_v, min(1.0, max(0.0, alpha))) for mu_u, mu_v, alpha in means.tolist()]
 
 
 def roi_motion_stats(field: MotionField, roi: Roi) -> tuple[float, float, float]:
     """(mu_u, mu_v, alpha): area-weighted mean motion vector and confidence
     of the MBs covered by `roi`."""
-    weights = _overlap_weights((field.rows, field.cols), field.params.mb_size, roi)
-    total = weights.sum()
-    if total <= 0.0:
+    stats = _motion_stats(field, [roi])
+    if stats is None:
         raise EmptyRoiError(f"roi {roi} does not overlap the {field.cols}x{field.rows} MB grid")
-    # Anchor the weighted means on one covered cell: a constant field then
-    # averages to its value bit-exactly (rigid translations stay rigid).
-    r0, c0 = np.unravel_index(int(np.argmax(weights)), weights.shape)
-    u0 = float(field.vectors[r0, c0, 0])
-    v0 = float(field.vectors[r0, c0, 1])
-    confidences = field.confidences
-    a0 = float(confidences[r0, c0])
-    mu_u = u0 + float((weights * (field.vectors[..., 0] - u0)).sum() / total)
-    mu_v = v0 + float((weights * (field.vectors[..., 1] - v0)).sum() / total)
-    alpha = a0 + float((weights * (confidences - a0)).sum() / total)
-    return mu_u, mu_v, min(1.0, max(0.0, alpha))
+    return stats[0]
 
 
 def cells_read(tracks: Iterable[TrackState], grid: tuple[int, int], L: int) -> np.ndarray:
@@ -128,8 +138,7 @@ def cells_read(tracks: Iterable[TrackState], grid: tuple[int, int], L: int) -> n
     change a result."""
     cells = np.zeros(grid, dtype=bool)
     for state in tracks:
-        for sub in state.sub_tracks:
-            cells |= _overlap_weights(grid, L, sub.roi) > 0.0
+        cells |= (_overlap_weights(grid, L, [sub.roi for sub in state.sub_tracks]) > 0.0).any(axis=0)
     return cells
 
 
@@ -175,16 +184,14 @@ def extrapolate_track(
     it).
     """
     width, height = frame_size
+    stats = _motion_stats(field, [sub.roi for sub in state.sub_tracks])
+    if stats is None:
+        return state, None
     new_subs: list[SubTrack] = []
-    for sub in state.sub_tracks:
-        try:
-            mu_u, mu_v, alpha = roi_motion_stats(field, sub.roi)
-        except EmptyRoiError:
-            return state, None
+    for sub, (mu_u, mu_v, alpha) in zip(state.sub_tracks, stats):
         mv, _beta = filtered_mv((mu_u, mu_v), alpha, sub.prev_mv, filter_threshold)
         new_subs.append(SubTrack(sub.roi.translated(*mv), mv))
 
     new_state = TrackState(state.track_id, tuple(new_subs))
     composed = bounding_box([sub.roi for sub in new_subs])
     return new_state, composed.intersect(Roi(0.0, 0.0, float(width), float(height)))
-

@@ -80,29 +80,36 @@ def greedy_match(
     return pairs, unmatched_a, unmatched_b
 
 
-def average_precision(
-    detections: list[list[Roi]], ground_truth: list[list[Roi]], threshold: float
-) -> float:
-    """TP / (TP + FP) over all frames at one IoU threshold.
+def precision_at(
+    detections: list[list[Roi]], ground_truth: list[list[Roi]], thresholds: tuple[float, ...]
+) -> list[float]:
+    """TP / (TP + FP) over all frames at each IoU threshold.
 
     A detection is a true positive when its one-to-one matched ground-truth
-    IoU is strictly above `threshold`; everything else (including unmatched
-    detections) is a false positive. Returns 0.0 when nothing was detected.
+    IoU is strictly above the threshold; everything else (including
+    unmatched detections) is a false positive. Each frame is matched once,
+    and that matching serves every threshold. Every value is 0.0 when
+    nothing was detected.
     """
     if len(detections) != len(ground_truth):
         raise ValueError(
             f"frame count mismatch: {len(detections)} detection frames vs "
             f"{len(ground_truth)} ground-truth frames"
         )
-    tp = 0
+    matched: list[float] = []
     total = 0
     for dets, gts in zip(detections, ground_truth):
         total += len(dets)
         pairs, _, _ = greedy_match(dets, gts)
-        tp += sum(1 for _, _, s in pairs if s > threshold)
-    if total == 0:
-        return 0.0
-    return tp / total
+        matched.extend(s for _, _, s in pairs)
+    return [sum(1 for s in matched if s > t) / total if total else 0.0 for t in thresholds]
+
+
+def average_precision(
+    detections: list[list[Roi]], ground_truth: list[list[Roi]], threshold: float
+) -> float:
+    """`precision_at` one IoU threshold."""
+    return precision_at(detections, ground_truth, (threshold,))[0]
 
 
 def success_curve(

@@ -361,7 +361,10 @@ def run_pipeline(
             dets = []
             new_tracks = []
             for r in inferred:
-                new_tracks.append(init_track(next_id, r, cfg.extrapolation.grid))
+                try:
+                    new_tracks.append(init_track(next_id, r, cfg.extrapolation.grid))
+                except ConfigError as e:
+                    raise ConfigError(f"frame {t}: {e}") from None
                 dets.append(Detection(next_id, r))
                 next_id += 1
             tracks = new_tracks

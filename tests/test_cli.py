@@ -676,4 +676,4 @@ def test_detection_too_thin_to_split_rejected(synth_dir, tmp_path, capsys):
     truth.write_text("\n".join(lines) + "\n")
     cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(truth))
     assert run(["simulate", "--config", cfgp, "--mode", "ew:1", "--out", tmp_path / "sim"]) == 2
-    assert error_line(capsys).startswith("error ConfigError: box at 10.0,")
+    assert error_line(capsys).startswith(f"error ConfigError: {truth}: frame 1: box at 10.0,")

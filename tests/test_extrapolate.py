@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from euphrates.errors import ConfigError, EmptyRoiError
 from euphrates.extrapolate import (
+    _motion_stats,
     _overlap_weights,
     extrapolate_track,
     filtered_mv,
@@ -16,6 +19,7 @@ from euphrates.motion import MotionField, MotionParams, uniform_field
 from euphrates.roi import Roi
 
 from oracles import pixel_average_confidence, pixel_average_mv
+from test_config import PROPERTY
 
 
 def field_from_grid(u, v, sads=None, L=16):
@@ -295,9 +299,75 @@ def test_touched_macroblocks_cost_bound():
     field = uniform_field(256, 128)
 
     def touched(roi):
-        return int(np.count_nonzero(_overlap_weights((field.rows, field.cols), 16, roi)))
+        return int(np.count_nonzero(_overlap_weights((field.rows, field.cols), 16, [roi])))
 
     assert touched(Roi(0, 0, 100, 50)) == 7 * 4
     assert touched(Roi(0, 0, 16, 16)) == 1
     # cost grows with covered MBs, not with pixel count
     assert touched(Roi(0, 0, 200, 100)) == 13 * 7
+
+
+# ---------------------------------------------------------------------------
+# Batched sub-ROI statistics
+
+
+def one_roi_motion_stats(field, roi):
+    """The per-ROI reduction `_motion_stats` batches, restated literally:
+    (mu_u, mu_v, alpha), or None when `roi` misses the MB grid."""
+    L = field.params.mb_size
+    edges_x = np.arange(field.cols + 1) * L
+    edges_y = np.arange(field.rows + 1) * L
+    ov_x = np.clip(np.minimum(roi.x2, edges_x[1:]) - np.maximum(roi.x, edges_x[:-1]), 0.0, None)
+    ov_y = np.clip(np.minimum(roi.y2, edges_y[1:]) - np.maximum(roi.y, edges_y[:-1]), 0.0, None)
+    weights = ov_y[:, None] * ov_x[None, :]
+    total = weights.sum()
+    if total <= 0.0:
+        return None
+    r0, c0 = np.unravel_index(int(np.argmax(weights)), weights.shape)
+    u0 = float(field.vectors[r0, c0, 0])
+    v0 = float(field.vectors[r0, c0, 1])
+    confidences = field.confidences
+    a0 = float(confidences[r0, c0])
+    mu_u = u0 + float((weights * (field.vectors[..., 0] - u0)).sum() / total)
+    mu_v = v0 + float((weights * (field.vectors[..., 1] - v0)).sum() / total)
+    alpha = a0 + float((weights * (confidences - a0)).sum() / total)
+    return mu_u, mu_v, min(1.0, max(0.0, alpha))
+
+
+@PROPERTY
+@given(
+    rows=st.integers(1, 80),
+    cols=st.integers(1, 80),
+    L=st.sampled_from([4, 8, 16]),
+    n_rois=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_motion_stats_equal_per_roi_stats_bit_for_bit(rows, cols, L, n_rois, seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.integers(-(2**15), 2**15, size=(rows, cols, 2)).astype(np.int16)
+    max_sad = 255 * L * L
+    # Some SADs beyond max_sad give negative confidences, which alpha clamps.
+    sads = rng.integers(0, 2 * max_sad, size=(rows, cols))
+    field = MotionField(cols * L, rows * L, MotionParams(mb_size=L), vectors, sads)
+    # Corners reach a grid width past either edge, so some ROIs lie partly
+    # or wholly off the grid.
+    x = rng.uniform(-cols * L, 2 * cols * L, n_rois)
+    y = rng.uniform(-rows * L, 2 * rows * L, n_rois)
+    w = rng.uniform(0.01, 1.5 * cols * L, n_rois)
+    h = rng.uniform(0.01, 1.5 * rows * L, n_rois)
+    rois = [Roi(float(a), float(b), float(c), float(d)) for a, b, c, d in zip(x, y, w, h)]
+
+    want = [one_roi_motion_stats(field, r) for r in rois]
+    on_grid = [(r, s) for r, s in zip(rois, want) if s is not None]
+    # One ROI off the grid loses the whole batch, as it loses a track.
+    assert (_motion_stats(field, rois) is None) == (len(on_grid) < len(rois))
+    if on_grid:
+        got = _motion_stats(field, [r for r, _ in on_grid])
+        assert np.array(got).tobytes() == np.array([s for _, s in on_grid]).tobytes()
+    for roi, one in zip(rois, want):
+        if one is None:
+            assert _motion_stats(field, [roi]) is None
+            with pytest.raises(EmptyRoiError):
+                roi_motion_stats(field, roi)
+        else:
+            assert np.array(roi_motion_stats(field, roi)).tobytes() == np.array(one).tobytes()

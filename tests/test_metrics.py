@@ -2,18 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from euphrates import cli, metrics
 from euphrates.metrics import (
     EvalConfig,
     average_precision,
     greedy_match,
     iou,
     ops_count,
+    precision_at,
     success_curve,
 )
 from euphrates.roi import Roi
+from euphrates.scheduler import Detection, FrameRecord, ResultTrace
 
 from oracles import optimal_tp_count
+from test_config import PROPERTY
 
 
 def random_roi(rng, span=100.0):
@@ -129,6 +135,55 @@ def test_ap_curve_monotone_non_increasing():
         det.append([Roi(b.x + rng.uniform(-3, 3), b.y + rng.uniform(-3, 3), b.w, b.h) for b in boxes])
     values = [average_precision(det, gt, t) for t in EvalConfig().thresholds]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def loop_precision(detections, ground_truth, threshold):
+    """Precision at one threshold, each frame matched anew: the per-threshold
+    loop `precision_at` replaces."""
+    tp = 0
+    total = 0
+    for dets, gts in zip(detections, ground_truth):
+        total += len(dets)
+        pairs, _, _ = greedy_match(dets, gts)
+        tp += sum(1 for _, _, s in pairs if s > threshold)
+    return tp / total if total else 0.0
+
+
+# Boxes on a coarse grid, so that equal IoUs and IoUs of exactly 0.5 and 1.0 occur.
+grid_box = st.builds(
+    lambda x, y, w, h: Roi(x / 2, y / 2, w / 2, h / 2),
+    st.integers(0, 40), st.integers(0, 40), st.integers(1, 20), st.integers(1, 20),
+)
+frames_of_boxes = st.lists(st.tuples(st.lists(grid_box, max_size=5), st.lists(grid_box, max_size=5)), max_size=6)
+
+
+@PROPERTY
+@given(frames=frames_of_boxes, extra=st.lists(st.floats(0.0, 1.0), max_size=5))
+def test_precision_at_equals_the_per_threshold_loop(frames, extra):
+    dets = [d for d, _ in frames]
+    gts = [g for _, g in frames]
+    matched = {s for d, g in frames for _, _, s in greedy_match(d, g)[0]}
+    thresholds = sorted({0.0, 0.5, 1.0, *extra, *matched})
+    assert precision_at(dets, gts, thresholds) == [loop_precision(dets, gts, t) for t in thresholds]
+    assert precision_at([[] for _ in gts], gts, thresholds) == [0.0] * len(thresholds)
+    assert [average_precision(dets, gts, t) for t in thresholds] == precision_at(dets, gts, thresholds)
+
+
+@pytest.mark.parametrize("thresholds", [(0.5,), (0.0, 1.0), EvalConfig().thresholds])
+def test_evaluate_matches_each_frame_once(monkeypatch, thresholds):
+    calls = []
+
+    def counting_match(a, b):
+        calls.append(1)
+        return greedy_match(a, b)
+
+    monkeypatch.setattr(metrics, "greedy_match", counting_match)
+    truth = {i: [Roi(i, 0, 10, 10), Roi(50, i, 8, 8)] for i in range(7)}
+    frames = [FrameRecord(i, "E", tuple(Detection(k, Roi(i + k, 1, 10, 10)) for k in range(i % 3)))
+              for i in range(7)]
+    result = cli.evaluate_trace(ResultTrace(frames), truth, thresholds)
+    assert len(calls) == len(frames)
+    assert len(result["ap"]) == len(thresholds)
 
 
 def test_greedy_equals_optimal_where_provable():
