@@ -78,10 +78,17 @@ def check(tp, value, path: str):
 
     A JSON int stays an int in a float field, so echoes repeat it as given.
     """
+    leaf = _LEAVES.get(tp)  # checked first: most values are plain leaves
+    if leaf is not None:
+        what, ok = leaf
+        if not ok(value):
+            raise ConfigError(f"{path}: expected {what}, got {value!r}")
+        return value
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         if value is None and type(None) in typing.get_args(tp):
             return None
         (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+        return check(tp, value, path)
     if isinstance(tp, type) and issubclass(tp, ConfigNode):
         return tp.from_dict(value, path)
     if typing.get_origin(tp) is tuple:
@@ -92,10 +99,7 @@ def check(tp, value, path: str):
             size = "any length" if ... in args else len(args)
             raise ConfigError(f"{path}: expected a list of {size}, got {value!r}")
         return tuple(check(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    what, ok = _LEAVES[tp]
-    if not ok(value):
-        raise ConfigError(f"{path}: expected {what}, got {value!r}")
-    return value
+    raise TypeError(f"{path}: no config rule for type {tp!r}")
 
 
 def merge_overrides(data, changes: dict[str, object]):

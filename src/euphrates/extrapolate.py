@@ -25,6 +25,7 @@ may be processed concurrently as long as each state is owned by one update.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .config import ConfigNode
 from .errors import ConfigError, EmptyRoiError
 from .motion import MotionField
-from .roi import Roi, bounding_box
+from .roi import Roi, framed_bounding_box
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,27 @@ def split_sub_rois(roi: Roi, grid: tuple[int, int] = ExtrapolationParams.grid) -
         ) from None
 
 
+@lru_cache(maxsize=64)
+def _cell_edges(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (low, high) edges of a row of n cells of size L."""
+    edges = np.arange(n + 1, dtype=float) * L
+    edges.flags.writeable = False
+    return edges[:-1], edges[1:]
+
+
 def _overlap_weights(grid: tuple[int, int], L: int, rois: Sequence[Roi]) -> np.ndarray:
     """Overlap area between each of `rois` and each cell of a (rows, cols)
     grid of L x L cells, shape (len(rois), rows, cols)."""
     rows, cols = grid
-    edges_x = np.arange(cols + 1) * L
-    edges_y = np.arange(rows + 1) * L
-    x, x2, y, y2 = np.array([(r.x, r.x2, r.y, r.y2) for r in rois], dtype=float).reshape(-1, 4).T[..., None]
-    ov_x = np.clip(np.minimum(x2, edges_x[1:]) - np.maximum(x, edges_x[:-1]), 0.0, None)
-    ov_y = np.clip(np.minimum(y2, edges_y[1:]) - np.maximum(y, edges_y[:-1]), 0.0, None)
+    boxes = np.array([(r.x, r.x + r.w, r.y, r.y + r.h) for r in rois], dtype=float).reshape(-1, 4)
+    x_lo, x_hi = _cell_edges(cols, L)
+    y_lo, y_hi = _cell_edges(rows, L)
+    ov_x = np.minimum(boxes[:, 1:2], x_hi)
+    ov_x -= np.maximum(boxes[:, 0:1], x_lo)
+    ov_y = np.minimum(boxes[:, 3:4], y_hi)
+    ov_y -= np.maximum(boxes[:, 2:3], y_lo)
+    np.maximum(ov_x, 0.0, out=ov_x)
+    np.maximum(ov_y, 0.0, out=ov_y)
     return ov_y[:, :, None] * ov_x[:, None, :]
 
 
@@ -118,7 +131,9 @@ def _motion_stats(field: MotionField, rois: Sequence[Roi]) -> list[tuple[float, 
     # then averages to its value bit-exactly (rigid translations stay rigid).
     planes = np.stack([field.vectors[..., 0], field.vectors[..., 1], field.confidences]).reshape(3, -1)
     base = planes[:, np.argmax(weights[:, 0], axis=1)].T  # (S, 3): u0, v0, a0 of each ROI
-    means = base + (weights * (planes - base[:, :, None])).sum(axis=2) / total
+    terms = planes - base[:, :, None]
+    terms *= weights
+    means = base + terms.sum(axis=2) / total
     return [(mu_u, mu_v, min(1.0, max(0.0, alpha))) for mu_u, mu_v, alpha in means.tolist()]
 
 
@@ -179,9 +194,9 @@ def extrapolate_track(
     minimal bounding box of the moved sub-ROIs intersected with the frame
     rectangle, with the label and score the sub-ROIs carry from the seed box.
     When a sub-ROI drifts off the MB grid, or the composed box leaves the
-    frame entirely, the track is lost and the ROI is None; the caller decides
-    what to do (typically: drop the track until the next inference re-seeds
-    it).
+    frame entirely or rounds to zero extent where it moved, the track is lost
+    and the ROI is None; the caller decides what to do (typically: drop the
+    track until the next inference re-seeds it).
     """
     width, height = frame_size
     stats = _motion_stats(field, [sub.roi for sub in state.sub_tracks])
@@ -189,9 +204,8 @@ def extrapolate_track(
         return state, None
     new_subs: list[SubTrack] = []
     for sub, (mu_u, mu_v, alpha) in zip(state.sub_tracks, stats):
-        mv, _beta = filtered_mv((mu_u, mu_v), alpha, sub.prev_mv, filter_threshold)
-        new_subs.append(SubTrack(sub.roi.translated(*mv), mv))
-
+        (u, v), _beta = filtered_mv((mu_u, mu_v), alpha, sub.prev_mv, filter_threshold)
+        r = sub.roi
+        new_subs.append(SubTrack(Roi(r.x + u, r.y + v, r.w, r.h, label=r.label, score=r.score), (u, v)))
     new_state = TrackState(state.track_id, tuple(new_subs))
-    composed = bounding_box([sub.roi for sub in new_subs])
-    return new_state, composed.intersect(Roi(0.0, 0.0, float(width), float(height)))
+    return new_state, framed_bounding_box([sub.roi for sub in new_subs], width, height)

@@ -29,6 +29,28 @@ class EvalConfig:
             raise ValueError("thresholds must be sorted ascending")
 
 
+def _corners(box: Roi) -> tuple[float, float, float, float, float]:
+    """(x, y, x2, y2, area) of `box`, the area taken from the corners."""
+    x, y = box.x, box.y
+    x2, y2 = x + box.w, y + box.h
+    return x, y, x2, y2, (x2 - x) * (y2 - y)
+
+
+def _corner_iou(a: tuple, b: tuple) -> float:
+    """`iou` of two boxes given as `_corners`."""
+    ax, ay, ax2, ay2, area_a = a
+    bx, by, bx2, by2, area_b = b
+    # max() and min() written out: each keeps its first argument on a tie.
+    x1 = bx if bx > ax else ax
+    y1 = by if by > ay else ay
+    x2 = bx2 if bx2 < ax2 else ax2
+    y2 = by2 if by2 < ay2 else ay2
+    if x2 <= x1 or y2 <= y1:
+        return 0.0
+    inter = (x2 - x1) * (y2 - y1)
+    return inter / (area_a + area_b - inter)
+
+
 def iou(a: Roi, b: Roi) -> float:
     """Intersection over union of two boxes; 0 when disjoint.
 
@@ -36,18 +58,7 @@ def iou(a: Roi, b: Roi) -> float:
     which keeps iou(x, x) == 1.0 and the [0, 1] bounds exact under floating
     point.
     """
-    ax2, ay2, bx2, by2 = a.x2, a.y2, b.x2, b.y2
-    x1 = max(a.x, b.x)
-    y1 = max(a.y, b.y)
-    x2 = min(ax2, bx2)
-    y2 = min(ay2, by2)
-    if x2 <= x1 or y2 <= y1:
-        return 0.0
-    inter = (x2 - x1) * (y2 - y1)
-    area_a = (ax2 - a.x) * (ay2 - a.y)
-    area_b = (bx2 - b.x) * (by2 - b.y)
-    union = area_a + area_b - inter
-    return inter / union
+    return _corner_iou(_corners(a), _corners(b))
 
 
 def greedy_match(
@@ -59,10 +70,12 @@ def greedy_match(
     (index_a, index_b, iou). Equal-IoU ties resolve by lowest indices, which
     keeps the result deterministic and independent of input ordering quirks.
     """
+    b_corners = [_corners(b) for b in b_boxes]
     candidates = []
     for i, a in enumerate(a_boxes):
-        for j, b in enumerate(b_boxes):
-            s = iou(a, b)
+        a_corners = _corners(a)
+        for j, b in enumerate(b_corners):
+            s = _corner_iou(a_corners, b)
             if s > 0.0:
                 candidates.append((-s, i, j))
     candidates.sort()

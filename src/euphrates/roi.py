@@ -7,11 +7,14 @@ repeated extrapolation does not accumulate truncation drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 from .config import check
 from .errors import ConfigError
+
+
+_BOX_PATHS = tuple((k, f"box.{k}") for k in "xywh")
 
 
 @dataclass(frozen=True)
@@ -41,22 +44,6 @@ class Roi:
     def area(self) -> float:
         return self.w * self.h
 
-    def translated(self, dx: float, dy: float) -> "Roi":
-        return replace(self, x=self.x + dx, y=self.y + dy)
-
-    def intersect(self, other: "Roi") -> "Roi | None":
-        """Overlap box with `other`, or None when the boxes are disjoint.
-
-        Label and score are carried from self.
-        """
-        x1 = max(self.x, other.x)
-        y1 = max(self.y, other.y)
-        x2 = min(self.x2, other.x2)
-        y2 = min(self.y2, other.y2)
-        if x2 <= x1 or y2 <= y1:
-            return None
-        return replace(self, x=x1, y=y1, w=x2 - x1, h=y2 - y1)
-
     def to_dict(self) -> dict:
         d = {"x": float(self.x), "y": float(self.y), "w": float(self.w), "h": float(self.h)}
         if self.label is not None:
@@ -68,29 +55,44 @@ class Roi:
     @classmethod
     def from_dict(cls, d: dict) -> "Roi":
         """Inverse of `to_dict`; ConfigError unless x, y, w, h are finite
-        numbers and the far corner x + w, y + h is finite and beyond x, y."""
+        numbers, the far corner x + w, y + h is finite and beyond x, y, and
+        the area between the corners does not round to 0."""
         if not isinstance(d, dict):
             raise ConfigError(f"box: expected an object, got {d!r}")
-        x, y, w, h = (float(check(float, d.get(k), f"box.{k}")) for k in "xywh")
-        score = check(float | None, d.get("score"), "box.score")
+        x, y, w, h = [float(check(float, d.get(k), path)) for k, path in _BOX_PATHS]
+        score = d.get("score")
+        if score is not None:
+            score = check(float, score, "box.score")
         try:
             roi = cls(x, y, w, h, label=d.get("label"), score=score)
         except ValueError as e:
             raise ConfigError(f"box: {e}") from None
-        if not (x < roi.x2 < math.inf and y < roi.y2 < math.inf):
-            raise ConfigError(
-                f"box: far corner ({roi.x2!r}, {roi.y2!r}) is not finite or not beyond ({x!r}, {y!r})"
-            )
+        x2, y2 = roi.x2, roi.y2
+        if not (x < x2 < math.inf and y < y2 < math.inf):
+            raise ConfigError(f"box: far corner ({x2!r}, {y2!r}) is not finite or not beyond ({x!r}, {y!r})")
+        if not (x2 - x) * (y2 - y) > 0.0:  # the area IoU divides by
+            raise ConfigError(f"box: area of {w!r}x{h!r} at ({x!r}, {y!r}) rounds to 0")
         return roi
 
 
-def bounding_box(rois: list[Roi]) -> Roi:
-    """Minimal axis-aligned box that encloses every box in `rois`."""
-    if not rois:
-        raise ValueError("bounding_box of an empty list")
+def framed_bounding_box(rois: Sequence[Roi], width: float, height: float) -> Roi | None:
+    """Minimal axis-aligned box that encloses every box in `rois`, intersected
+    with the frame rectangle [0, width] x [0, height], with the label and
+    score of rois[0]. None when the enclosing box rounds to zero extent or
+    lies outside the frame."""
     x1 = min(r.x for r in rois)
     y1 = min(r.y for r in rois)
-    x2 = max(r.x2 for r in rois)
-    y2 = max(r.y2 for r in rois)
+    w = max(r.x + r.w for r in rois) - x1
+    h = max(r.y + r.h for r in rois) - y1
+    if not (w > 0 and h > 0):
+        return None
+    # Clip the far corner the enclosing box reports, x1 + w, not the maximum
+    # itself: the two can differ in the last bit, and result traces pin it.
+    fx1 = max(x1, 0.0)
+    fy1 = max(y1, 0.0)
+    fx2 = min(x1 + w, float(width))
+    fy2 = min(y1 + h, float(height))
+    if fx2 <= fx1 or fy2 <= fy1:
+        return None
     first = rois[0]
-    return Roi(x1, y1, x2 - x1, y2 - y1, label=first.label, score=first.score)
+    return Roi(fx1, fy1, fx2 - fx1, fy2 - fy1, label=first.label, score=first.score)

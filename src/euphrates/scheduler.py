@@ -67,7 +67,7 @@ class TraceProvider:
         for b in boxes:
             dx, dy, dw, dh = rng.normal(0.0, self.noise_sigma, size=4)
             noisy.append(
-                replace(b, x=b.x + dx, y=b.y + dy, w=max(1.0, b.w + dw), h=max(1.0, b.h + dh))
+                Roi(b.x + dx, b.y + dy, max(1.0, b.w + dw), max(1.0, b.h + dh), label=b.label, score=b.score)
             )
         return noisy
 

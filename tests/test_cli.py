@@ -2,15 +2,22 @@
 
 import hashlib
 import json
+import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from euphrates.cli import SynthConfig, main
-from euphrates.motion import decode_metadata
+from euphrates.motion import decode_metadata, encode_metadata, uniform_field
 from euphrates.pixels import Frame, save_frame
 from euphrates.scheduler import ResultTrace, read_detection_trace
+
+from test_config import PROPERTY
 
 
 def run(args):
@@ -667,6 +674,32 @@ def test_detections_with_unrepresentable_corner_rejected(synth_dir, tmp_path, ca
     assert error_line(capsys).startswith(f"error ConfigError: {truth}:3: box: far corner (")
 
 
+def test_detection_wholly_off_the_frame_is_recorded_then_lost(synth_dir, tmp_path):
+    truth = tmp_path / "truth.jsonl"
+    lines = (synth_dir / "truth.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])  # frame 0 of the 128-wide sequence
+    record["boxes"][0]["x"] = 5000
+    lines[1] = json.dumps(record)
+    truth.write_text("\n".join(lines) + "\n")
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(truth))
+    assert run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"]) == 0
+    frames = ResultTrace.load(tmp_path / "sim" / "trace.jsonl").frames
+    assert frames[0].kind == "I" and [d.roi.x for d in frames[0].detections] == [5000.0]
+    assert frames[1].kind == "E" and frames[1].detections == ()
+
+
+def test_detection_whose_area_rounds_to_zero_rejected(synth_dir, tmp_path, capsys):
+    truth = tmp_path / "truth.jsonl"
+    lines = (synth_dir / "truth.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record["boxes"][0].update(x=0.0, y=0.0, w=1e-200, h=1e-200)
+    lines[2] = json.dumps(record)
+    truth.write_text("\n".join(lines) + "\n")
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(truth))
+    assert run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"]) == 2
+    assert error_line(capsys) == f"error ConfigError: {truth}:3: box: area of 1e-200x1e-200 at (0.0, 0.0) rounds to 0\n"
+
+
 def test_detection_too_thin_to_split_rejected(synth_dir, tmp_path, capsys):
     truth = tmp_path / "truth.jsonl"
     lines = (synth_dir / "truth.jsonl").read_text().splitlines()
@@ -677,3 +710,125 @@ def test_detection_too_thin_to_split_rejected(synth_dir, tmp_path, capsys):
     cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(truth))
     assert run(["simulate", "--config", cfgp, "--mode", "ew:1", "--out", tmp_path / "sim"]) == 2
     assert error_line(capsys).startswith(f"error ConfigError: {truth}: frame 1: box at 10.0,")
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: arbitrary finite box values, damaged .mvm files and damaged PGM
+# headers end in exit 0, or in exit 2 with one error line
+
+FUZZ_SIZE = (64, 48)
+FUZZ_FRAMES = 5
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Frames, their truth, and .mvm fields that move every MB, so that a
+    box anywhere on the frame is carried somewhere by extrapolation."""
+    root = tmp_path_factory.mktemp("fuzz")
+    w, h = FUZZ_SIZE
+    assert run(["synth", "--out", root / "frames", "--canvas", f"{w}x{h}", "--object", "16x12",
+                "--frames", FUZZ_FRAMES, "--velocity", "2,1", "--start", "0,0", "--background", "noise"]) == 0
+    (root / "mv").mkdir()
+    for t in range(1, FUZZ_FRAMES):
+        field = uniform_field(w, h, mv=(2, 1), sad=(t * 997) % 4000)
+        (root / "mv" / f"{t:06d}.mvm").write_bytes(encode_metadata(field))
+    return root
+
+
+@st.composite
+def box_damage(draw):
+    near = {"x": st.floats(-20, 80), "y": st.floats(-20, 60), "w": st.floats(0, 40), "h": st.floats(0, 40)}
+    box = {k: draw(near[k]) for k in "xywh"}
+    for k in draw(st.sets(st.sampled_from("xywh"))):  # these take any finite value
+        box[k] = draw(FINITE)
+    if draw(st.booleans()):
+        box["score"] = draw(FINITE)
+    return "box", draw(st.integers(0, FUZZ_FRAMES - 1)), box
+
+
+@st.composite
+def mvm_damage(draw):
+    t = draw(st.integers(1, FUZZ_FRAMES - 1))
+    size = len(encode_metadata(uniform_field(*FUZZ_SIZE)))
+    if draw(st.booleans()):
+        return "mvm", t, ("truncate", draw(st.integers(0, size - 1)))
+    flips = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(1, 255)), min_size=1, max_size=3))
+    return "mvm", t, ("flip", flips)
+
+
+@st.composite
+def pgm_damage(draw):
+    t = draw(st.integers(0, FUZZ_FRAMES - 1))
+    how = draw(st.sampled_from(["header", "flip", "truncate"]))
+    if how == "header":
+        token = st.sampled_from(["0", "1", "47", "48", "63", "64", "65", "255", "256", "3072", "-1", "x", "#c\n"])
+        magic = draw(st.sampled_from(["P5", "P2", "P6", "P", "Q5"]))
+        sep = draw(st.sampled_from(["\n", " ", "\t", ""]))
+        return "pgm", t, ("header", f"{magic}{sep}{' '.join(draw(token) for _ in range(3))}\n")
+    if how == "flip":
+        return "pgm", t, ("flip", draw(st.integers(0, 14)), draw(st.integers(1, 255)))
+    return "pgm", t, ("truncate", draw(st.integers(0, 40)))
+
+
+def damage(root: Path, work: Path, case) -> dict:
+    """Copy the fuzz inputs into `work` with `case` applied; the run config."""
+    kind, t, how = case
+    lines = (root / "frames" / "truth.jsonl").read_text().splitlines()
+    if kind == "box":
+        record = json.loads(lines[t + 1])  # line 0 is the config echo
+        record["boxes"][0] = {"label": 0, **how}
+        lines[t + 1] = json.dumps(record)
+    (work / "truth.jsonl").write_text("\n".join(lines) + "\n")
+    cfg = {"detections": str(work / "truth.jsonl")}
+    if kind == "pgm":
+        frames = shutil.copytree(root / "frames", work / "frames", ignore=shutil.ignore_patterns("*.jsonl"))
+        path = frames / f"{t:06d}.pgm"
+        data = bytearray(path.read_bytes())
+        header_len = len(f"P5\n{FUZZ_SIZE[0]} {FUZZ_SIZE[1]}\n255\n")
+        if how[0] == "header":
+            data[:header_len] = how[1].encode()
+        elif how[0] == "flip":
+            data[how[1]] ^= how[2]
+        else:
+            del data[how[1]:]
+        path.write_bytes(bytes(data))
+        cfg["frames_dir"] = str(frames)
+    else:
+        mv = shutil.copytree(root / "mv", work / "mv")
+        if kind == "mvm":
+            path = mv / f"{t:06d}.mvm"
+            data = bytearray(path.read_bytes())
+            if how[0] == "truncate":
+                del data[how[1]:]
+            else:
+                for pos, mask in how[1]:
+                    data[pos] ^= mask
+            path.write_bytes(bytes(data))
+        cfg["metadata_dir"] = str(mv)
+    return cfg
+
+
+def exits_cleanly(capsys, args) -> int:
+    """`main(args)`'s exit status, after checking that it is 0, or 2 with
+    exactly one `error <Class>: ` line on standard error."""
+    rc = run(args)
+    err = capsys.readouterr().err
+    assert rc in (0, 2), (rc, err)
+    if rc == 2:
+        assert err.count("\n") == 1 and re.match(r"error [A-Za-z]+: ", err), err
+    return rc
+
+
+@settings(PROPERTY, max_examples=3 * PROPERTY.max_examples)
+@given(case=st.one_of(box_damage(), mvm_damage(), pgm_damage()), mode=st.sampled_from(["ew:2", "adaptive"]))
+# Moved by one pixel, this box's height rounds to 0.
+@example(case=("box", 0, {"x": 0.0, "y": 0.0, "w": 1.0, "h": 3e-106}), mode="ew:2")
+# The area of this box rounds to 0, which IoU would divide by.
+@example(case=("box", 0, {"x": 0.0, "y": 0.0, "w": 1e-200, "h": 1e-200}), mode="ew:2")
+def test_damaged_inputs_exit_0_or_2_with_one_line(fuzz_inputs, tmp_path, capsys, case, mode):
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    cfgp = write_run_config(work / "run.json", mode=mode, **damage(fuzz_inputs, work, case))
+    if exits_cleanly(capsys, ["simulate", "--config", cfgp, "--out", work / "sim"]) == 0:
+        exits_cleanly(capsys, ["evaluate", "--trace", work / "sim" / "trace.jsonl", "--truth",
+                               work / "truth.jsonl", "--out", work / "eval"])

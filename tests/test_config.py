@@ -1,19 +1,21 @@
 """The typed config trees and strict parsing at every input boundary."""
 
 import json
+import math
 import re
 import struct
+import types
 import typing
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from euphrates.cli import RunConfig, SynthConfig, main
-from euphrates.config import ConfigNode, merge_overrides
+from euphrates.config import ConfigNode, check, merge_overrides
 from euphrates.errors import ConfigError, EuphratesError
 from euphrates.motion import decode_metadata
 from euphrates.pixels import _parse_pgm, generate_sequence
@@ -228,6 +230,71 @@ def test_constant_velocity_on_a_huge_canvas_loads_in_closed_form(velocity, frame
         return
     with pytest.raises(ConfigError, match=f"out of canvas at frame {frame} "):
         SynthConfig.from_dict(recipe)
+
+
+# ---------------------------------------------------------------------------
+# Property: `check` on a leaf or optional leaf type follows the generic rule
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def generic_check(tp, value, path):
+    """`check` on a leaf or `X | None` type, restated as the generic rule:
+    unwrap the optional type, then apply the leaf's test."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        if value is None and type(None) in typing.get_args(tp):
+            return None
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    what, ok = {
+        bool: ("a boolean", lambda v: isinstance(v, bool)),
+        int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+        float: ("a finite number", _finite_number),
+        str: ("a string", lambda v: isinstance(v, str)),
+    }[tp]
+    if not ok(value):
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    return value
+
+
+def _outcome(fn, tp, value):
+    try:
+        result = fn(tp, value, "box.x")
+    except ConfigError as e:
+        return "error", str(e)
+    assert result is value or result is None
+    return "ok", result
+
+
+LEAF_TYPES = [bool, int, float, str, bool | None, int | None, float | None, str | None, typing.Optional[float]]
+
+
+@PROPERTY
+@given(
+    tp=st.sampled_from(LEAF_TYPES),
+    value=st.none() | st.booleans() | st.integers() | st.integers(2**1020, 2**1100).map(lambda n: n * (-1) ** n)
+    | st.floats() | st.text(max_size=4) | JSON,
+)
+@example(tp=int, value=True)
+@example(tp=float, value=False)
+@example(tp=float | None, value=True)
+@example(tp=float, value=2**1024)
+@example(tp=float, value=-(2**1024))
+@example(tp=float, value=math.nan)
+@example(tp=float, value=math.inf)
+@example(tp=float | None, value=-math.inf)
+@example(tp=float, value=None)
+@example(tp=float | None, value=None)
+@example(tp=str, value=None)
+@example(tp=float, value="1.5")
+def test_check_of_a_leaf_equals_the_generic_rule(tp, value):
+    assert repr(_outcome(check, tp, value)) == repr(_outcome(generic_check, tp, value))
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,12 @@ def test_extrapolate_lost_track():
     assert roi is None
 
 
+def test_extrapolate_box_that_rounds_to_zero_height_when_moved_is_lost():
+    # 3e-106 is far below the spacing of floats at y = 1, where the box moves.
+    track = init_track(0, Roi(0.0, 0.0, 1.0, 3e-106))
+    assert extrapolate_track(track, uniform_field(64, 64, mv=(1, 1)), (64, 64))[1] is None
+
+
 def test_extrapolate_deterministic():
     rng = np.random.default_rng(5)
     u = rng.integers(-7, 8, size=(4, 4))
@@ -292,6 +298,19 @@ def test_extrapolate_deterministic():
     ra = extrapolate_track(a, field, (64, 64))
     rb = extrapolate_track(b, field, (64, 64))
     assert ra == rb
+
+
+def test_field_changed_in_place_reads_like_a_fresh_field():
+    rng = np.random.default_rng(9)
+    field = field_from_grid(rng.integers(-7, 8, (4, 4)), rng.integers(-7, 8, (4, 4)), rng.integers(0, 9000, (4, 4)))
+    track = init_track(0, Roi(5, 7, 30, 27))
+    before = extrapolate_track(track, field, (64, 64))
+    field.vectors[...] = rng.integers(-7, 8, (4, 4, 2))
+    field.sads[...] = rng.integers(0, 9000, (4, 4))
+    fresh = MotionField(64, 64, field.params, field.vectors.copy(), field.sads.copy())
+    after = extrapolate_track(track, field, (64, 64))
+    assert after == extrapolate_track(track, fresh, (64, 64))
+    assert after != before
 
 
 def test_touched_macroblocks_cost_bound():

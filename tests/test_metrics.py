@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from euphrates import cli, metrics
@@ -82,6 +82,67 @@ def test_greedy_match_prefers_higher_iou():
     pairs, un_a, un_b = greedy_match([a_hi, b_lo], [target])
     assert len(pairs) == 1 and pairs[0][0] == 0
     assert un_a == [1] and un_b == []
+
+
+def loop_iou(a, b):
+    """`iou` restated as one function of the two boxes' properties."""
+    ax2, ay2, bx2, by2 = a.x2, a.y2, b.x2, b.y2
+    x1 = max(a.x, b.x)
+    y1 = max(a.y, b.y)
+    x2 = min(ax2, bx2)
+    y2 = min(ay2, by2)
+    if x2 <= x1 or y2 <= y1:
+        return 0.0
+    inter = (x2 - x1) * (y2 - y1)
+    area_a = (ax2 - a.x) * (ay2 - a.y)
+    area_b = (bx2 - b.x) * (by2 - b.y)
+    union = area_a + area_b - inter
+    return inter / union
+
+
+def loop_greedy_match(a_boxes, b_boxes):
+    """`greedy_match` restated as a loop over pairs that calls `loop_iou`."""
+    candidates = []
+    for i, a in enumerate(a_boxes):
+        for j, b in enumerate(b_boxes):
+            s = loop_iou(a, b)
+            if s > 0.0:
+                candidates.append((-s, i, j))
+    candidates.sort()
+    used_a, used_b, pairs = set(), set(), []
+    for neg_s, i, j in candidates:
+        if i in used_a or j in used_b:
+            continue
+        used_a.add(i)
+        used_b.add(j)
+        pairs.append((i, j, -neg_s))
+    return (pairs, [i for i in range(len(a_boxes)) if i not in used_a],
+            [j for j in range(len(b_boxes)) if j not in used_b])
+
+
+# Boxes on a half-pixel grid around the origin, so that equal IoUs, IoUs of
+# exactly 0.5 and touching edges occur, mixed with arbitrary real boxes.
+signed_grid_box = st.builds(
+    lambda x, y, w, h: Roi(x / 2, y / 2, w / 2, h / 2),
+    st.integers(-20, 20), st.integers(-20, 20), st.integers(1, 16), st.integers(1, 16),
+)
+real_box = st.builds(Roi, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+box_lists = st.lists(signed_grid_box | real_box, max_size=12)
+
+
+@PROPERTY
+@given(a_boxes=box_lists, b_boxes=box_lists)
+@example(a_boxes=[], b_boxes=[])
+@example(a_boxes=[Roi(0, 0, 1, 1)], b_boxes=[])
+@example(a_boxes=[], b_boxes=[Roi(0, 0, 1, 1)])
+@example(a_boxes=[Roi(0, 0, 1, 1)], b_boxes=[Roi(1, 0, 1, 1), Roi(0, -1, 1, 1)])  # touching edges
+@example(a_boxes=[Roi(0, 0, 2, 1), Roi(-1, 0, 2, 1)], b_boxes=[Roi(0, 0, 1, 1)])  # a tie at IoU 0.5
+def test_greedy_match_equals_the_pair_loop(a_boxes, b_boxes):
+    got = greedy_match(a_boxes, b_boxes)
+    assert repr(got) == repr(loop_greedy_match(a_boxes, b_boxes))
+    assert repr([iou(a, b) for a in a_boxes for b in b_boxes]) == repr(
+        [loop_iou(a, b) for a in a_boxes for b in b_boxes]
+    )
 
 
 # ---------------------------------------------------------------------------
