@@ -33,7 +33,7 @@ from .config import ConfigNode, merge_overrides, with_overrides
 from .errors import ConfigError, DimensionMismatchError, EuphratesError, MetadataError, MissingDataError
 from .metrics import EvalConfig, precision_at, success_curve
 from .metrics import average_precision  # noqa: F401  bench/tracer.py wraps cli.average_precision
-from .motion import MotionField, MotionParams, decode_metadata, encode_metadata, estimate_motion_field
+from .motion import MotionField, MotionParams, decode_metadata, encode_metadata, encoded_size, estimate_motion_field
 from .pixels import SynthConfig, generate_sequence, list_frame_files, load_sequence, save_sequence
 from .roi import Roi
 from .scheduler import (
@@ -200,6 +200,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         MotionParams(),
         {"mb_size": args.mb_size, "search_range": args.search_range, "algorithm": args.algo},
     )
+    encoded_size(frames[0].width, frames[0].height, params)  # the .mvm layout holds d and the frame size
     out = _out_dir(args.out)
     total = 0
     for t in range(1, len(frames)):

@@ -9,17 +9,19 @@ at (x, y) matches the previous-frame block at (x - u, y - v).
 
 Two search strategies are provided: exhaustive search (ES) over the whole
 window and the classic three-step search (TSS), which walks a logarithmically
-shrinking candidate ring. Per-MB confidence is 1 - SAD / (255 * L^2).
+shrinking candidate ring. Per-MB confidence is 1 - SAD / (255 * L^2). Both
+per-MB searches read one candidate window (`_window`) and rank equal SADs by
+one order, the one `_canonical_offsets` sorts the offsets into.
 
 A full exhaustive-search field is computed one offset at a time across the
-whole frame. A field restricted to the MBs a caller reads (`cells`) runs the
-per-MB search on those MBs alone; tie-breaking is position-free, so every
-searched MB gets the vector and SAD the full field gives it.
+whole frame, visiting the offsets in that order. A field restricted to the
+MBs a caller reads (`cells`) runs the per-MB search on those MBs alone;
+tie-breaking is position-free, so every searched MB gets the vector and SAD
+the full field gives it.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -133,51 +135,17 @@ def uniform_field(
 # Searches
 
 
-def _tie_key(u: int, v: int) -> tuple[int, int, int]:
-    # Prefer short vectors (stabilizes static scenes), then smallest v, then u.
-    return (abs(u) + abs(v), v, u)
-
-
 @lru_cache(maxsize=32)
 def _canonical_offsets(d: int) -> tuple[tuple[int, int], ...]:
+    """Every offset in [-d, d]^2, best first among equal SADs: the shortest
+    |u|+|v| (stabilizes static scenes), then the smallest v, then u."""
     offsets = [(u, v) for v in range(-d, d + 1) for u in range(-d, d + 1)]
-    offsets.sort(key=lambda o: _tie_key(*o))
+    offsets.sort(key=lambda o: (abs(o[0]) + abs(o[1]), o[1], o[0]))
     return tuple(offsets)
 
 
 def _pixels(frame: Frame | np.ndarray) -> np.ndarray:
     return frame.pixels if isinstance(frame, Frame) else np.asarray(frame)
-
-
-def _check_origin(origin: tuple[int, int], px: np.ndarray, L: int) -> tuple[int, int]:
-    x, y = origin
-    h, w = px.shape
-    if x % L or y % L or not (0 <= x <= w - L and 0 <= y <= h - L):
-        raise ValueError(f"mb_origin {origin} is not on the {L}-grid of a {w}x{h} frame")
-    return x, y
-
-
-def _evaluator(
-    prev: Frame | np.ndarray, cur: Frame | np.ndarray, mb_origin: tuple[int, int], params: MotionParams
-):
-    """`key(u, v)` for the MB of `cur` at `mb_origin`: the ranking key
-    (SAD, tie key, u, v) of candidate (u, v), or None when the candidate
-    block falls outside `prev`. The least key is the best candidate."""
-    prev_px = _pixels(prev)
-    cur_px = _pixels(cur)
-    L = params.mb_size
-    x, y = _check_origin(mb_origin, cur_px, L)
-    h, w = prev_px.shape
-    block = cur_px[y : y + L, x : x + L].astype(np.int16)
-
-    def key(u: int, v: int) -> tuple[int, tuple[int, int, int], int, int] | None:
-        sx, sy = x - u, y - v
-        if not (0 <= sx <= w - L and 0 <= sy <= h - L):
-            return None
-        sad = int(np.abs(block - prev_px[sy : sy + L, sx : sx + L]).sum(dtype=np.int64))
-        return sad, _tie_key(u, v), u, v
-
-    return key
 
 
 @lru_cache(maxsize=32)
@@ -191,6 +159,27 @@ def _source_ranks(d: int) -> np.ndarray:
     return ranks
 
 
+def _window(
+    prev: Frame | np.ndarray, cur: Frame | np.ndarray, mb_origin: tuple[int, int], params: MotionParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """(blocks, ranks, block, ox, oy) of the MB of `cur` at `mb_origin`: for
+    every candidate (u, v) = (ox - j, oy - i) in [-d, d]^2 whose source block
+    lies inside `prev` (the zero offset always does), `blocks[i, j]` is that
+    block and `ranks[i, j]` its `_source_ranks` rank; `block` is the MB as int16."""
+    prev_px, cur_px = _pixels(prev), _pixels(cur)
+    L, d = params.mb_size, params.search_range
+    x, y = mb_origin
+    h, w = cur_px.shape
+    if x % L or y % L or not (0 <= x <= w - L and 0 <= y <= h - L):
+        raise ValueError(f"mb_origin {mb_origin} is not on the {L}-grid of a {w}x{h} frame")
+    h, w = prev_px.shape
+    y0, y1 = max(0, y - d), min(h - L, y + d)
+    x0, x1 = max(0, x - d), min(w - L, x + d)
+    blocks = sliding_window_view(prev_px[y0 : y1 + L, x0 : x1 + L], (L, L))
+    ranks = _source_ranks(d)[y0 - y + d : y1 - y + d + 1, x0 - x + d : x1 - x + d + 1]
+    return blocks, ranks, cur_px[y : y + L, x : x + L].astype(np.int16), x - x0, y - y0
+
+
 def exhaustive_search(
     prev: Frame | np.ndarray, cur: Frame | np.ndarray, mb_origin: tuple[int, int], params: MotionParams
 ) -> tuple[MotionVector, int]:
@@ -199,25 +188,16 @@ def exhaustive_search(
     Candidate blocks that fall outside `prev` are skipped. Ties break toward
     the smallest |u|+|v|, then smallest v, then smallest u.
     """
-    prev_px = _pixels(prev)
-    cur_px = _pixels(cur)
-    L, d = params.mb_size, params.search_range
-    x, y = _check_origin(mb_origin, cur_px, L)
-    h, w = prev_px.shape
-    # Top-left corners (x - u, y - v) of the candidate blocks inside `prev`;
-    # the zero offset is always among them.
-    y0, y1 = max(0, y - d), min(h - L, y + d)
-    x0, x1 = max(0, x - d), min(w - L, x + d)
-    windows = sliding_window_view(prev_px[y0 : y1 + L, x0 : x1 + L], (L, L))
-    diff = np.abs(windows - cur_px[y : y + L, x : x + L].astype(np.int16))
-    sads = diff.reshape(*diff.shape[:2], L * L).sum(axis=-1, dtype=np.int64)
-    ranks = _source_ranks(d)[y0 - y + d : y1 - y + d + 1, x0 - x + d : x1 - x + d + 1]
-    i, j = divmod(int(np.argmin(sads * (2 * d + 1) ** 2 + ranks)), sads.shape[1])
-    return MotionVector(x - x0 - j, y - y0 - i), int(sads[i, j])
+    blocks, ranks, block, ox, oy = _window(prev, cur, mb_origin, params)
+    diff = np.abs(blocks - block)
+    sads = diff.reshape(*diff.shape[:2], -1).sum(axis=-1, dtype=np.int64)
+    i, j = divmod(int(np.argmin(sads * (2 * params.search_range + 1) ** 2 + ranks)), sads.shape[1])
+    return MotionVector(ox - j, oy - i), int(sads[i, j])
 
 
-def _tss_initial_step(d: int) -> int:
-    return 1 << (math.ceil(math.log2(d + 1)) - 1)
+# Window-index steps (di, dj) of the 3x3 ring, its centre included.
+_RING_I = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])
+_RING_J = np.array([-1, 0, 1] * 3)
 
 
 def three_step_search(
@@ -230,17 +210,20 @@ def three_step_search(
     2^(ceil(log2(d+1)) - 1) in general. Candidates outside [-d, d]^2 or
     outside `prev` are skipped; ties break as in exhaustive search.
     """
-    key = _evaluator(prev, cur, mb_origin, params)
+    blocks, ranks, block, ox, oy = _window(prev, cur, mb_origin, params)
     d = params.search_range
-    best = key(0, 0)
-    step = _tss_initial_step(d)
+    rows, cols = ranks.shape
+    i, j = oy, ox
+    step = 1 << (int(d).bit_length() - 1)  # 2^(ceil(log2(d+1)) - 1)
     while step >= 1:
-        cu, cv = best[2], best[3]
-        ring = [key(cu + du, cv + dv) for du in (-step, 0, step) for dv in (-step, 0, step)
-                if (du or dv) and abs(cu + du) <= d and abs(cv + dv) <= d]
-        best = min(filter(None, [best, *ring]))
+        ii, jj = i + step * _RING_I, j + step * _RING_J
+        inside = (ii >= 0) & (ii < rows) & (jj >= 0) & (jj < cols)
+        ii, jj = ii[inside], jj[inside]
+        sads = np.abs(blocks[ii, jj] - block).reshape(len(ii), -1).sum(axis=-1, dtype=np.int64)
+        k = int(np.argmin(sads * (2 * d + 1) ** 2 + ranks[ii, jj]))
+        i, j, sad = int(ii[k]), int(jj[k]), int(sads[k])
         step //= 2
-    return MotionVector(best[2], best[3]), best[0]
+    return MotionVector(ox - j, oy - i), sad
 
 
 def _pad_to_grid(px: np.ndarray, L: int) -> np.ndarray:
@@ -359,18 +342,22 @@ def _record(d: int) -> np.dtype:
 
 
 def encoded_size(width: int, height: int, params: MotionParams) -> int:
+    """Bytes of one encoded field; MetadataError when the layout cannot hold
+    the search range or the frame size."""
+    d = params.search_range
+    if d > 127:
+        raise MetadataError(f"search range {d} exceeds the wide form's 8-bit range")
+    if not (0 < width < 65536 and 0 < height < 65536):
+        raise MetadataError(f"empty frame or frame over 65535 pixels a side: {width}x{height}")
     rows, cols = grid_shape(width, height, params.mb_size)
-    return _HEADER.size + _record(params.search_range).itemsize * rows * cols
+    return _HEADER.size + _record(d).itemsize * rows * cols
 
 
 def encode_metadata(field: MotionField) -> bytes:
     """Serialize a motion field to the compact frame-buffer metadata form."""
     params = field.params
     d = params.search_range
-    if d > 127:
-        raise MetadataError(f"search range {d} exceeds the wide form's 8-bit range")
-    if not (0 < field.width < 65536 and 0 < field.height < 65536):
-        raise MetadataError(f"dimensions {field.width}x{field.height} do not fit the header")
+    encoded_size(field.width, field.height, params)
     u = field.vectors[..., 0].astype(np.int64).ravel()
     v = field.vectors[..., 1].astype(np.int64).ravel()
     if np.abs(u).max(initial=0) > d or np.abs(v).max(initial=0) > d:
@@ -406,8 +393,6 @@ def decode_metadata(data: bytes) -> MotionField:
         raise MetadataError(f"bad magic {magic!r}, expected {METADATA_MAGIC!r}")
     if version != METADATA_VERSION:
         raise MetadataError(f"unsupported version {version}")
-    if width == 0 or height == 0:
-        raise MetadataError(f"empty frame {width}x{height} in header")
     if algo_code not in _ALGO_NAMES:
         raise MetadataError(f"unknown algorithm code {algo_code}")
     try:

@@ -7,6 +7,7 @@ repeated extrapolation does not accumulate truncation drift.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -15,6 +16,7 @@ from .errors import ConfigError
 
 
 _BOX_PATHS = tuple((k, f"box.{k}") for k in "xywh")
+_MAX_AREA = sys.float_info.max / 2  # IoU adds two areas
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,8 @@ class Roi:
     def from_dict(cls, d: dict) -> "Roi":
         """Inverse of `to_dict`; ConfigError unless x, y, w, h are finite
         numbers, the far corner x + w, y + h is finite and beyond x, y, and
-        the area between the corners does not round to 0."""
+        the area between the corners neither rounds to 0 nor exceeds
+        half the largest float."""
         if not isinstance(d, dict):
             raise ConfigError(f"box: expected an object, got {d!r}")
         x, y, w, h = [float(check(float, d.get(k), path)) for k, path in _BOX_PATHS]
@@ -70,8 +73,10 @@ class Roi:
         x2, y2 = roi.x2, roi.y2
         if not (x < x2 < math.inf and y < y2 < math.inf):
             raise ConfigError(f"box: far corner ({x2!r}, {y2!r}) is not finite or not beyond ({x!r}, {y!r})")
-        if not (x2 - x) * (y2 - y) > 0.0:  # the area IoU divides by
-            raise ConfigError(f"box: area of {w!r}x{h!r} at ({x!r}, {y!r}) rounds to 0")
+        area = (x2 - x) * (y2 - y)  # the area IoU takes
+        if not 0.0 < area <= _MAX_AREA:
+            fault = "exceeds half the largest float" if area > 0.0 else "rounds to 0"
+            raise ConfigError(f"box: area of {w!r}x{h!r} at ({x!r}, {y!r}) {fault}")
         return roi
 
 

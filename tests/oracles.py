@@ -32,6 +32,38 @@ def naive_block_search(prev: np.ndarray, cur: np.ndarray, origin: tuple[int, int
     return (u, v), s
 
 
+def naive_three_step_search(prev: np.ndarray, cur: np.ndarray, origin: tuple[int, int], L: int, d: int):
+    """Literal three-step search: from (0, 0), score the centre and its eight
+    neighbours at the step, move to the least (sad, |u|+|v|, v, u), and
+    halve the step until it reaches 1. The first step is the largest power of
+    two not above d. Candidates outside [-d, d]^2 or outside prev are skipped."""
+    x, y = origin
+    h, w = prev.shape
+    block = cur[y : y + L, x : x + L].astype(np.int64)
+
+    def score(u, v):
+        sx, sy = x - u, y - v
+        if abs(u) > d or abs(v) > d or sx < 0 or sy < 0 or sx + L > w or sy + L > h:
+            return None
+        cand = prev[sy : sy + L, sx : sx + L].astype(np.int64)
+        return (int(np.abs(block - cand).sum()), abs(u) + abs(v), v, u)
+
+    best = score(0, 0)
+    step = 1
+    while step * 2 <= d:
+        step *= 2
+    while step >= 1:
+        _, _, cv, cu = best
+        for dv in (-step, 0, step):
+            for du in (-step, 0, step):
+                cand = score(cu + du, cv + dv)
+                if cand is not None and cand < best:
+                    best = cand
+        step //= 2
+    s, _, v, u = best
+    return (u, v), s
+
+
 def naive_field(prev: np.ndarray, cur: np.ndarray, L: int, d: int):
     """Per-MB naive search over a frame pair whose dims are multiples of L."""
     h, w = cur.shape

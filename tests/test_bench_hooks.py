@@ -1,16 +1,22 @@
 """The traced benchmark wraps functions at the names their callers look them
 up through; this keeps those names in place without running the benchmark."""
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from euphrates import cli, metrics, pixels, scheduler
-from euphrates.pixels import SynthConfig, generate_sequence
+from euphrates.motion import decode_metadata
+from euphrates.pixels import SynthConfig, generate_sequence, save_sequence
 from euphrates.roi import Roi
 from euphrates.scheduler import AdaptiveParams, PipelineConfig, ResultTrace, TraceProvider
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 OWNERS = (cli, metrics, pixels, scheduler, ResultTrace, TraceProvider)
 
 
@@ -79,3 +85,36 @@ def test_extrapolation_spans_read_the_track_field_and_loss():
     spans = [s for s in tracer.spans if s.name == "extrapolate.extrapolate_track"]
     assert {s.attrs["lost"] for s in spans} == {True, False}
     assert all("new_cells" in s.attrs for s in spans)
+
+
+@pytest.fixture()
+def bench_modules():
+    """bench/checks.py and bench/workloads.py, imported as bench/run.py does,
+    with bench/ on sys.path; the path and the module table are restored after."""
+    path = list(sys.path)
+    saved = {name: sys.modules.pop(name, None) for name in ("checks", "workloads")}
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("checks"), importlib.import_module("workloads")
+    finally:
+        sys.path[:] = path
+        for name, module in saved.items():
+            sys.modules.pop(name, None)
+            if module is not None:
+                sys.modules[name] = module
+
+
+def test_bench_references_pass_on_an_estimated_pair(bench_modules, tmp_path):
+    # The bench checks each job against exhaustive_search and the codec; a
+    # rename or a search change that breaks them should fail here first.
+    checks, workloads = bench_modules
+    frames, _ = generate_sequence(SynthConfig((100, 70), (32, 24), 2, ((3, -2),), seed=5))
+    save_sequence(frames, tmp_path / "frames")
+    assert cli.main(["estimate", "--frames", str(tmp_path / "frames"), "--out", str(tmp_path / "mv"),
+                     "--mb-size", str(workloads.MB_SIZE), "--search-range", str(workloads.SEARCH_RANGE)]) == 0
+    path = tmp_path / "mv" / "000001.mvm"
+    _, ok, detail = checks.check_codec(path)
+    assert ok, detail
+    field = decode_metadata(path.read_bytes())
+    _, ok, detail = checks.check_motion_sample(field, frames[0], frames[1], np.random.default_rng(0), path.name)
+    assert ok, detail

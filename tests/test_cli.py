@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from euphrates import cli
 from euphrates.cli import SynthConfig, main
 from euphrates.motion import decode_metadata, encode_metadata, uniform_field
 from euphrates.pixels import Frame, save_frame
@@ -158,6 +159,17 @@ def test_estimate_outputs(synth_dir, tmp_path, capsys):
     field = decode_metadata(files[0].read_bytes())
     assert (field.width, field.height) == (128, 96)
     assert len(files[0].read_bytes()) == 14 + 5 * 48
+
+
+def test_estimate_checks_the_metadata_layout_before_searching(synth_dir, tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("estimate searched a field the metadata cannot hold")
+
+    monkeypatch.setattr(cli, "estimate_motion_field", no_search)
+    mv = tmp_path / "mv"
+    assert run(["estimate", "--frames", synth_dir, "--search-range", "200", "--out", mv]) == 2
+    assert error_line(capsys) == "error MetadataError: search range 200 exceeds the wide form's 8-bit range\n"
+    assert not mv.exists()
 
 
 def test_estimate_rejects_mixed_dims(tmp_path, capsys):
@@ -698,6 +710,22 @@ def test_detection_whose_area_rounds_to_zero_rejected(synth_dir, tmp_path, capsy
     cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(truth))
     assert run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"]) == 2
     assert error_line(capsys) == f"error ConfigError: {truth}:3: box: area of 1e-200x1e-200 at (0.0, 0.0) rounds to 0\n"
+
+
+@pytest.mark.parametrize("w, h", [(1e200, 1e200), (1.3e154, 1e154)])
+def test_detection_whose_area_overflows_rejected(synth_dir, tmp_path, capsys, w, h):
+    # IoU adds two areas: an area above half the largest float would make
+    # the IoU of two equal boxes nan (an infinite area) or 0 (an infinite sum).
+    truth = tmp_path / "truth.jsonl"
+    lines = (synth_dir / "truth.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record["boxes"][0].update(x=0.0, y=0.0, w=w, h=h)
+    lines[2] = json.dumps(record)
+    truth.write_text("\n".join(lines) + "\n")
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(truth))
+    assert run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"]) == 2
+    assert error_line(capsys) == (f"error ConfigError: {truth}:3: box: area of {w!r}x{h!r} at (0.0, 0.0) "
+                                  "exceeds half the largest float\n")
 
 
 def test_detection_too_thin_to_split_rejected(synth_dir, tmp_path, capsys):

@@ -1,11 +1,15 @@
 """IoU, average precision, success curves, op-count formulas."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from euphrates import cli, metrics
+from euphrates.errors import ConfigError
 from euphrates.metrics import (
     EvalConfig,
     average_precision,
@@ -40,6 +44,16 @@ def test_iou_examples():
     assert iou(a, a) == 1.0
     assert iou(a, Roi(20, 20, 5, 5)) == 0.0
     assert iou(a, Roi(5, 0, 10, 10)) == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_iou_of_a_box_with_the_largest_accepted_area_is_one():
+    bound = sys.float_info.max / 2
+    a = Roi.from_dict({"x": 0.0, "y": 0.0, "w": bound, "h": 1.0})
+    assert a.area == bound
+    assert iou(a, a) == 1.0
+    assert precision_at([[a]], [[a]], (0.5,)) == [1.0]
+    with pytest.raises(ConfigError, match="exceeds half the largest float"):
+        Roi.from_dict({"x": 0.0, "y": 0.0, "w": math.nextafter(bound, math.inf), "h": 1.0})
 
 
 def test_iou_properties_bulk():

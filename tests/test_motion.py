@@ -22,7 +22,8 @@ from euphrates.motion import (
 )
 from euphrates.pixels import Frame
 
-from oracles import naive_block_search, naive_field, shifted_pair
+from oracles import naive_block_search, naive_field, naive_three_step_search, shifted_pair
+from test_config import PROPERTY
 
 
 def random_frame(seed, h=64, w=64):
@@ -242,6 +243,25 @@ def test_masked_field_equals_full_field_on_masked_mbs(case):
         estimate_motion_field(prev, np.zeros((height, width + 1), np.uint8), params, cells=np.zeros_like(cells))
 
 
+@PROPERTY
+@given(masked_pairs())
+def test_three_step_search_equals_the_literal_ring_walk(case):
+    prev, cur, L, d, cells = case
+    height, width = cur.shape
+    pad = ((0, -height % L), (0, -width % L))
+    prev_pad, cur_pad = np.pad(prev, pad, mode="edge"), np.pad(cur, pad, mode="edge")
+    params = MotionParams(L, d, "tss")
+    full = estimate_motion_field(prev, cur, params)
+    masked = estimate_motion_field(prev, cur, params, cells=cells)
+    for r in range(full.rows):
+        for c in range(full.cols):
+            (u, v), s = naive_three_step_search(prev_pad, cur_pad, (c * L, r * L), L, d)
+            assert three_step_search(prev_pad, cur_pad, (c * L, r * L), params) == (MotionVector(u, v), s)
+            assert (full.vector_at(r, c), full.sads[r, c]) == (MotionVector(u, v), s)
+            if cells[r, c]:
+                assert (masked.vector_at(r, c), masked.sads[r, c]) == (MotionVector(u, v), s)
+
+
 @pytest.mark.parametrize(
     "d, digest",
     [
@@ -360,6 +380,15 @@ def test_codec_rejects_empty_frame(offset):
     data = bytearray(encode_metadata(uniform_field(32, 32)))
     data[offset : offset + 2] = b"\x00\x00"
     with pytest.raises(MetadataError, match="empty frame"):
+        decode_metadata(bytes(data))
+
+
+def test_codec_rejects_a_search_range_the_wide_form_cannot_hold():
+    with pytest.raises(MetadataError, match="search range 200 exceeds the wide form's 8-bit range"):
+        encode_metadata(uniform_field(32, 32, params=MotionParams(search_range=200)))
+    data = bytearray(encode_metadata(uniform_field(32, 32, params=MotionParams(search_range=8))))
+    data[12:14] = (200).to_bytes(2, "little")  # header d; d = 8 and d = 200 share the wide record
+    with pytest.raises(MetadataError, match="search range 200 exceeds the wide form's 8-bit range"):
         decode_metadata(bytes(data))
 
 
