@@ -22,9 +22,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,20 +42,6 @@ from .scheduler import (
     run_pipeline,
 )
 from .socmodel import EnergyReport, SocConfig, summarize
-
-THREADS_ENV = "EUPHRATES_THREADS"
-
-
-def _max_workers(n_tasks: int) -> int:
-    cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        try:
-            cap_n = max(1, int(cap))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
-    else:
-        cap_n = os.cpu_count() or 1
-    return max(1, min(n_tasks, cap_n))
 
 
 def _parse_pair(text: str | None, what: str) -> tuple[int, int] | None:
@@ -214,8 +198,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_fields_dir(directory: str | Path) -> list[MotionField]:
-    """Fields of 000001.mvm .. N.mvm, which must all share frame size and params."""
+def _load_fields_dir(directory: str | Path, params: MotionParams) -> list[MotionField]:
+    """Fields of 000001.mvm .. N.mvm, which must all share frame size and the
+    run's motion `params`."""
     files = list_frame_files(directory, ".mvm", 1)
     fields: list[MotionField] = []
     for f in files:
@@ -223,6 +208,8 @@ def _load_fields_dir(directory: str | Path) -> list[MotionField]:
             fld = decode_metadata(f.read_bytes())
         except MetadataError as e:
             raise MetadataError(f"{f}: {e}") from None
+        if not fields and fld.params != params:
+            raise ConfigError(f"{f}: {fld.params} differs from the config's motion {params}")
         first = fields[0] if fields else fld
         if (fld.width, fld.height, fld.params) != (first.width, first.height, first.params):
             raise DimensionMismatchError(
@@ -250,7 +237,7 @@ def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
     if cfg.frames_dir:
         source = {"frames": load_sequence(cfg.frames_dir)}
     elif cfg.metadata_dir:
-        source = {"fields": _load_fields_dir(cfg.metadata_dir)}
+        source = {"fields": _load_fields_dir(cfg.metadata_dir, cfg.motion)}
     else:
         raise ConfigError("config needs either 'frames_dir' or 'metadata_dir'")
     try:
@@ -365,24 +352,22 @@ def run_sweep(cfg: RunConfig, axis: str, values: list) -> list[dict]:
         )
     truth = read_detection_trace(truth_path)
 
-    def one(value) -> dict:
+    rows = []
+    for value in values:
         try:
             trace, report = run_simulation(_sweep_variant(cfg, axis, value))
             result = evaluate_trace(trace, truth, (0.5,))
-            ap05 = dict(result["ap"])[0.5]
-            return {
-                "value": value,
-                "accuracy_at_0.5": ap05,
-                "energy_saving": report.saving_vs_baseline,
-                "achieved_fps": report.achieved_fps,
-                "trace": trace,
-                "report": report,
-            }
         except EuphratesError as e:
             raise ConfigError(f"sweep run {axis}={value}: {e.__class__.__name__}: {e}") from None
-
-    with ThreadPoolExecutor(max_workers=_max_workers(len(values))) as pool:
-        return list(pool.map(one, values))
+        rows.append({
+            "value": value,
+            "accuracy_at_0.5": dict(result["ap"])[0.5],
+            "energy_saving": report.saving_vs_baseline,
+            "achieved_fps": report.achieved_fps,
+            "trace": trace,
+            "report": report,
+        })
+    return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

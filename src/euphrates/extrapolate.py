@@ -18,8 +18,7 @@ minimal bounding box of the moved sub-ROIs, clamped to the frame. A track's
 sub-ROIs are reduced in one batch over the MB grid, each sum bit-identical
 to a reduction of that sub-ROI alone.
 
-Everything here is pure; a TrackState is never mutated in place, so tracks
-may be processed concurrently as long as each state is owned by one update.
+Everything here is pure; a TrackState is never mutated in place.
 """
 
 from __future__ import annotations

@@ -343,8 +343,10 @@ def _record(d: int) -> np.dtype:
 
 def encoded_size(width: int, height: int, params: MotionParams) -> int:
     """Bytes of one encoded field; MetadataError when the layout cannot hold
-    the search range or the frame size."""
+    the macroblock size, the search range or the frame size."""
     d = params.search_range
+    if params.mb_size > 65535:
+        raise MetadataError(f"macroblock size {params.mb_size} exceeds the header's 16-bit range")
     if d > 127:
         raise MetadataError(f"search range {d} exceeds the wide form's 8-bit range")
     if not (0 < width < 65536 and 0 < height < 65536):

@@ -5,8 +5,6 @@ supported: binary PGM (P5, maxval 255) and headerless raw Y8 with dimensions
 supplied out of band; the file extension selects the format. Frame
 sequences are directories of files named by frame number alone (000000.pgm,
 000001.pgm, ...), numbered without a gap.
-
-All operations here are pure and safe to call from multiple threads.
 """
 
 from __future__ import annotations

@@ -167,9 +167,13 @@ def test_estimate_checks_the_metadata_layout_before_searching(synth_dir, tmp_pat
 
     monkeypatch.setattr(cli, "estimate_motion_field", no_search)
     mv = tmp_path / "mv"
-    assert run(["estimate", "--frames", synth_dir, "--search-range", "200", "--out", mv]) == 2
-    assert error_line(capsys) == "error MetadataError: search range 200 exceeds the wide form's 8-bit range\n"
-    assert not mv.exists()
+    for flag, message in [
+        (["--search-range", "200"], "search range 200 exceeds the wide form's 8-bit range"),
+        (["--mb-size", "65536"], "macroblock size 65536 exceeds the header's 16-bit range"),
+    ]:
+        assert run(["estimate", "--frames", synth_dir, *flag, "--out", mv]) == 2
+        assert error_line(capsys) == f"error MetadataError: {message}\n"
+        assert not mv.exists()
 
 
 def test_estimate_rejects_mixed_dims(tmp_path, capsys):
@@ -224,6 +228,25 @@ def test_simulate_from_metadata(synth_dir, tmp_path):
     assert run(["simulate", "--config", cfgp, "--out", out]) == 0
     trace = ResultTrace.load(out / "trace.jsonl")
     assert len(trace.frames) == 12
+
+
+def test_simulate_from_metadata_needs_the_fields_motion_params(synth_dir, tmp_path, capsys):
+    mv = tmp_path / "mv"
+    assert run(["estimate", "--frames", synth_dir, "--algo", "tss", "--mb-size", "8",
+                "--search-range", "9", "--out", mv]) == 0
+    det = str(synth_dir / "truth.jsonl")
+    cfgp = write_run_config(tmp_path / "run.json", metadata_dir=str(mv), detections=det)
+    fields = "MotionParams(mb_size=8, search_range=9, algorithm='tss')"
+    for flags, algo in [([], "es"), (["--algo", "tss"], "tss")]:
+        assert run(["simulate", "--config", cfgp, *flags, "--out", tmp_path / "sim"]) == 2
+        assert error_line(capsys) == (
+            f"error ConfigError: {mv / '000001.mvm'}: {fields} differs from the config's motion "
+            f"MotionParams(mb_size=16, search_range=7, algorithm='{algo}')\n"
+        )
+    motion = {"mb_size": 8, "search_range": 9, "algorithm": "tss"}
+    cfgp = write_run_config(tmp_path / "run.json", metadata_dir=str(mv), detections=det, motion=motion)
+    assert run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"]) == 0
+    assert ResultTrace.load(tmp_path / "sim" / "trace.jsonl").config["motion"] == motion
 
 
 def test_simulate_frames_and_metadata_agree(synth_dir, tmp_path):
@@ -401,8 +424,7 @@ def test_evaluate_golden_outputs(tmp_path, monkeypatch, thresholds, ap_digest, s
     assert hashlib.sha256(Path("eval/summary.json").read_bytes()).hexdigest() == summary_digest
 
 
-def test_sweep_ew_axis(synth_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("EUPHRATES_THREADS", "2")
+def test_sweep_ew_axis(synth_dir, tmp_path):
     cfgp = write_run_config(
         tmp_path / "run.json",
         frames_dir=str(synth_dir),
@@ -432,6 +454,27 @@ def test_sweep_algorithm_axis(synth_dir, tmp_path):
                 "--out", out]) == 0
     rows = (out / "sweep.csv").read_text().splitlines()[2:]
     assert [r.split(",")[0] for r in rows] == ["es", "tss"]
+
+
+@pytest.mark.parametrize("axis, values", [("ew", "1,3,8"), ("algorithm", "tss,es")])
+def test_sweep_variant_outputs_equal_a_simulate_of_their_echo(synth_dir, tmp_path, axis, values):
+    cfgp = write_run_config(
+        tmp_path / "run.json",
+        frames_dir=str(synth_dir),
+        detections=str(synth_dir / "truth.jsonl"),
+        mode="ew:3",
+    )
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", cfgp, "--axis", axis, "--values", values, "--out", out]) == 0
+    for value in values.split(","):
+        variant = out / f"{axis}_{value}"
+        echoed = json.loads((variant / "energy.json").read_text())["config"]
+        assert (echoed["mode"] == f"ew:{value}") if axis == "ew" else (echoed["motion"]["algorithm"] == value)
+        echo = tmp_path / f"{axis}_{value}.json"
+        echo.write_text(json.dumps(echoed))
+        assert run(["simulate", "--config", echo, "--out", tmp_path / "sim"]) == 0
+        for name in ("trace.jsonl", "energy.json"):
+            assert (tmp_path / "sim" / name).read_bytes() == (variant / name).read_bytes(), (value, name)
 
 
 def test_sweep_mb_axis_needs_frames(synth_dir, tmp_path, capsys):
@@ -472,18 +515,6 @@ def test_sweep_rejects_repeated_values(synth_dir, tmp_path, capsys):
     assert run(["sweep", "--config", cfgp, "--axis", "algorithm", "--values", "es,es", "--out", out]) == 2
     assert error_line(capsys) == "error ConfigError: --values lists algorithm=es more than once\n"
     assert not out.exists()
-
-
-def test_threads_env_validation(synth_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("EUPHRATES_THREADS", "many")
-    cfgp = write_run_config(
-        tmp_path / "run.json",
-        frames_dir=str(synth_dir),
-        detections=str(synth_dir / "truth.jsonl"),
-    )
-    rc = run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,2", "--out", tmp_path / "s"])
-    assert rc == 2
-    assert "EUPHRATES_THREADS" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

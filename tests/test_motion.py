@@ -392,6 +392,11 @@ def test_codec_rejects_a_search_range_the_wide_form_cannot_hold():
         decode_metadata(bytes(data))
 
 
+def test_codec_rejects_a_macroblock_size_the_header_cannot_hold():
+    with pytest.raises(MetadataError, match="macroblock size 65536 exceeds the header's 16-bit range"):
+        encode_metadata(uniform_field(10, 10, params=MotionParams(65536)))
+
+
 def test_codec_truncated_and_oversized():
     data = encode_metadata(uniform_field(32, 32))
     with pytest.raises(MetadataError, match="truncated"):
