@@ -35,6 +35,13 @@ from .motion import MotionField
 from .roi import Roi, framed_bounding_box
 
 
+# Most sub-ROIs per grid axis. A track holds rows x cols sub-ROIs, and
+# `_overlap_weights` one float64 per sub-ROI and macroblock of each field: an
+# 8x8 grid on a 1080p frame of 16-pixel macroblocks is 64 x 8160 x 8 B, about
+# 4 MB per track and field.
+MAX_GRID_AXIS = 8
+
+
 @dataclass(frozen=True)
 class ExtrapolationParams(ConfigNode):
     """Sub-ROI grid (rows, cols) and the filter's confidence threshold."""
@@ -45,6 +52,8 @@ class ExtrapolationParams(ConfigNode):
     def __post_init__(self):
         if min(self.grid) < 1:
             raise ValueError(f"sub-roi grid must be at least 1x1, got {list(self.grid)}")
+        if max(self.grid) > MAX_GRID_AXIS:
+            raise ValueError(f"sub-roi grid must be at most {MAX_GRID_AXIS} a side, got {list(self.grid)}")
         if not 0.0 <= self.filter_threshold <= 1.0:
             raise ValueError(f"filter_threshold must be within [0, 1], got {self.filter_threshold}")
 
@@ -150,10 +159,8 @@ def cells_read(tracks: Iterable[TrackState], grid: tuple[int, int], L: int) -> n
     reads for `tracks`: those some sub-ROI overlaps. `roi_motion_stats`
     weights every other MB by exactly 0, so their vectors and SADs cannot
     change a result."""
-    cells = np.zeros(grid, dtype=bool)
-    for state in tracks:
-        cells |= (_overlap_weights(grid, L, [sub.roi for sub in state.sub_tracks]) > 0.0).any(axis=0)
-    return cells
+    rois = [sub.roi for state in tracks for sub in state.sub_tracks]
+    return (_overlap_weights(grid, L, rois) > 0.0).any(axis=0)
 
 
 def filtered_mv(

@@ -347,6 +347,10 @@ def encoded_size(width: int, height: int, params: MotionParams) -> int:
     d = params.search_range
     if params.mb_size > 65535:
         raise MetadataError(f"macroblock size {params.mb_size} exceeds the header's 16-bit range")
+    if params.max_sad > 0xFFFFFFFF:
+        raise MetadataError(
+            f"macroblock size {params.mb_size} allows a SAD of {params.max_sad}, beyond the record's 32-bit range"
+        )
     if d > 127:
         raise MetadataError(f"search range {d} exceeds the wide form's 8-bit range")
     if not (0 < width < 65536 and 0 < height < 65536):

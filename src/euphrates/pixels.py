@@ -1,10 +1,9 @@
 """Frame ingestion and synthetic test sequences.
 
-Frames are single-channel 8-bit luminance images. Two on-disk formats are
-supported: binary PGM (P5, maxval 255) and headerless raw Y8 with dimensions
-supplied out of band; the file extension selects the format. Frame
-sequences are directories of files named by frame number alone (000000.pgm,
-000001.pgm, ...), numbered without a gap.
+Frames are single-channel 8-bit luminance images, stored as binary PGM
+(P5, maxval 255) in `.pgm` files. Frame sequences are directories of files
+named by frame number alone (000000.pgm, 000001.pgm, ...), numbered without
+a gap.
 """
 
 from __future__ import annotations
@@ -44,17 +43,6 @@ class Frame:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-    @classmethod
-    def from_bytes(cls, width: int, height: int, payload: bytes) -> "Frame":
-        expected = width * height
-        if len(payload) != expected:
-            raise FrameFormatError(
-                f"payload size mismatch: declared {width}x{height} needs "
-                f"{expected} bytes, got {len(payload)}"
-            )
-        px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
-        return cls(px)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Frame):
@@ -110,39 +98,30 @@ def _parse_pgm(data: bytes, path: str) -> Frame:
             f"{path}: payload size mismatch: header says {width}x{height} "
             f"({width * height} bytes), payload has {len(payload)}"
         )
-    return Frame.from_bytes(width, height, payload)
+    return Frame(np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy())
 
 
-def _is_raw(p: Path) -> bool:
-    """False for PGM (.pgm), True for raw Y8 (.raw, .y8); other extensions fail."""
-    ext = p.suffix.lower()
-    if ext not in (".pgm", ".raw", ".y8"):
-        raise FrameFormatError(f"{p}: cannot infer format from extension {ext!r}")
-    return ext != ".pgm"
-
-
-def load_frame(path: str | Path, width: int | None = None, height: int | None = None) -> Frame:
-    """Load a PGM or raw Y8 frame from `path`; raw frames need `width` and `height`."""
+def _pgm_path(path: str | Path) -> Path:
+    """`path` as a Path; FrameFormatError unless its extension is .pgm."""
     p = Path(path)
-    raw = _is_raw(p)
+    ext = p.suffix.lower()
+    if ext != ".pgm":
+        raise FrameFormatError(f"{p}: unsupported frame format {ext!r}, only .pgm is supported")
+    return p
+
+
+def load_frame(path: str | Path) -> Frame:
+    """Load a binary PGM (P5) frame from the `.pgm` file `path`."""
+    p = _pgm_path(path)
     if not p.is_file():
         raise FrameFormatError(f"{p}: file not found")
-    data = p.read_bytes()
-    if not raw:
-        return _parse_pgm(data, str(p))
-    if width is None or height is None:
-        raise FrameFormatError(f"{p}: raw format requires declared width and height")
-    try:
-        return Frame.from_bytes(width, height, data)
-    except FrameFormatError as e:
-        raise FrameFormatError(f"{p}: {e}") from None
+    return _parse_pgm(p.read_bytes(), str(p))
 
 
 def save_frame(frame: Frame, path: str | Path) -> None:
-    """Write `frame` losslessly as PGM (P5) or raw Y8, by the extension of `path`."""
-    p = Path(path)
-    header = b"" if _is_raw(p) else f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    p.write_bytes(header + frame.pixels.tobytes())
+    """Write `frame` losslessly as binary PGM (P5) to the `.pgm` file `path`."""
+    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
+    _pgm_path(path).write_bytes(header + frame.pixels.tobytes())
 
 
 def list_frame_files(directory: str | Path, suffix: str = ".pgm", first: int = 0) -> list[Path]:

@@ -31,6 +31,12 @@ YOLOV2_GOP = 3423 / 60  # 57.05
 TINY_YOLO_GOP = 675 / 60  # 11.25
 MDNET_GOP = 635 / 60  # 10.58
 
+# Every numeric SocConfig field lies within this range. Then each product,
+# sum and quotient the model forms stays finite and nonzero for every trace a
+# run can hold, so no report divides by an underflowed time or holds an
+# infinity or a NaN.
+FIELD_RANGE = (1e-12, 1e12)
+
 
 @dataclass(frozen=True)
 class SocConfig(ConfigNode):
@@ -65,10 +71,10 @@ class SocConfig(ConfigNode):
             if f.name == "cpu_extrapolation":
                 continue
             v = getattr(self, f.name)
-            if not v > 0:
-                raise ConfigError(f"{f.name} must be positive, got {v}")
+            if not FIELD_RANGE[0] <= v <= FIELD_RANGE[1]:
+                raise ConfigError(f"{f.name} must be within [{FIELD_RANGE[0]:g}, {FIELD_RANGE[1]:g}], got {v}")
         if not self.nnx_utilization <= 1.0:
-            raise ConfigError(f"nnx_utilization must be in (0, 1], got {self.nnx_utilization}")
+            raise ConfigError(f"nnx_utilization must be at most 1, got {self.nnx_utilization}")
 
     @classmethod
     def from_dict(cls, data, path: str = "") -> "SocConfig":

@@ -170,6 +170,7 @@ def test_estimate_checks_the_metadata_layout_before_searching(synth_dir, tmp_pat
     for flag, message in [
         (["--search-range", "200"], "search range 200 exceeds the wide form's 8-bit range"),
         (["--mb-size", "65536"], "macroblock size 65536 exceeds the header's 16-bit range"),
+        (["--mb-size", "8192"], "macroblock size 8192 allows a SAD of 17112760320, beyond the record's 32-bit range"),
     ]:
         assert run(["estimate", "--frames", synth_dir, *flag, "--out", mv]) == 2
         assert error_line(capsys) == f"error MetadataError: {message}\n"
@@ -330,6 +331,29 @@ def test_simulate_unknown_config_key(tmp_path, capsys):
     p.write_text(json.dumps({"detections": "x", "frames_per_second": 30}))
     assert run(["simulate", "--config", p, "--out", tmp_path / "o"]) == 2
     assert "frames_per_second" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"extrapolation": {"grid": [100000, 100000]}},
+        {"mode": "ew:1", "soc": {"net_ops_gop": 5e-324, "nnx_peak_tops": 1e308}},
+        {"soc": {"nnx_peak_tops": 5e-324}},
+        {"soc": {"sensor_power_mw": 1e308, "isp_power_mw": 1e308}},
+    ],
+)
+def test_simulate_rejects_a_config_the_model_cannot_run(synth_dir, tmp_path, capsys, section):
+    # A grid this size means 10^10 sub-ROIs per track, and these soc values
+    # divide by zero or put Infinity/NaN into energy.json: each must stop the
+    # run at the config, before --out is made.
+    cfgp = write_run_config(
+        tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"), **section
+    )
+    out = tmp_path / "sim"
+    assert run(["simulate", "--config", cfgp, "--out", out]) == 2
+    (name,) = section.keys() - {"mode"}
+    assert error_line(capsys).startswith(f"error ConfigError: {cfgp}: {name}: ")
+    assert not out.exists()
 
 
 def test_evaluate_perfect_trace(synth_dir, tmp_path, capsys):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from euphrates.errors import ConfigError, EmptyRoiError
 from euphrates.extrapolate import (
+    MAX_GRID_AXIS,
+    ExtrapolationParams,
     _motion_stats,
     _overlap_weights,
     extrapolate_track,
@@ -175,6 +177,13 @@ def test_split_box_too_thin_for_grid_rejected():
     with pytest.raises(ConfigError, match=r"box at 10\.0,0\.0 of size 1e-15x8\.0 .* 2x2 sub-ROI grid"):
         split_sub_rois(Roi(10.0, 0.0, 1e-15, 8.0), (2, 2))
     assert len(split_sub_rois(Roi(10, 0, 1e-15, 8), (2, 1))) == 2  # no split across the width
+
+
+def test_grid_bounded_on_each_axis():
+    assert ExtrapolationParams(grid=(MAX_GRID_AXIS, MAX_GRID_AXIS)).grid == (MAX_GRID_AXIS, MAX_GRID_AXIS)
+    for grid in [(MAX_GRID_AXIS + 1, 1), (1, MAX_GRID_AXIS + 1), (100000, 100000)]:
+        with pytest.raises(ValueError, match=f"at most {MAX_GRID_AXIS} a side"):
+            ExtrapolationParams(grid=grid)
 
 
 def test_split_conserves_area_and_cover():

@@ -397,6 +397,13 @@ def test_codec_rejects_a_macroblock_size_the_header_cannot_hold():
         encode_metadata(uniform_field(10, 10, params=MotionParams(65536)))
 
 
+def test_codec_rejects_a_macroblock_size_whose_sad_the_record_cannot_hold():
+    largest = uniform_field(10, 10, sad=255 * 4096 * 4096, params=MotionParams(4096))
+    assert decode_metadata(encode_metadata(largest)).sads.tolist() == [[255 * 4096 * 4096]]
+    with pytest.raises(MetadataError, match="macroblock size 8192 allows a SAD of 17112760320, beyond the record's 32-bit range"):
+        encode_metadata(uniform_field(10, 10, sad=2**32 + 5, params=MotionParams(8192)))
+
+
 def test_codec_truncated_and_oversized():
     data = encode_metadata(uniform_field(32, 32))
     with pytest.raises(MetadataError, match="truncated"):

@@ -1,12 +1,18 @@
 """Analytical SoC energy/timing model."""
 
+import math
+from dataclasses import astuple, fields
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from euphrates.errors import ConfigError
 from euphrates.motion import uniform_field
 from euphrates.roi import Roi
 from euphrates.scheduler import PipelineConfig, TraceProvider, run_pipeline
 from euphrates.socmodel import (
+    FIELD_RANGE,
     MDNET_GOP,
     SocConfig,
     YOLOV2_GOP,
@@ -19,6 +25,8 @@ from euphrates.socmodel import (
     tiny_yolo_config,
     yolov2_config,
 )
+
+from test_config import PROPERTY
 
 
 def test_inference_time_yolov2():
@@ -192,6 +200,30 @@ def test_config_validation():
         SocConfig(sensor_power_mw=-1.0)
     with pytest.raises(ConfigError):
         SocConfig.from_dict({"warp_drive_power": 1.21})
+
+
+NUMERIC_FIELDS = [f.name for f in fields(SocConfig) if f.name != "cpu_extrapolation"]
+
+
+@PROPERTY
+@given(
+    st.fixed_dictionaries({name: st.sampled_from(FIELD_RANGE) for name in NUMERIC_FIELDS}),
+    st.booleans(),
+    st.lists(st.sampled_from("IE"), min_size=1, max_size=50),
+)
+def test_field_range_keeps_every_report_value_finite(values, cpu, kinds):
+    values["nnx_utilization"] = min(values["nnx_utilization"], 1.0)
+    report = summarize(kinds, SocConfig(**values, cpu_extrapolation=cpu))
+    assert all(math.isfinite(v) for v in astuple(report))
+    assert report.baseline_total_mj > 0 and report.achieved_fps > 0
+
+
+def test_field_range_bounds_every_numeric_field():
+    lo, hi = FIELD_RANGE
+    for name in NUMERIC_FIELDS:
+        for bad in (lo / 10, hi * 10, 5e-324, 1e308):
+            with pytest.raises(ConfigError, match=f"{name} must be within"):
+                SocConfig(**{name: bad})
 
 
 def test_config_file_round_trip(tmp_path):
