@@ -11,8 +11,9 @@ from euphrates.motion import uniform_field
 from euphrates.roi import Roi
 from euphrates.scheduler import PipelineConfig, TraceProvider, run_pipeline
 from euphrates.socmodel import (
+    CPU_EXTRAPOLATE_POWER_MW,
+    CPU_EXTRAPOLATE_TIME_S,
     SocConfig,
-    achieved_fps,
     constant_schedule_kinds,
     frame_energy,
     inference_time,
@@ -58,7 +59,8 @@ print(f"E-frame: frontend {ee.frontend_mj:.1f}, dram {ee.dram_mj:.1f}, backend {
 # Running extrapolation on the CPU instead of a dedicated controller burns
 # most of the benefit: an EW-8 software run costs about as much as EW-4 in
 # hardware (task autonomy matters).
-cpu = summarize(constant_schedule_kinds(960, 8), SocConfig(cpu_extrapolation=True))
+cpu_cfg = SocConfig(extrapolate_power_mw=CPU_EXTRAPOLATE_POWER_MW, t_extrapolate_s=CPU_EXTRAPOLATE_TIME_S)
+cpu = summarize(constant_schedule_kinds(960, 8), cpu_cfg)
 hw4 = summarize(constant_schedule_kinds(960, 4), det)
 print(f"\nEW-8 with CPU extrapolation: {cpu.per_frame_mj:.1f} mJ/frame vs EW-4 hardware {hw4.per_frame_mj:.1f}")
 

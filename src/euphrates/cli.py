@@ -63,14 +63,13 @@ def _parse_pair(text: str | None, what: str) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class ProviderParams(ConfigNode):
-    """Gaussian jitter of replayed detection boxes and its seed."""
+    """Gaussian jitter of replayed detection boxes, seeded by the run's `seed`."""
 
     noise_sigma: float = 0.0
-    seed: int | None = None  # None: use the run's top-level seed
 
     def __post_init__(self):
-        if self.noise_sigma < 0 or (self.seed or 0) < 0:
-            raise ConfigError(f"noise_sigma and seed must be >= 0, got {self.noise_sigma}, {self.seed}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -230,8 +229,7 @@ def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
     det_path = Path(cfg.detections)
     if not det_path.is_file():
         raise ConfigError(f"detections trace not found: {det_path}")
-    provider_seed = cfg.provider.seed if cfg.provider.seed is not None else cfg.seed
-    provider = TraceProvider.from_file(det_path, noise_sigma=cfg.provider.noise_sigma, seed=provider_seed)
+    provider = TraceProvider.from_file(det_path, noise_sigma=cfg.provider.noise_sigma, seed=cfg.seed)
     if cfg.frames_dir and cfg.metadata_dir:
         raise ConfigError("config must name one input source, not both frames_dir and metadata_dir")
     if cfg.frames_dir:

@@ -66,7 +66,6 @@ def _is_number(value) -> bool:
 
 
 _LEAVES = {
-    bool: ("a boolean", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: ("a finite number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),

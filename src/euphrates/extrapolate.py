@@ -36,7 +36,7 @@ from .roi import Roi, framed_bounding_box
 
 
 # Most sub-ROIs per grid axis. A track holds rows x cols sub-ROIs, and
-# `_overlap_weights` one float64 per sub-ROI and macroblock of each field: an
+# `_motion_stats` one float64 per sub-ROI and macroblock of each field: an
 # 8x8 grid on a 1080p frame of 16-pixel macroblocks is 64 x 8160 x 8 B, about
 # 4 MB per track and field.
 MAX_GRID_AXIS = 8
@@ -109,9 +109,9 @@ def _cell_edges(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-def _overlap_weights(grid: tuple[int, int], L: int, rois: Sequence[Roi]) -> np.ndarray:
-    """Overlap area between each of `rois` and each cell of a (rows, cols)
-    grid of L x L cells, shape (len(rois), rows, cols)."""
+def _axis_overlaps(grid: tuple[int, int], L: int, rois: Sequence[Roi]) -> tuple[np.ndarray, np.ndarray]:
+    """(ov_y, ov_x): overlap length of each of `rois` with each cell row and
+    each cell column of a (rows, cols) grid of L x L cells."""
     rows, cols = grid
     boxes = np.array([(r.x, r.x + r.w, r.y, r.y + r.h) for r in rois], dtype=float).reshape(-1, 4)
     x_lo, x_hi = _cell_edges(cols, L)
@@ -122,7 +122,7 @@ def _overlap_weights(grid: tuple[int, int], L: int, rois: Sequence[Roi]) -> np.n
     ov_y -= np.maximum(boxes[:, 2:3], y_lo)
     np.maximum(ov_x, 0.0, out=ov_x)
     np.maximum(ov_y, 0.0, out=ov_y)
-    return ov_y[:, :, None] * ov_x[:, None, :]
+    return ov_y, ov_x
 
 
 def _motion_stats(field: MotionField, rois: Sequence[Roi]) -> list[tuple[float, float, float]] | None:
@@ -131,7 +131,8 @@ def _motion_stats(field: MotionField, rois: Sequence[Roi]) -> list[tuple[float, 
     # (S, 1, rows * cols): each ROI's weights, broadcast over the u, v and
     # confidence planes. Every sum runs over one contiguous rows * cols row,
     # as a one-ROI call's does, so batching changes no bit of a result.
-    weights = _overlap_weights((field.rows, field.cols), field.params.mb_size, rois).reshape(len(rois), 1, -1)
+    ov_y, ov_x = _axis_overlaps((field.rows, field.cols), field.params.mb_size, rois)
+    weights = (ov_y[:, :, None] * ov_x[:, None, :]).reshape(len(rois), 1, -1)
     total = weights.sum(axis=2)
     if (total <= 0.0).any():
         return None
@@ -156,11 +157,11 @@ def roi_motion_stats(field: MotionField, roi: Roi) -> tuple[float, float, float]
 
 def cells_read(tracks: Iterable[TrackState], grid: tuple[int, int], L: int) -> np.ndarray:
     """Boolean (rows, cols) mask of the MBs whose motion `extrapolate_track`
-    reads for `tracks`: those some sub-ROI overlaps. `roi_motion_stats`
-    weights every other MB by exactly 0, so their vectors and SADs cannot
-    change a result."""
-    rois = [sub.roi for state in tracks for sub in state.sub_tracks]
-    return (_overlap_weights(grid, L, rois) > 0.0).any(axis=0)
+    reads for `tracks`: those some sub-ROI overlaps on both axes.
+    `roi_motion_stats` weights every other MB by exactly 0, so their vectors
+    and SADs cannot change a result."""
+    ov_y, ov_x = _axis_overlaps(grid, L, [sub.roi for state in tracks for sub in state.sub_tracks])
+    return (ov_y > 0.0).T @ (ov_x > 0.0)
 
 
 def filtered_mv(

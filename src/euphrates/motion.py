@@ -180,6 +180,11 @@ def _window(
     return blocks, ranks, cur_px[y : y + L, x : x + L].astype(np.int16), x - x0, y - y0
 
 
+# Most bytes of int16 differences `exhaustive_search` holds at once: a larger
+# candidate window is summed a band of rows at a time (at least one row).
+_ES_BAND_BYTES = 16 << 20
+
+
 def exhaustive_search(
     prev: Frame | np.ndarray, cur: Frame | np.ndarray, mb_origin: tuple[int, int], params: MotionParams
 ) -> tuple[MotionVector, int]:
@@ -189,9 +194,16 @@ def exhaustive_search(
     the smallest |u|+|v|, then smallest v, then smallest u.
     """
     blocks, ranks, block, ox, oy = _window(prev, cur, mb_origin, params)
-    diff = np.abs(blocks - block)
-    sads = diff.reshape(*diff.shape[:2], -1).sum(axis=-1, dtype=np.int64)
-    i, j = divmod(int(np.argmin(sads * (2 * params.search_range + 1) ** 2 + ranks)), sads.shape[1])
+    rows, cols = ranks.shape
+    band = min(rows, max(1, _ES_BAND_BYTES // (cols * block.nbytes)))
+    buf = np.empty((band, cols, *block.shape), dtype=np.int16)  # contiguous: reshape is a view
+    sads = np.empty((rows, cols), dtype=np.int64)
+    for r in range(0, rows, band):
+        diff = buf[: rows - r]
+        np.subtract(blocks[r : r + band], block, out=diff)
+        np.abs(diff, out=diff)
+        sads[r : r + band] = diff.reshape(len(diff), cols, -1).sum(axis=-1, dtype=np.int64)
+    i, j = divmod(int(np.argmin(sads * (2 * params.search_range + 1) ** 2 + ranks)), cols)
     return MotionVector(ox - j, oy - i), int(sads[i, j])
 
 

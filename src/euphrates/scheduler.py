@@ -26,7 +26,7 @@ from .config import ConfigNode, check
 from .errors import ConfigError, MissingDataError
 from .extrapolate import ExtrapolationParams, TrackState, cells_read, extrapolate_track, init_track
 from .metrics import greedy_match
-from .motion import MotionField, MotionParams, estimate_motion_field, grid_shape
+from .motion import MotionField, MotionParams, encoded_size, estimate_motion_field, grid_shape
 from .pixels import Frame
 from .roi import Roi
 
@@ -319,13 +319,13 @@ def run_pipeline(
     if (frames is None) == (fields is None):
         raise ConfigError("provide exactly one of frames= or fields=")
     if frames is not None:
-        n = len(frames)
-        size = (frames[0].width, frames[0].height) if n else (0, 0)
+        if not frames:
+            raise ConfigError("sequence must contain at least one frame")
+        n, size = len(frames), (frames[0].width, frames[0].height)
+        encoded_size(*size, cfg.motion)  # search only what a .mvm file could hold, as `estimate` does
     else:
         n = len(fields) + 1
         size = (fields[0].width, fields[0].height) if fields else (0, 0)
-    if n < 1:
-        raise ConfigError("sequence must contain at least one frame")
 
     def field_for(t: int, tracks: list[TrackState]) -> MotionField:
         if fields is not None:

@@ -9,7 +9,7 @@ The model splits per-frame energy into three components:
   frame kind's memory traffic (inference traffic is dominated by weight and
   activation spills, extrapolation touches only pixels and motion metadata);
 * backend: the inference accelerator active for the duration of an
-  inference on I-frames, the motion controller active briefly on E-frames.
+  inference on I-frames, the extrapolation engine active briefly on E-frames.
 
 Energy is accounted per captured frame over a fixed-length sequence, so
 savings are reported against an every-frame-inference baseline of the same
@@ -31,10 +31,14 @@ YOLOV2_GOP = 3423 / 60  # 57.05
 TINY_YOLO_GOP = 675 / 60  # 11.25
 MDNET_GOP = 635 / 60  # 10.58
 
-# Every numeric SocConfig field lies within this range. Then each product,
-# sum and quotient the model forms stays finite and nonzero for every trace a
-# run can hold, so no report divides by an underflowed time or holds an
-# infinity or a NaN.
+# E-frames extrapolated in software on the CPU, the task-autonomy what-if.
+CPU_EXTRAPOLATE_POWER_MW = 3000.0
+CPU_EXTRAPOLATE_TIME_S = 4e-3
+
+# Every SocConfig field lies within this range. Then each product, sum and
+# quotient the model forms stays finite and nonzero for every trace a run can
+# hold, so no report divides by an underflowed time or holds an infinity or a
+# NaN.
 FIELD_RANGE = (1e-12, 1e12)
 
 
@@ -61,15 +65,11 @@ class SocConfig(ConfigNode):
     iframe_traffic_bytes: float = 646e6
     eframe_traffic_bytes: float = 22.8e6
     net_ops_gop: float = YOLOV2_GOP
+    extrapolate_power_mw: float = 2.2  # the engine that extrapolates E-frames: the MC
     t_extrapolate_s: float = 1e-3
-    cpu_extrapolation: bool = False  # software fallback instead of the MC IP
-    cpu_power_mw: float = 3000.0
-    cpu_extrapolate_time_s: float = 4e-3
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name == "cpu_extrapolation":
-                continue
             v = getattr(self, f.name)
             if not FIELD_RANGE[0] <= v <= FIELD_RANGE[1]:
                 raise ConfigError(f"{f.name} must be within [{FIELD_RANGE[0]:g}, {FIELD_RANGE[1]:g}], got {v}")
@@ -132,15 +132,11 @@ def inference_time(cfg: SocConfig) -> float:
     return cfg.net_ops_gop / gops
 
 
-def _t_extrapolate(cfg: SocConfig) -> float:
-    return cfg.cpu_extrapolate_time_s if cfg.cpu_extrapolation else cfg.t_extrapolate_s
-
-
 def achieved_fps(cfg: SocConfig, ew: int | float) -> float:
     """Steady-state frame rate at extrapolation window `ew`, capture-capped."""
     if ew < 1:
         raise ConfigError(f"ew must be >= 1, got {ew}")
-    t = inference_time(cfg) + (ew - 1) * _t_extrapolate(cfg)
+    t = inference_time(cfg) + (ew - 1) * cfg.t_extrapolate_s
     return min(cfg.capture_fps, ew / t)
 
 
@@ -157,10 +153,7 @@ def frame_energy(kind: str, cfg: SocConfig) -> EnergyBreakdown:
         backend = cfg.nnx_power_mw * inference_time(cfg) + cfg.mc_power_mw * period
     elif kind == E_FRAME:
         traffic = cfg.eframe_traffic_bytes
-        if cfg.cpu_extrapolation:
-            backend = cfg.cpu_power_mw * cfg.cpu_extrapolate_time_s
-        else:
-            backend = cfg.mc_power_mw * cfg.t_extrapolate_s
+        backend = cfg.extrapolate_power_mw * cfg.t_extrapolate_s
     else:
         raise ValueError(f"unknown frame kind {kind!r}")
     dram = dram_idle + traffic * cfg.dram_energy_per_byte_pj / 1e9
@@ -185,17 +178,10 @@ class EnergyReport:
     ops_per_frame_gop: float
     traffic_per_frame_mb: float
 
-    def components(self) -> list[tuple[str, float]]:
-        return [
-            ("frontend", self.frontend_mj),
-            ("dram", self.dram_mj),
-            ("backend", self.backend_mj),
-        ]
-
     def csv_rows(self) -> list[tuple[str, float, float]]:
         """(component, energy mJ, percent of total) rows."""
         rows = []
-        for name, mj in self.components():
+        for name, mj in [("frontend", self.frontend_mj), ("dram", self.dram_mj), ("backend", self.backend_mj)]:
             pct = 100.0 * mj / self.total_mj if self.total_mj > 0 else 0.0
             rows.append((name, mj, pct))
         rows.append(("total", self.total_mj, 100.0))
@@ -219,19 +205,13 @@ class EnergyReport:
         return "\n".join(lines)
 
 
-def _kinds_of(trace) -> list[str]:
-    if hasattr(trace, "kinds"):
-        return trace.kinds()
-    return list(trace)
-
-
 def summarize(trace, cfg: SocConfig) -> EnergyReport:
     """Aggregate per-frame energies over a result trace (or a kind sequence).
 
     Savings are normalized against a baseline of the same length running
     inference on every frame.
     """
-    kinds = _kinds_of(trace)
+    kinds = trace.kinds() if hasattr(trace, "kinds") else list(trace)
     n = len(kinds)
     if n == 0:
         raise ValueError("trace is empty")
@@ -250,7 +230,7 @@ def summarize(trace, cfg: SocConfig) -> EnergyReport:
     if n_i > 0:
         fps = achieved_fps(cfg, n / n_i)
     else:
-        fps = min(cfg.capture_fps, 1.0 / _t_extrapolate(cfg))
+        fps = min(cfg.capture_fps, 1.0 / cfg.t_extrapolate_s)
 
     return EnergyReport(
         n_frames=n,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from euphrates import cli
+from euphrates import cli, scheduler
 from euphrates.cli import SynthConfig, main
 from euphrates.motion import decode_metadata, encode_metadata, uniform_field
 from euphrates.pixels import Frame, save_frame
@@ -161,20 +161,39 @@ def test_estimate_outputs(synth_dir, tmp_path, capsys):
     assert len(files[0].read_bytes()) == 14 + 5 * 48
 
 
+# Motion flags beyond the .mvm layout, and the error each one ends in.
+METADATA_LIMITS = [
+    (["--search-range", "200"], "search range 200 exceeds the wide form's 8-bit range"),
+    (["--mb-size", "65536"], "macroblock size 65536 exceeds the header's 16-bit range"),
+    (["--mb-size", "8192"], "macroblock size 8192 allows a SAD of 17112760320, beyond the record's 32-bit range"),
+]
+
+
 def test_estimate_checks_the_metadata_layout_before_searching(synth_dir, tmp_path, capsys, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("estimate searched a field the metadata cannot hold")
 
     monkeypatch.setattr(cli, "estimate_motion_field", no_search)
     mv = tmp_path / "mv"
-    for flag, message in [
-        (["--search-range", "200"], "search range 200 exceeds the wide form's 8-bit range"),
-        (["--mb-size", "65536"], "macroblock size 65536 exceeds the header's 16-bit range"),
-        (["--mb-size", "8192"], "macroblock size 8192 allows a SAD of 17112760320, beyond the record's 32-bit range"),
-    ]:
+    for flag, message in METADATA_LIMITS:
         assert run(["estimate", "--frames", synth_dir, *flag, "--out", mv]) == 2
         assert error_line(capsys) == f"error MetadataError: {message}\n"
         assert not mv.exists()
+
+
+def test_runs_from_frames_check_the_metadata_layout_before_searching(synth_dir, tmp_path, capsys, monkeypatch):
+    """simulate and sweep from frames accept the motion settings estimate does."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("a run from frames searched a field the metadata cannot hold")
+
+    monkeypatch.setattr(scheduler, "estimate_motion_field", no_search)
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
+    for flag, message in METADATA_LIMITS:
+        assert run(["simulate", "--config", cfgp, *flag, "--out", tmp_path / "sim"]) == 2
+        assert error_line(capsys) == f"error MetadataError: {message}\n"
+    assert run(["sweep", "--config", cfgp, "--axis", "mb_size", "--values", "65536", "--out", tmp_path / "s"]) == 2
+    message = METADATA_LIMITS[1][1]
+    assert error_line(capsys) == f"error ConfigError: sweep run mb_size=65536: MetadataError: {message}\n"
 
 
 def test_estimate_rejects_mixed_dims(tmp_path, capsys):

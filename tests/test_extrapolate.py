@@ -1,5 +1,7 @@
 """ROI extrapolation: averaging, filtering, sub-ROI handling, composition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +12,9 @@ from euphrates.extrapolate import (
     MAX_GRID_AXIS,
     ExtrapolationParams,
     _motion_stats,
-    _overlap_weights,
+    SubTrack,
+    TrackState,
+    cells_read,
     extrapolate_track,
     filtered_mv,
     init_track,
@@ -327,7 +331,7 @@ def test_touched_macroblocks_cost_bound():
     field = uniform_field(256, 128)
 
     def touched(roi):
-        return int(np.count_nonzero(_overlap_weights((field.rows, field.cols), 16, [roi])))
+        return int(np.count_nonzero(cells_read([init_track(0, roi, (1, 1))], (field.rows, field.cols), 16)))
 
     assert touched(Roi(0, 0, 100, 50)) == 7 * 4
     assert touched(Roi(0, 0, 16, 16)) == 1
@@ -339,15 +343,20 @@ def test_touched_macroblocks_cost_bound():
 # Batched sub-ROI statistics
 
 
+def one_roi_weights(roi, rows, cols, L):
+    """Overlap area of `roi` with each cell of a (rows, cols) grid of L x L
+    cells, restated literally as one float product per cell."""
+    edges_x = np.arange(cols + 1) * L
+    edges_y = np.arange(rows + 1) * L
+    ov_x = np.clip(np.minimum(roi.x2, edges_x[1:]) - np.maximum(roi.x, edges_x[:-1]), 0.0, None)
+    ov_y = np.clip(np.minimum(roi.y2, edges_y[1:]) - np.maximum(roi.y, edges_y[:-1]), 0.0, None)
+    return ov_y[:, None] * ov_x[None, :]
+
+
 def one_roi_motion_stats(field, roi):
     """The per-ROI reduction `_motion_stats` batches, restated literally:
     (mu_u, mu_v, alpha), or None when `roi` misses the MB grid."""
-    L = field.params.mb_size
-    edges_x = np.arange(field.cols + 1) * L
-    edges_y = np.arange(field.rows + 1) * L
-    ov_x = np.clip(np.minimum(roi.x2, edges_x[1:]) - np.maximum(roi.x, edges_x[:-1]), 0.0, None)
-    ov_y = np.clip(np.minimum(roi.y2, edges_y[1:]) - np.maximum(roi.y, edges_y[:-1]), 0.0, None)
-    weights = ov_y[:, None] * ov_x[None, :]
+    weights = one_roi_weights(roi, field.rows, field.cols, field.params.mb_size)
     total = weights.sum()
     if total <= 0.0:
         return None
@@ -399,3 +408,60 @@ def test_batched_motion_stats_equal_per_roi_stats_bit_for_bit(rows, cols, L, n_r
                 roi_motion_stats(field, roi)
         else:
             assert np.array(roi_motion_stats(field, roi)).tobytes() == np.array(one).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The macroblocks extrapolation reads
+
+
+@PROPERTY
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    L=st.sampled_from([4, 8, 16]),
+    n_rois=st.integers(0, 30),
+    tiny=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cells_read_covers_every_cell_of_nonzero_weight(rows, cols, L, n_rois, tiny, seed):
+    """The mask holds every cell some sub-ROI gives a nonzero overlap area,
+    and only those while no extent is below 1e-100. A tinier box can add a
+    cell whose area underflows to 0; that cell weighs nothing in the mean."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-cols * L, 2 * cols * L, n_rois)
+    y = rng.uniform(-rows * L, 2 * rows * L, n_rois)
+    if tiny:  # corners on a cell edge, extents down to 1e-300
+        x, y = np.round(x / L) * L, np.round(y / L) * L
+    low = -300 if tiny else -100
+    w = cols * L * 10.0 ** rng.uniform(low, 0.2, n_rois)
+    h = rows * L * 10.0 ** rng.uniform(low, 0.2, n_rois)
+    rois = [Roi(float(a), float(b), float(c), float(d)) for a, b, c, d in zip(x, y, w, h)]
+    tracks = [TrackState(i, (SubTrack(r),)) for i, r in enumerate(rois)]
+    mask = cells_read(tracks, (rows, cols), L)
+    want = np.zeros((rows, cols), dtype=bool)
+    for roi in rois:
+        want |= one_roi_weights(roi, rows, cols, L) > 0.0
+    assert mask.dtype == bool and mask.shape == (rows, cols)
+    assert not (want & ~mask).any()
+    if min([*w, *h], default=1.0) >= 1e-100:
+        assert np.array_equal(mask, want)
+
+
+def test_cells_read_keeps_a_cell_whose_overlap_area_underflows():
+    tracks = [TrackState(0, (SubTrack(Roi(0.0, 0.0, 1e-200, 1e-200)),))]
+    assert one_roi_weights(tracks[0].sub_tracks[0].roi, 2, 2, 16).max() == 0.0
+    assert cells_read(tracks, (2, 2), 16).tolist() == [[True, False], [False, False]]
+
+
+def test_cells_read_memory_is_bounded_at_1080p():
+    """12 tracks of 2x2 sub-ROIs over the 270 x 480 grid of 4-pixel MBs: a
+    float overlap tensor would hold 48 x 129600 float64, about 50 MB."""
+    rng = np.random.default_rng(3)
+    tracks = [init_track(i, Roi(*rng.uniform(0, 1000, 2), *rng.uniform(20, 300, 2))) for i in range(12)]
+    tracemalloc.start()
+    try:
+        mask = cells_read(tracks, (270, 480), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.any() and peak < 2 * 2**20

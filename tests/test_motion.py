@@ -1,12 +1,14 @@
 """Block matching: SAD, ES/TSS searches, field estimation, metadata codec."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from euphrates import motion
 from euphrates.errors import DimensionMismatchError, MetadataError
 from euphrates.motion import (
     MotionField,
@@ -115,6 +117,32 @@ def test_exhaustive_origin_validation():
     f = random_frame(2)
     with pytest.raises(ValueError):
         exhaustive_search(f, f, (7, 16), MotionParams())
+
+
+@pytest.mark.parametrize("band", [1, 2, 3])
+def test_exhaustive_search_in_bands_equals_the_literal_search(band, monkeypatch):
+    """A window summed a few candidate rows at a time ranks as one sum does."""
+    rng = np.random.default_rng(band)
+    for L, d, levels in [(4, 5, 2), (8, 9, 256), (8, 12, 2), (16, 7, 256)]:
+        monkeypatch.setattr(motion, "_ES_BAND_BYTES", band * (2 * d + 1) * L * L * 2)
+        prev, cur = (rng.integers(0, levels, size=(5 * L, 4 * L), dtype=np.uint8) for _ in range(2))
+        for origin in [(0, 0), (L, 2 * L), (3 * L, 4 * L)]:
+            mv, s = exhaustive_search(prev, cur, origin, MotionParams(L, d))
+            assert ((mv.u, mv.v), s) == naive_block_search(prev, cur, origin, L, d)
+
+
+def test_exhaustive_search_memory_is_bounded_for_a_large_window():
+    """A 64-pixel MB over a 127 x 127 candidate window (132 MB of int16
+    differences at once) stays within twice the search's byte budget."""
+    rng = np.random.default_rng(0)
+    prev, cur = (rng.integers(0, 256, size=(192, 192), dtype=np.uint8) for _ in range(2))
+    tracemalloc.start()
+    try:
+        exhaustive_search(prev, cur, (64, 64), MotionParams(64, 63))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * motion._ES_BAND_BYTES
 
 
 def test_tss_recovers_shift():

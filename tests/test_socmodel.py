@@ -1,7 +1,7 @@
 """Analytical SoC energy/timing model."""
 
 import math
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import pytest
 from hypothesis import given
@@ -12,6 +12,8 @@ from euphrates.motion import uniform_field
 from euphrates.roi import Roi
 from euphrates.scheduler import PipelineConfig, TraceProvider, run_pipeline
 from euphrates.socmodel import (
+    CPU_EXTRAPOLATE_POWER_MW,
+    CPU_EXTRAPOLATE_TIME_S,
     FIELD_RANGE,
     MDNET_GOP,
     SocConfig,
@@ -172,15 +174,52 @@ def test_csv_rows_structure():
     assert sum(r[2] for r in rows[:3]) == pytest.approx(100.0)
 
 
-def test_cpu_extrapolation_negates_most_savings():
+CPU_CONFIG = SocConfig(extrapolate_power_mw=CPU_EXTRAPOLATE_POWER_MW, t_extrapolate_s=CPU_EXTRAPOLATE_TIME_S)
+
+
+def test_software_extrapolation_negates_most_savings():
     """Software extrapolation burns CPU power per E-frame: an EW-8 run lands
     near the dedicated-hardware EW-4 energy, the task-autonomy argument."""
     mc = summarize(constant_schedule_kinds(960, 4), yolov2_config())
-    cpu_cfg = SocConfig(cpu_extrapolation=True)
-    cpu = summarize(constant_schedule_kinds(960, 8), cpu_cfg)
+    cpu = summarize(constant_schedule_kinds(960, 8), CPU_CONFIG)
     assert cpu.total_mj == pytest.approx(mc.total_mj, rel=0.15)
     hw8 = summarize(constant_schedule_kinds(960, 8), yolov2_config())
     assert cpu.total_mj > 1.4 * hw8.total_mj
+
+
+@pytest.mark.parametrize(
+    "cfg, report, fps_ew2, fps_all_e",
+    [
+        (
+            yolov2_config(),
+            (960, 120, 5389.199999999999, 11413.760000000002, 4611.846958333334, 21414.806958333334,
+             22.307090581597222, 60.0, 0.125, 95561.99166666667, 0.7759066488167061, 7.13125, 100.7),
+            33.358107390712625,
+            1000.0,
+        ),
+        (
+            mdnet_config(),
+            (960, 120, 5389.199999999999, 5548.160000000001, 860.6316805555557, 11797.991680555557,
+             12.289574667245372, 60.0, 0.125, 18627.469444444447, 0.3666347586427392, 1.3229166666666667, 24.325),
+            60.0,
+            1000.0,
+        ),
+        (
+            CPU_CONFIG,
+            (960, 120, 5389.199999999999, 11413.760000000002, 14689.998958333334, 31492.958958333333,
+             32.80516558159722, 60.0, 0.125, 95561.99166666667, 0.6704447196100193, 7.13125, 100.7),
+            31.76850175112835,
+            250.0,
+        ),
+    ],
+    ids=["yolov2", "mdnet", "cpu"],
+)
+def test_model_numbers_are_pinned_bit_for_bit(cfg, report, fps_ew2, fps_all_e):
+    """Exact floats of an EW-8 report, the EW-2 frame rate and an all-E run's
+    frame rate at a 10 kHz capture, as the model has always computed them."""
+    assert astuple(summarize(constant_schedule_kinds(960, 8), cfg)) == report
+    assert achieved_fps(cfg, 2) == fps_ew2
+    assert summarize("EEE", replace(cfg, capture_fps=1e4)).achieved_fps == fps_all_e
 
 
 def test_config_presets_and_overrides():
@@ -202,18 +241,17 @@ def test_config_validation():
         SocConfig.from_dict({"warp_drive_power": 1.21})
 
 
-NUMERIC_FIELDS = [f.name for f in fields(SocConfig) if f.name != "cpu_extrapolation"]
+NUMERIC_FIELDS = [f.name for f in fields(SocConfig)]
 
 
 @PROPERTY
 @given(
     st.fixed_dictionaries({name: st.sampled_from(FIELD_RANGE) for name in NUMERIC_FIELDS}),
-    st.booleans(),
     st.lists(st.sampled_from("IE"), min_size=1, max_size=50),
 )
-def test_field_range_keeps_every_report_value_finite(values, cpu, kinds):
+def test_field_range_keeps_every_report_value_finite(values, kinds):
     values["nnx_utilization"] = min(values["nnx_utilization"], 1.0)
-    report = summarize(kinds, SocConfig(**values, cpu_extrapolation=cpu))
+    report = summarize(kinds, SocConfig(**values))
     assert all(math.isfinite(v) for v in astuple(report))
     assert report.baseline_total_mj > 0 and report.achieved_fps > 0
 
