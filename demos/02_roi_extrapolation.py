@@ -38,7 +38,7 @@ for t in range(1, len(frames)):
 # The pieces, individually. The ROI-average vector weights each macroblock
 # by its overlap area with the box:
 field = estimate_motion_field(frames[0], frames[1])
-mu_u, mu_v, alpha = roi_motion_stats(field, truth[1])
+mu_u, mu_v, alpha = roi_motion_stats(field, [truth[1]])[0]
 print(f"\nroi average mv   : ({mu_u:.2f}, {mu_v:.2f}), confidence {alpha:.3f}")
 
 # The temporal filter trusts the current estimate in proportion to its

@@ -31,7 +31,8 @@ from .config import ConfigNode, merge_overrides, with_overrides
 from .errors import ConfigError, DimensionMismatchError, EuphratesError, MetadataError, MissingDataError
 from .metrics import EvalConfig, precision_at, success_curve
 from .metrics import average_precision  # noqa: F401  bench/tracer.py wraps cli.average_precision
-from .motion import MotionField, MotionParams, decode_metadata, encode_metadata, encoded_size, estimate_motion_field
+from .motion import MAX_FRAME_SIDE, MotionField, MotionParams, decode_metadata, encode_metadata, encoded_size
+from .motion import estimate_motion_field
 from .pixels import SynthConfig, generate_sequence, list_frame_files, load_sequence, save_sequence
 from .roi import Roi
 from .scheduler import (
@@ -63,13 +64,14 @@ def _parse_pair(text: str | None, what: str) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class ProviderParams(ConfigNode):
-    """Gaussian jitter of replayed detection boxes, seeded by the run's `seed`."""
+    """Gaussian jitter of replayed detection boxes, seeded by the run's `seed`.
+    A sigma beyond the largest frame side moves boxes off any frame."""
 
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma <= MAX_FRAME_SIDE:
+            raise ConfigError(f"noise_sigma must be within [0, {MAX_FRAME_SIDE}], got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,6 @@ class MetadataError(EuphratesError):
     """Motion-metadata stream is malformed, truncated, or out of range."""
 
 
-class EmptyRoiError(EuphratesError):
-    """An ROI has no overlap with the motion-field grid."""
-
-
 class MissingDataError(EuphratesError):
     """A required detection record or motion field is absent."""
 

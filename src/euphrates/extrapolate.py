@@ -30,13 +30,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import ConfigNode
-from .errors import ConfigError, EmptyRoiError
+from .errors import ConfigError
 from .motion import MotionField
 from .roi import Roi, framed_bounding_box
 
 
 # Most sub-ROIs per grid axis. A track holds rows x cols sub-ROIs, and
-# `_motion_stats` one float64 per sub-ROI and macroblock of each field: an
+# `roi_motion_stats` one float64 per sub-ROI and macroblock of each field: an
 # 8x8 grid on a 1080p frame of 16-pixel macroblocks is 64 x 8160 x 8 B, about
 # 4 MB per track and field.
 MAX_GRID_AXIS = 8
@@ -125,12 +125,13 @@ def _axis_overlaps(grid: tuple[int, int], L: int, rois: Sequence[Roi]) -> tuple[
     return ov_y, ov_x
 
 
-def _motion_stats(field: MotionField, rois: Sequence[Roi]) -> list[tuple[float, float, float]] | None:
-    """`roi_motion_stats` of each of `rois`, reduced in one batch over the MB
-    grid; None when some ROI does not overlap the grid."""
+def roi_motion_stats(field: MotionField, rois: Sequence[Roi]) -> list[tuple[float, float, float]] | None:
+    """(mu_u, mu_v, alpha) of each of `rois`: the area-weighted mean motion
+    vector and confidence of the MBs it covers, reduced in one batch over the
+    MB grid; None when some ROI does not overlap the grid."""
     # (S, 1, rows * cols): each ROI's weights, broadcast over the u, v and
     # confidence planes. Every sum runs over one contiguous rows * cols row,
-    # as a one-ROI call's does, so batching changes no bit of a result.
+    # as a one-ROI batch's does, so batching changes no bit of a result.
     ov_y, ov_x = _axis_overlaps((field.rows, field.cols), field.params.mb_size, rois)
     weights = (ov_y[:, :, None] * ov_x[:, None, :]).reshape(len(rois), 1, -1)
     total = weights.sum(axis=2)
@@ -146,20 +147,11 @@ def _motion_stats(field: MotionField, rois: Sequence[Roi]) -> list[tuple[float, 
     return [(mu_u, mu_v, min(1.0, max(0.0, alpha))) for mu_u, mu_v, alpha in means.tolist()]
 
 
-def roi_motion_stats(field: MotionField, roi: Roi) -> tuple[float, float, float]:
-    """(mu_u, mu_v, alpha): area-weighted mean motion vector and confidence
-    of the MBs covered by `roi`."""
-    stats = _motion_stats(field, [roi])
-    if stats is None:
-        raise EmptyRoiError(f"roi {roi} does not overlap the {field.cols}x{field.rows} MB grid")
-    return stats[0]
-
-
 def cells_read(tracks: Iterable[TrackState], grid: tuple[int, int], L: int) -> np.ndarray:
     """Boolean (rows, cols) mask of the MBs whose motion `extrapolate_track`
-    reads for `tracks`: those some sub-ROI overlaps on both axes.
-    `roi_motion_stats` weights every other MB by exactly 0, so their vectors
-    and SADs cannot change a result."""
+    reads for `tracks`: those some sub-ROI overlaps on both axes. Every other
+    MB has weight exactly 0 in `roi_motion_stats`, so its vector and SAD
+    cannot change a result."""
     ov_y, ov_x = _axis_overlaps(grid, L, [sub.roi for state in tracks for sub in state.sub_tracks])
     return (ov_y > 0.0).T @ (ov_x > 0.0)
 
@@ -206,7 +198,7 @@ def extrapolate_track(
     track until the next inference re-seeds it).
     """
     width, height = frame_size
-    stats = _motion_stats(field, [sub.roi for sub in state.sub_tracks])
+    stats = roi_motion_stats(field, [sub.roi for sub in state.sub_tracks])
     if stats is None:
         return state, None
     new_subs: list[SubTrack] = []

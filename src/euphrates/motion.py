@@ -39,6 +39,7 @@ TSS = "tss"
 METADATA_MAGIC = b"EUMV"
 METADATA_VERSION = 1
 _HEADER = struct.Struct("<4sBBHHHH")  # magic, version, algorithm, width, height, L, d
+MAX_FRAME_SIDE = 65535  # the header's u16 width, height and L
 _ALGO_CODES = {ES: 0, TSS: 1}
 _ALGO_NAMES = {v: k for k, v in _ALGO_CODES.items()}
 
@@ -357,7 +358,7 @@ def encoded_size(width: int, height: int, params: MotionParams) -> int:
     """Bytes of one encoded field; MetadataError when the layout cannot hold
     the macroblock size, the search range or the frame size."""
     d = params.search_range
-    if params.mb_size > 65535:
+    if params.mb_size > MAX_FRAME_SIDE:
         raise MetadataError(f"macroblock size {params.mb_size} exceeds the header's 16-bit range")
     if params.max_sad > 0xFFFFFFFF:
         raise MetadataError(
@@ -365,8 +366,8 @@ def encoded_size(width: int, height: int, params: MotionParams) -> int:
         )
     if d > 127:
         raise MetadataError(f"search range {d} exceeds the wide form's 8-bit range")
-    if not (0 < width < 65536 and 0 < height < 65536):
-        raise MetadataError(f"empty frame or frame over 65535 pixels a side: {width}x{height}")
+    if not (0 < width <= MAX_FRAME_SIDE and 0 < height <= MAX_FRAME_SIDE):
+        raise MetadataError(f"empty frame or frame over {MAX_FRAME_SIDE} pixels a side: {width}x{height}")
     rows, cols = grid_shape(width, height, params.mb_size)
     return _HEADER.size + _record(d).itemsize * rows * cols
 

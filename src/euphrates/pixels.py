@@ -128,12 +128,15 @@ def list_frame_files(directory: str | Path, suffix: str = ".pgm", first: int = 0
     """The `suffix` files of a sequence directory in frame order.
 
     Names must be a frame number alone (e.g. 000000.pgm), numbered from
-    `first` without a gap, so no frame can be skipped or misplaced.
+    `first` without a gap, so no frame can be skipped or misplaced, and each
+    must name a file.
     """
     numbered = []
     for f in Path(directory).glob("*" + suffix):
         if not (f.stem.isascii() and f.stem.isdigit()):
             raise FrameFormatError(f"{f}: {suffix} file names must be frame numbers")
+        if not f.is_file():
+            raise FrameFormatError(f"{f}: not a file")
         numbered.append((int(f.stem), f))
     if not numbered:
         raise MissingDataError(f"{directory}: no {suffix} files")

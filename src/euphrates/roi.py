@@ -42,10 +42,6 @@ class Roi:
     def y2(self) -> float:
         return self.y + self.h
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     def to_dict(self) -> dict:
         d = {"x": float(self.x), "y": float(self.y), "w": float(self.w), "h": float(self.h)}
         if self.label is not None:

@@ -65,7 +65,7 @@ class TraceProvider:
         rng = np.random.default_rng((self.seed, frame_index))
         noisy = []
         for b in boxes:
-            dx, dy, dw, dh = rng.normal(0.0, self.noise_sigma, size=4)
+            dx, dy, dw, dh = rng.normal(0.0, self.noise_sigma, size=4).tolist()
             noisy.append(
                 Roi(b.x + dx, b.y + dy, max(1.0, b.w + dw), max(1.0, b.h + dh), label=b.label, score=b.score)
             )

@@ -359,11 +359,13 @@ def test_simulate_unknown_config_key(tmp_path, capsys):
         {"mode": "ew:1", "soc": {"net_ops_gop": 5e-324, "nnx_peak_tops": 1e308}},
         {"soc": {"nnx_peak_tops": 5e-324}},
         {"soc": {"sensor_power_mw": 1e308, "isp_power_mw": 1e308}},
+        {"provider": {"noise_sigma": 65536}},
     ],
 )
 def test_simulate_rejects_a_config_the_model_cannot_run(synth_dir, tmp_path, capsys, section):
-    # A grid this size means 10^10 sub-ROIs per track, and these soc values
-    # divide by zero or put Infinity/NaN into energy.json: each must stop the
+    # A grid this size means 10^10 sub-ROIs per track, these soc values
+    # divide by zero or put Infinity/NaN into energy.json, and a jitter beyond
+    # the largest frame side moves boxes off any frame: each must stop the
     # run at the config, before --out is made.
     cfgp = write_run_config(
         tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"), **section
@@ -640,6 +642,22 @@ def test_simulate_rejects_gap_in_mvm_numbering(synth_dir, tmp_path, capsys):
     assert simulate_from_mvm(synth_dir, tmp_path, mv) == 2
     err = error_line(capsys)
     assert err.startswith("error MissingDataError:") and "no .mvm file for frame 3" in err
+
+
+def test_simulate_rejects_a_directory_named_like_an_mvm_file(synth_dir, tmp_path, capsys):
+    mv = tmp_path / "mv"
+    assert run(["estimate", "--frames", synth_dir, "--out", mv]) == 0
+    (mv / "000003.mvm").unlink()
+    (mv / "000003.mvm").mkdir()
+    assert simulate_from_mvm(synth_dir, tmp_path, mv) == 2
+    assert error_line(capsys) == f"error FrameFormatError: {mv / '000003.mvm'}: not a file\n"
+
+
+def test_estimate_rejects_a_directory_named_like_a_frame(synth_dir, tmp_path, capsys):
+    (synth_dir / "000002.pgm").unlink()
+    (synth_dir / "000002.pgm").mkdir()
+    assert run(["estimate", "--frames", synth_dir, "--out", tmp_path / "mv"]) == 2
+    assert error_line(capsys) == f"error FrameFormatError: {synth_dir / '000002.pgm'}: not a file\n"
 
 
 def test_simulate_rejects_mixed_mvm_fields(synth_dir, tmp_path, capsys):

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from euphrates.errors import ConfigError, EmptyRoiError
+from euphrates.errors import ConfigError
 from euphrates.extrapolate import (
     MAX_GRID_AXIS,
     ExtrapolationParams,
-    _motion_stats,
     SubTrack,
     TrackState,
     cells_read,
@@ -44,7 +43,7 @@ def field_from_grid(u, v, sads=None, L=16):
 def test_average_two_equal_mbs():
     field = field_from_grid([[2, 4]], [[0, 2]])
     # roi covers both 16x16 MBs fully
-    assert roi_motion_stats(field, Roi(0, 0, 32, 16))[:2] == (3.0, 1.0)
+    assert roi_motion_stats(field, [Roi(0, 0, 32, 16)])[0][:2] == (3.0, 1.0)
 
 
 def test_average_uniform_field_any_roi():
@@ -54,7 +53,7 @@ def test_average_uniform_field_any_roi():
         x = rng.uniform(0, 100)
         y = rng.uniform(0, 70)
         roi = Roi(x, y, rng.uniform(1, 27), rng.uniform(1, 25))
-        mu = roi_motion_stats(field, roi)[:2]
+        mu = roi_motion_stats(field, [roi])[0][:2]
         assert mu == (5.0, -3.0)
 
 
@@ -62,7 +61,7 @@ def test_average_partial_coverage_vs_pixel_oracle():
     # 75% of an MV (4,0) MB and 25% of an MV (0,4) MB -> (3, 1)
     field = field_from_grid([[4, 0]], [[0, 4]])
     roi = Roi(4, 0, 16, 16)  # 12 columns of MB0, 4 columns of MB1
-    mu = roi_motion_stats(field, roi)[:2]
+    mu = roi_motion_stats(field, [roi])[0][:2]
     assert mu == (3.0, 1.0)
     assert pixel_average_mv(field, roi) == mu
 
@@ -78,7 +77,7 @@ def test_average_random_integer_rois_vs_pixel_oracle():
         w = int(rng.integers(1, 80 - x + 1))
         h = int(rng.integers(1, 64 - y + 1))
         roi = Roi(x, y, w, h)
-        got = roi_motion_stats(field, roi)[:2]
+        got = roi_motion_stats(field, [roi])[0][:2]
         want = pixel_average_mv(field, roi)
         assert got[0] == pytest.approx(want[0], abs=1e-9)
         assert got[1] == pytest.approx(want[1], abs=1e-9)
@@ -86,20 +85,19 @@ def test_average_random_integer_rois_vs_pixel_oracle():
 
 def test_average_empty_intersection():
     field = uniform_field(64, 64)
-    with pytest.raises(EmptyRoiError):
-        roi_motion_stats(field, Roi(100, 100, 10, 10))
+    assert roi_motion_stats(field, [Roi(100, 100, 10, 10)]) is None
 
 
 def test_confidence_all_ones():
     field = uniform_field(64, 64)
-    assert roi_motion_stats(field, Roi(3, 5, 30, 20))[2] == 1.0
+    assert roi_motion_stats(field, [Roi(3, 5, 30, 20)])[0][2] == 1.0
 
 
 def test_confidence_two_equal_mbs():
     max_sad = 255 * 256
     sads = [[int(0.6 * max_sad), int(round(0.2 * max_sad))]]
     field = field_from_grid([[0, 0]], [[0, 0]], sads=sads)
-    got = roi_motion_stats(field, Roi(0, 0, 32, 16))[2]
+    got = roi_motion_stats(field, [Roi(0, 0, 32, 16)])[0][2]
     assert got == pytest.approx(0.6, abs=1e-9)
 
 
@@ -108,7 +106,7 @@ def test_confidence_weighted_vs_pixel_oracle():
     sads = [[0, int(0.6 * 255 * 256)]]
     field = field_from_grid([[0, 0]], [[0, 0]], sads=sads)
     roi = Roi(0, 0, 24, 16)
-    got = roi_motion_stats(field, roi)[2]
+    got = roi_motion_stats(field, [roi])[0][2]
     assert got == pytest.approx(0.8, abs=1e-12)
     assert got == pytest.approx(pixel_average_confidence(field, roi), abs=1e-12)
 
@@ -197,7 +195,7 @@ def test_split_conserves_area_and_cover():
         rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         tiles = split_sub_rois(roi, (rows, cols))
         assert len(tiles) == rows * cols
-        assert sum(t.area for t in tiles) == pytest.approx(roi.area, rel=1e-9)
+        assert sum(t.w * t.h for t in tiles) == pytest.approx(roi.w * roi.h, rel=1e-9)
         # starting edges are the exact shared edge values; far edges are
         # reconstructed as x + w and may carry 1-ulp dust
         assert min(t.x for t in tiles) == roi.x
@@ -257,7 +255,7 @@ def test_extrapolate_composed_contains_subrois():
     for sub in new_state.sub_tracks:
         assert roi.x <= sub.roi.x + 1e-9 and sub.roi.x2 <= roi.x2 + 1e-9
         assert roi.y <= sub.roi.y + 1e-9 and sub.roi.y2 <= roi.y2 + 1e-9
-    assert roi.area >= max(s.roi.area for s in new_state.sub_tracks) - 1e-9
+    assert roi.w * roi.h >= max(s.roi.w * s.roi.h for s in new_state.sub_tracks) - 1e-9
 
 
 def test_extrapolate_prev_mv_stays_bounded():
@@ -354,7 +352,7 @@ def one_roi_weights(roi, rows, cols, L):
 
 
 def one_roi_motion_stats(field, roi):
-    """The per-ROI reduction `_motion_stats` batches, restated literally:
+    """The per-ROI reduction `roi_motion_stats` batches, restated literally:
     (mu_u, mu_v, alpha), or None when `roi` misses the MB grid."""
     weights = one_roi_weights(roi, field.rows, field.cols, field.params.mb_size)
     total = weights.sum()
@@ -397,17 +395,15 @@ def test_batched_motion_stats_equal_per_roi_stats_bit_for_bit(rows, cols, L, n_r
     want = [one_roi_motion_stats(field, r) for r in rois]
     on_grid = [(r, s) for r, s in zip(rois, want) if s is not None]
     # One ROI off the grid loses the whole batch, as it loses a track.
-    assert (_motion_stats(field, rois) is None) == (len(on_grid) < len(rois))
+    assert (roi_motion_stats(field, rois) is None) == (len(on_grid) < len(rois))
     if on_grid:
-        got = _motion_stats(field, [r for r, _ in on_grid])
+        got = roi_motion_stats(field, [r for r, _ in on_grid])
         assert np.array(got).tobytes() == np.array([s for _, s in on_grid]).tobytes()
     for roi, one in zip(rois, want):
         if one is None:
-            assert _motion_stats(field, [roi]) is None
-            with pytest.raises(EmptyRoiError):
-                roi_motion_stats(field, roi)
+            assert roi_motion_stats(field, [roi]) is None
         else:
-            assert np.array(roi_motion_stats(field, roi)).tobytes() == np.array(one).tobytes()
+            assert np.array(roi_motion_stats(field, [roi])[0]).tobytes() == np.array(one).tobytes()
 
 
 # ---------------------------------------------------------------------------

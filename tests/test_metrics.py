@@ -49,7 +49,7 @@ def test_iou_examples():
 def test_iou_of_a_box_with_the_largest_accepted_area_is_one():
     bound = sys.float_info.max / 2
     a = Roi.from_dict({"x": 0.0, "y": 0.0, "w": bound, "h": 1.0})
-    assert a.area == bound
+    assert a.w * a.h == bound
     assert iou(a, a) == 1.0
     assert precision_at([[a]], [[a]], (0.5,)) == [1.0]
     with pytest.raises(ConfigError, match="exceeds half the largest float"):

@@ -392,5 +392,7 @@ def test_provider_noise_determinism_and_missing():
     b = provider.detections(0)
     assert a == b
     assert a != [box]
+    # Plain floats, so a message that names a jittered box shows its numbers.
+    assert all(type(v) is float for r in a for v in (r.x, r.y, r.w, r.h))
     with pytest.raises(MissingDataError):
         provider.detections(1)
