@@ -27,9 +27,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigNode, merge_overrides, with_overrides
+from .config import ConfigNode, merge_overrides
 from .errors import ConfigError, DimensionMismatchError, EuphratesError, MetadataError, MissingDataError
-from .metrics import EvalConfig, precision_at, success_curve
+from .metrics import DEFAULT_THRESHOLDS, precision_at, success_curve
 from .metrics import average_precision  # noqa: F401  bench/tracer.py wraps cli.average_precision
 from .motion import MAX_FRAME_SIDE, MotionField, MotionParams, decode_metadata, encode_metadata, encoded_size
 from .motion import estimate_motion_field
@@ -93,23 +93,22 @@ class RunConfig(PipelineConfig):
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _load_config(node: ConfigNode, config_path: str | None, flags: dict[str, object]):
-    """Effective configuration: `node` (the defaults) <- config file <- flags,
-    where `flags` maps dotted field paths to flag values (None: not given).
-    The merged configuration is checked once, so a file may rely on flags."""
-    if config_path:
-        p = Path(config_path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        try:
-            return type(node).from_dict(merge_overrides(json.loads(p.read_text(encoding="utf-8")), flags))
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"{p}: not UTF-8 text: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{p}: invalid JSON: {e}") from None
-        except ConfigError as e:
-            raise ConfigError(f"{p}: {e}") from None
-    return with_overrides(node, flags)
+def _load_config(cls: type[ConfigNode], config_path: str | None, flags: dict[str, object]):
+    """Effective configuration: `cls` defaults <- config file <- flags, where
+    `flags` maps dotted field paths to flag values (None: not given). The
+    merged configuration is checked once, so a file may rely on flags."""
+    p = config_path and Path(config_path)
+    if p and not p.is_file():
+        raise ConfigError(f"config file not found: {p}")
+    try:
+        data = json.loads(p.read_text(encoding="utf-8")) if p else {}
+        return cls.from_dict(merge_overrides(data, flags))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{p}: not UTF-8 text: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{p}: invalid JSON: {e}") from None
+    except ConfigError as e:
+        raise ConfigError(f"{p}: {e}" if p else str(e)) from None
 
 
 # Flags of simulate and sweep, and the config fields they override.
@@ -127,7 +126,7 @@ FLAG_FIELDS = {
 def build_run_config(config_path: str | None, args: argparse.Namespace | None = None) -> RunConfig:
     """Effective run configuration: defaults <- config file <- flags."""
     flags = {path: getattr(args, flag, None) for flag, path in FLAG_FIELDS.items()}
-    return _load_config(RunConfig(), config_path, flags)
+    return _load_config(RunConfig, config_path, flags)
 
 
 def _out_dir(path: str | Path) -> Path:
@@ -164,7 +163,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     velocity = pairs.pop("velocity")
     flags = {**pairs, "frames": args.frames, "seed": args.seed, "background": args.background,
              "trajectory": None if velocity is None else [velocity]}
-    cfg = _load_config(SynthConfig(), args.config, flags)
+    cfg = _load_config(SynthConfig, args.config, flags)
     frames, rois = generate_sequence(cfg)
     out = _out_dir(args.out)
     save_sequence(frames, out)
@@ -181,10 +180,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     frames = load_sequence(args.frames)
     if len(frames) < 2:
         raise ConfigError(f"{args.frames}: need at least 2 frames, found {len(frames)}")
-    params = with_overrides(
-        MotionParams(),
-        {"mb_size": args.mb_size, "search_range": args.search_range, "algorithm": args.algo},
-    )
+    flags = {"mb_size": args.mb_size, "search_range": args.search_range, "algorithm": args.algo}
+    params = _load_config(MotionParams, None, flags)
     encoded_size(frames[0].width, frames[0].height, params)  # the .mvm layout holds d and the frame size
     out = _out_dir(args.out)
     total = 0
@@ -231,7 +228,7 @@ def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
     det_path = Path(cfg.detections)
     if not det_path.is_file():
         raise ConfigError(f"detections trace not found: {det_path}")
-    provider = TraceProvider.from_file(det_path, noise_sigma=cfg.provider.noise_sigma, seed=cfg.seed)
+    provider = TraceProvider(read_detection_trace(det_path), cfg.provider.noise_sigma, cfg.seed)
     if cfg.frames_dir and cfg.metadata_dir:
         raise ConfigError("config must name one input source, not both frames_dir and metadata_dir")
     if cfg.frames_dir:
@@ -299,17 +296,23 @@ def evaluate_trace(
     return result
 
 
-def _eval_config(thresholds: str | None) -> EvalConfig:
-    if thresholds is None:
-        return EvalConfig()
+def _parse_thresholds(text: str | None) -> tuple[float, ...]:
+    """`--thresholds` as IoU thresholds: within [0, 1] and ascending."""
+    if text is None:
+        return DEFAULT_THRESHOLDS
     try:
-        return EvalConfig(tuple(float(t) for t in thresholds.split(",")))
+        thresholds = tuple(float(t) for t in text.split(","))
+        if any(not 0.0 <= t <= 1.0 for t in thresholds):
+            raise ValueError("thresholds must lie within [0, 1]")
+        if list(thresholds) != sorted(thresholds):
+            raise ValueError("thresholds must be sorted ascending")
     except ValueError as e:
-        raise ConfigError(f"--thresholds {thresholds!r}: {e}") from None
+        raise ConfigError(f"--thresholds {text!r}: {e}") from None
+    return thresholds
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    thresholds = _eval_config(args.thresholds).thresholds
+    thresholds = _parse_thresholds(args.thresholds)
     trace = ResultTrace.load(args.trace)
     truth = read_detection_trace(args.truth)
     cfg = {"trace": str(args.trace), "truth": str(args.truth), "thresholds": list(thresholds)}
@@ -337,7 +340,8 @@ SWEEP_AXES = {"ew": "mode", "mb_size": "motion.mb_size", "algorithm": "motion.al
 def _sweep_variant(cfg: RunConfig, axis: str, value) -> RunConfig:
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {list(SWEEP_AXES)}")
-    return with_overrides(cfg, {SWEEP_AXES[axis]: f"ew:{value}" if axis == "ew" else value})
+    change = {SWEEP_AXES[axis]: f"ew:{value}" if axis == "ew" else value}
+    return RunConfig.from_dict(merge_overrides(cfg.to_dict(), change))
 
 
 def run_sweep(cfg: RunConfig, axis: str, values: list) -> list[dict]:

@@ -4,8 +4,9 @@ A config node is a frozen dataclass that derives from `ConfigNode`. Its field
 annotations are the schema and its field defaults are the only defaults.
 `from_dict` checks every JSON value against the annotation of its field,
 fills absent keys from the defaults and rejects unknown keys, so a typo or a
-mistyped value ends in a `ConfigError` naming its dotted path. `to_dict` is
-the JSON echo, and `from_dict(node.to_dict()) == node`.
+mistyped value ends in a `ConfigError` naming its dotted path. Every unknown
+key of the tree is named in one error. `to_dict` is the JSON echo, and
+`from_dict(node.to_dict()) == node`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import lru_cache
 
 from .errors import ConfigError
@@ -22,6 +23,8 @@ from .errors import ConfigError
 
 class ConfigNode:
     """Mixin for frozen config dataclasses: strict `from_dict`, JSON `to_dict`."""
+
+    extra_keys = ()  # keys an overriding `from_dict` reads besides the fields
 
     @classmethod
     def from_dict(cls, data, path: str = ""):
@@ -40,18 +43,33 @@ def _hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def build(cls, data, path: str = "", base=None):
-    """A `cls` node from the JSON object `data`; absent keys keep the values
-    of `base` (an instance of `cls`) or else the field defaults."""
+def _unknown_keys(cls, data: dict, path: str) -> list[str]:
+    """Dotted paths of the keys in the JSON tree `data` that the schema of
+    `cls` does not hold, in the order they appear."""
+    hints, found = _hints(cls), []
+    for k, v in data.items():
+        where = _join(path, str(k))
+        if k in hints and isinstance(v, dict):
+            for tp in (hints[k], *typing.get_args(hints[k])):  # a node or an optional node
+                if isinstance(tp, type) and issubclass(tp, ConfigNode):
+                    found += _unknown_keys(tp, v, where)
+        elif k not in hints and k not in cls.extra_keys:
+            found.append(where)
+    return found
+
+
+def build(cls, data, path: str = ""):
+    """A `cls` node from the JSON object `data`; absent keys keep the field
+    defaults."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {data!r}")
-    hints = _hints(cls)
-    unknown = [_join(path, str(k)) for k in data if k not in hints]
+    unknown = _unknown_keys(cls, data, path)
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
+    hints = _hints(cls)
     values = {k: check(hints[k], v, _join(path, k)) for k, v in data.items()}
     try:
-        return replace(base, **values) if base is not None else cls(**values)
+        return cls(**values)
     except (ValueError, ConfigError) as e:
         raise ConfigError(f"{path}: {e}" if path else str(e)) from None
 
@@ -113,9 +131,3 @@ def merge_overrides(data, changes: dict[str, object]):
         if isinstance(target, dict):
             target[key] = changes[dotted]
     return data
-
-
-def with_overrides(node, changes: dict[str, object]):
-    """`node` with the fields at the dotted paths of `changes` replaced, checked
-    like loaded values. None values leave their field unchanged."""
-    return type(node).from_dict(merge_overrides(node.to_dict(), changes))

@@ -8,25 +8,10 @@ This is deliberately not the ranked PR-curve AP used by COCO-style tooling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .roi import Roi
 
 DEFAULT_THRESHOLDS = tuple(i / 20 for i in range(21))  # 0.00, 0.05, ..., 1.00
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """IoU thresholds (sorted, within [0, 1]); matching is greedy one-to-one."""
-
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
-
-    def __post_init__(self):
-        ts = self.thresholds
-        if any(not 0.0 <= t <= 1.0 for t in ts):
-            raise ValueError("thresholds must lie within [0, 1]")
-        if list(ts) != sorted(ts):
-            raise ValueError("thresholds must be sorted ascending")
 
 
 def _corners(box: Roi) -> tuple[float, float, float, float, float]:

@@ -52,10 +52,6 @@ class TraceProvider:
         self.noise_sigma = float(noise_sigma)
         self.seed = int(seed)
 
-    @classmethod
-    def from_file(cls, path: str | Path, **kwargs) -> "TraceProvider":
-        return cls(read_detection_trace(path), **kwargs)
-
     def detections(self, frame_index: int) -> list[Roi]:
         if frame_index not in self._records:
             raise MissingDataError(f"no detection record for frame {frame_index}")

@@ -76,17 +76,19 @@ class SocConfig(ConfigNode):
         if not self.nnx_utilization <= 1.0:
             raise ConfigError(f"nnx_utilization must be at most 1, got {self.nnx_utilization}")
 
+    extra_keys = ("preset",)
+
     @classmethod
     def from_dict(cls, data, path: str = "") -> "SocConfig":
         """Fields over the values of `"preset"` (a PRESETS name) or the defaults."""
-        if not (isinstance(data, dict) and "preset" in data):
-            return build(cls, data, path)
-        data = dict(data)
-        name = data.pop("preset")
-        if not isinstance(name, str) or name not in PRESETS:
-            where = f"{path}.preset" if path else "preset"
-            raise ConfigError(f"{where}: unknown preset {name!r}, expected one of {sorted(PRESETS)}")
-        return build(cls, data, path, base=PRESETS[name]())
+        if isinstance(data, dict) and "preset" in data:
+            data = dict(data)
+            name = data.pop("preset")
+            if not isinstance(name, str) or name not in PRESETS:
+                where = f"{path}.preset" if path else "preset"
+                raise ConfigError(f"{where}: unknown preset {name!r}, expected one of {sorted(PRESETS)}")
+            data = {**PRESETS[name]().to_dict(), **data}
+        return build(cls, data, path)
 
 
 def yolov2_config() -> SocConfig:
@@ -120,10 +122,6 @@ class EnergyBreakdown(NamedTuple):
     frontend_mj: float
     dram_mj: float
     backend_mj: float
-
-    @property
-    def total_mj(self) -> float:
-        return self.frontend_mj + self.dram_mj + self.backend_mj
 
 
 def inference_time(cfg: SocConfig) -> float:

@@ -630,6 +630,17 @@ def test_evaluate_rejects_bad_thresholds(synth_dir, sim_trace, capsys, threshold
     assert error_line(capsys).startswith(f"error ConfigError: --thresholds {thresholds!r}")
 
 
+@pytest.mark.parametrize(
+    "thresholds, rule",
+    [("0.5,0.2", "thresholds must be sorted ascending"), ("0.0,1.5", "thresholds must lie within [0, 1]")],
+)
+def test_evaluate_thresholds_must_be_ascending_within_0_and_1(synth_dir, sim_trace, capsys, thresholds, rule):
+    rc = run(["evaluate", "--trace", sim_trace, "--truth", synth_dir / "truth.jsonl",
+              "--thresholds", thresholds, "--out", sim_trace.parent / "e"])
+    assert rc == 2
+    assert error_line(capsys) == f"error ConfigError: --thresholds {thresholds!r}: {rule}\n"
+
+
 def simulate_from_mvm(synth_dir, tmp_path, mv):
     cfgp = write_run_config(tmp_path / "run.json", metadata_dir=str(mv), detections=str(synth_dir / "truth.jsonl"))
     return run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"])

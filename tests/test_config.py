@@ -6,7 +6,7 @@ import re
 import struct
 import types
 import typing
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from euphrates.errors import ConfigError, EuphratesError
 from euphrates.motion import decode_metadata
 from euphrates.pixels import _parse_pgm, generate_sequence
 from euphrates.scheduler import AdaptiveParams, PipelineConfig, ResultTrace, read_detection_trace
-from euphrates.socmodel import PRESETS, SocConfig, mdnet_config
+from euphrates.socmodel import FIELD_RANGE, PRESETS, SocConfig, mdnet_config
 
 PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -88,6 +88,35 @@ def test_pipeline_echo_uses_run_config_keys():
 def test_loader_rejects(data, message):
     with pytest.raises(ConfigError, match=message.replace("[", r"\[").replace("(", r"\(")):
         RunConfig.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, unknown",
+    [
+        ({"provider": {"seed": 1}, "soc": {"cpu_power_mw": 3}}, ["provider.seed", "soc.cpu_power_mw"]),
+        ({"soc": {"preset": "mdnet", "cpu_power_mw": 3}, "colour": 1, "adaptive": {"tau": 0.3}},
+         ["soc.cpu_power_mw", "colour", "adaptive.tau"]),
+        ({"mode": 4, "motion": {"mb_size": 12, "size": 8}}, ["motion.size"]),  # before any value error
+    ],
+)
+def test_every_unknown_key_of_the_tree_is_reported_in_one_error(data, unknown):
+    with pytest.raises(ConfigError) as e:
+        RunConfig.from_dict(data)
+    assert str(e.value) == f"unknown config keys {unknown}"
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(PRESETS)),
+    st.dictionaries(st.sampled_from([f.name for f in fields(SocConfig)]), st.floats(*FIELD_RANGE) | st.integers(1, 10**6)),
+)
+def test_preset_values_sit_under_the_explicit_soc_fields(name, overrides):
+    if "nnx_utilization" in overrides:
+        overrides["nnx_utilization"] = min(overrides["nnx_utilization"], 1.0)
+    expected = replace(PRESETS[name](), **overrides)
+    assert SocConfig.from_dict({"preset": name, **overrides}) == expected
+    echo = RunConfig.from_dict({"soc": {"preset": name, **overrides}}).to_dict()["soc"]
+    assert "preset" not in echo and SocConfig.from_dict(echo) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +445,8 @@ def test_cli_rejects_probe_config(tmp_path, capsys, probe):
         ("synth", b'{"trajectory": [[true, 0]]}', "trajectory[0][0]: expected an integer"),
         ("synth", b'{"trajectory": 5}', "trajectory: expected a list of any length"),
         ("simulate", b'{"seed": "\xff"}', "not UTF-8 text"),
+        ("simulate", b'{"provider": {"seed": 1}, "soc": {"cpu_power_mw": 3}}',
+         "unknown config keys ['provider.seed', 'soc.cpu_power_mw']"),
     ],
 )
 def test_cli_rejects_malformed_config_file(tmp_path, capsys, command, content, message):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from euphrates import cli, metrics
 from euphrates.errors import ConfigError
 from euphrates.metrics import (
-    EvalConfig,
+    DEFAULT_THRESHOLDS,
     average_precision,
     greedy_match,
     iou,
@@ -208,7 +208,7 @@ def test_ap_curve_monotone_non_increasing():
         boxes = [random_roi(rng, span=40) for _ in range(3)]
         gt.append(boxes)
         det.append([Roi(b.x + rng.uniform(-3, 3), b.y + rng.uniform(-3, 3), b.w, b.h) for b in boxes])
-    values = [average_precision(det, gt, t) for t in EvalConfig().thresholds]
+    values = [average_precision(det, gt, t) for t in DEFAULT_THRESHOLDS]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -244,7 +244,7 @@ def test_precision_at_equals_the_per_threshold_loop(frames, extra):
     assert [average_precision(dets, gts, t) for t in thresholds] == precision_at(dets, gts, thresholds)
 
 
-@pytest.mark.parametrize("thresholds", [(0.5,), (0.0, 1.0), EvalConfig().thresholds])
+@pytest.mark.parametrize("thresholds", [(0.5,), (0.0, 1.0), DEFAULT_THRESHOLDS])
 def test_evaluate_matches_each_frame_once(monkeypatch, thresholds):
     calls = []
 
@@ -351,11 +351,3 @@ def test_ops_count_validation():
         ops_count("diamond", 16, 7)
     with pytest.raises(ValueError):
         ops_count("es", 0, 7)
-
-
-def test_eval_config_validation():
-    EvalConfig()
-    with pytest.raises(ValueError):
-        EvalConfig(thresholds=(0.5, 0.2))
-    with pytest.raises(ValueError):
-        EvalConfig(thresholds=(0.0, 1.5))

@@ -88,7 +88,7 @@ def test_frame_energy_degenerate_frame():
     cfg = SocConfig(iframe_traffic_bytes=1e-9, net_ops_gop=1e-12, mc_power_mw=1e-9)
     e = frame_energy("I", cfg)
     idle = cfg.dram_idle_power_mw / cfg.capture_fps
-    assert e.total_mj == pytest.approx(e.frontend_mj + idle, abs=1e-6)
+    assert e.frontend_mj + e.dram_mj + e.backend_mj == pytest.approx(e.frontend_mj + idle, abs=1e-6)
 
 
 def test_frame_energy_unknown_kind():
@@ -135,7 +135,7 @@ def test_per_frame_energy_approaches_frontend_floor():
     cfg = yolov2_config()
     rep = summarize(["I"] + ["E"] * 99_999, cfg)
     ee = frame_energy("E", cfg)
-    assert rep.per_frame_mj == pytest.approx(ee.total_mj, rel=1e-2)
+    assert rep.per_frame_mj == pytest.approx(ee.frontend_mj + ee.dram_mj + ee.backend_mj, rel=1e-2)
     # frontend + memory dominate the long-window limit
     assert rep.frontend_mj + rep.dram_mj > 0.9 * rep.total_mj
 
