@@ -30,7 +30,7 @@ print(f"frame  0 (seed)  : {truth[0].x:.0f},{truth[0].y:.0f}")
 
 for t in range(1, len(frames)):
     field = estimate_motion_field(frames[t - 1], frames[t])
-    state, roi = extrapolate_track(state, field, (192, 144))
+    state, roi = extrapolate_track(state, field)
     score = iou(roi, truth[t])
     print(f"frame {t:2d} (extrap): {roi.x:.0f},{roi.y:.0f}  IoU vs truth = {score:.3f}")
 # Rigid motion over well-textured content extrapolates exactly: IoU 1.000.
@@ -57,5 +57,5 @@ u = np.array([[2, 2, 2, 2]] * 2 + [[-2, -2, -2, -2]] * 2, dtype=np.int16)
 v = np.zeros_like(u)
 shear = MotionField(64, 64, MotionParams(), np.stack([u, v], axis=-1), np.zeros((4, 4), dtype=np.int64))
 state = init_track(1, Roi(16, 16, 32, 32), grid=(2, 2))
-state, roi = extrapolate_track(state, shear, (64, 64))
+state, roi = extrapolate_track(state, shear)
 print(f"\nshear field      : box (16,16,32x32) -> ({roi.x:.0f},{roi.y:.0f},{roi.w:.0f}x{roi.h:.0f})")

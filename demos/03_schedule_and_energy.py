@@ -13,17 +13,16 @@ from euphrates.scheduler import PipelineConfig, TraceProvider, run_pipeline
 from euphrates.socmodel import (
     CPU_EXTRAPOLATE_POWER_MW,
     CPU_EXTRAPOLATE_TIME_S,
+    PRESETS,
     SocConfig,
     constant_schedule_kinds,
     frame_energy,
     inference_time,
-    mdnet_config,
     summarize,
-    yolov2_config,
 )
 
-det = yolov2_config()
-trk = mdnet_config()
+det = PRESETS["yolov2"]
+trk = PRESETS["mdnet"]
 
 print(f"detection inference: {inference_time(det) * 1000:.1f} ms per frame")
 print(f"tracking inference : {inference_time(trk) * 1000:.1f} ms per frame\n")

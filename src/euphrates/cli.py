@@ -478,12 +478,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EuphratesError as e:
-        print(f"error {e.__class__.__name__}: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
-        print(f"error {e.__class__.__name__}: {e}", file=sys.stderr)
-        return 3
+    except (EuphratesError, ValueError, OSError, MemoryError) as e:
+        # numpy raises a private subclass of MemoryError; name the public class.
+        name = "MemoryError" if isinstance(e, MemoryError) else e.__class__.__name__
+        print(f"error {name}: {e}", file=sys.stderr)
+        return 2 if isinstance(e, EuphratesError) else 3  # bad input, or I/O and resources
 
 
 def entry() -> None:

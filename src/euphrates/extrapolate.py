@@ -184,20 +184,19 @@ def init_track(track_id: int, roi: Roi, grid: tuple[int, int] = ExtrapolationPar
 def extrapolate_track(
     state: TrackState,
     field: MotionField,
-    frame_size: tuple[int, int],
     filter_threshold: float = ExtrapolationParams.filter_threshold,
 ) -> tuple[TrackState, Roi | None]:
     """Advance a track by one frame using `field`.
 
     Each sub-ROI is moved by its own filtered vector; the composed ROI is the
     minimal bounding box of the moved sub-ROIs intersected with the frame
-    rectangle, with the label and score the sub-ROIs carry from the seed box.
+    (`field.width` x `field.height`, not the padded MB grid), with the label
+    and score the sub-ROIs carry from the seed box.
     When a sub-ROI drifts off the MB grid, or the composed box leaves the
     frame entirely or rounds to zero extent where it moved, the track is lost
     and the ROI is None; the caller decides what to do (typically: drop the
     track until the next inference re-seeds it).
     """
-    width, height = frame_size
     stats = roi_motion_stats(field, [sub.roi for sub in state.sub_tracks])
     if stats is None:
         return state, None
@@ -207,4 +206,4 @@ def extrapolate_track(
         r = sub.roi
         new_subs.append(SubTrack(Roi(r.x + u, r.y + v, r.w, r.h, label=r.label, score=r.score), (u, v)))
     new_state = TrackState(state.track_id, tuple(new_subs))
-    return new_state, framed_bounding_box([sub.roi for sub in new_subs], width, height)
+    return new_state, framed_bounding_box([sub.roi for sub in new_subs], field.width, field.height)

@@ -16,7 +16,7 @@ extrapolation reads, so the trace equals the one the full fields give.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -146,30 +146,14 @@ class AdaptiveParams(ConfigNode):
                 f"need 1 <= ew_min <= initial_ew <= ew_max, got {self.ew_min}, {self.initial_ew}, {self.ew_max}"
             )
 
-
-@dataclass(frozen=True)
-class EWState:
-    """Extrapolation-window controller state.
-
-    With `adaptive` None the window stays at `ew`. Otherwise `update` moves
-    it by at most one per I-frame within [ew_min, ew_max]: down when the
-    prediction/inference difference exceeds tau_diff, up after k_up
-    consecutive clean comparisons.
-    """
-
-    ew: int = 1
-    streak: int = 0
-    adaptive: AdaptiveParams | None = None
-
-    def update(self, diff: float) -> "EWState":
-        """State after an I-frame whose prediction/inference diff is `diff`."""
-        p = self.adaptive
-        if diff > p.tau_diff:
-            return replace(self, ew=max(p.ew_min, self.ew - 1), streak=0)
-        streak = self.streak + 1
-        if streak >= p.k_up:
-            return replace(self, ew=min(p.ew_max, self.ew + 1), streak=0)
-        return replace(self, streak=streak)
+    def next_ew(self, ew: int, streak: int, diff: float) -> tuple[int, int]:
+        """(EW, streak of clean comparisons) after an I-frame whose
+        prediction/inference diff is `diff`, from the EW and streak before it."""
+        if diff > self.tau_diff:
+            return max(self.ew_min, ew - 1), 0
+        if streak + 1 >= self.k_up:
+            return min(self.ew_max, ew + 1), 0
+        return ew, streak + 1
 
 
 def prediction_diff(predicted: list[Roi], inferred: list[Roi]) -> float:
@@ -283,20 +267,20 @@ class PipelineConfig(ConfigNode):
     adaptive: AdaptiveParams = field(default_factory=AdaptiveParams)
 
     def __post_init__(self):
-        self.initial_ew_state()  # validates the mode
+        self.initial_ew  # validates the mode
 
-    def initial_ew_state(self) -> EWState:
+    @property
+    def initial_ew(self) -> int:
+        """EW from frame 0: N of "ew:N" (ASCII digits), or adaptive.initial_ew."""
         if self.mode == "adaptive":
-            return EWState(self.adaptive.initial_ew, adaptive=self.adaptive)
-        if self.mode.startswith("ew:"):
-            try:
-                n = int(self.mode[3:])
-            except ValueError:
-                raise ConfigError(f"invalid mode {self.mode!r}, expected 'ew:N' or 'adaptive'") from None
-            if n < 1:
-                raise ConfigError(f"constant EW must be >= 1, got {n}")
-            return EWState(n)
-        raise ConfigError(f"invalid mode {self.mode!r}, expected 'ew:N' or 'adaptive'")
+            return self.adaptive.initial_ew
+        digits = self.mode[len("ew:"):]
+        if not (self.mode.startswith("ew:") and digits.isascii() and digits.isdigit()):
+            raise ConfigError(f"invalid mode {self.mode!r}, expected 'ew:N' or 'adaptive'")
+        n = int(digits)
+        if n < 1:
+            raise ConfigError(f"constant EW must be >= 1, got {n}")
+        return n
 
 
 def run_pipeline(
@@ -317,11 +301,10 @@ def run_pipeline(
     if frames is not None:
         if not frames:
             raise ConfigError("sequence must contain at least one frame")
-        n, size = len(frames), (frames[0].width, frames[0].height)
-        encoded_size(*size, cfg.motion)  # search only what a .mvm file could hold, as `estimate` does
+        n = len(frames)
+        encoded_size(frames[0].width, frames[0].height, cfg.motion)  # search only what a .mvm can hold
     else:
         n = len(fields) + 1
-        size = (fields[0].width, fields[0].height) if fields else (0, 0)
 
     def field_for(t: int, tracks: list[TrackState]) -> MotionField:
         if fields is not None:
@@ -337,11 +320,10 @@ def run_pipeline(
         """Every track carried through field t: the survivors and their ROIs.
         A lost track drops out until the next I-frame re-seeds it."""
         f = field_for(t, tracks)
-        threshold = cfg.extrapolation.filter_threshold
-        moved = [extrapolate_track(tr, f, size, filter_threshold=threshold) for tr in tracks]
+        moved = [extrapolate_track(tr, f, filter_threshold=cfg.extrapolation.filter_threshold) for tr in tracks]
         return [(state, roi) for state, roi in moved if roi is not None]
 
-    ew_state = cfg.initial_ew_state()
+    ew, streak = cfg.initial_ew, 0  # streak: consecutive clean adaptive comparisons
     tracks: list[TrackState] = []
     next_id = 0
     next_iframe = 0
@@ -351,9 +333,9 @@ def run_pipeline(
         if t == next_iframe:
             inferred = provider.detections(t)
             diff = None
-            if ew_state.adaptive is not None and t > 0:
+            if cfg.mode == "adaptive" and t > 0:
                 diff = prediction_diff([roi for _, roi in advance(t, tracks)], inferred)
-                ew_state = ew_state.update(diff)
+                ew, streak = cfg.adaptive.next_ew(ew, streak, diff)
             dets = []
             new_tracks = []
             for r in inferred:
@@ -364,8 +346,8 @@ def run_pipeline(
                 dets.append(Detection(next_id, r))
                 next_id += 1
             tracks = new_tracks
-            records.append(FrameRecord(t, I_FRAME, tuple(dets), ew=ew_state.ew, diff=diff))
-            next_iframe = t + ew_state.ew
+            records.append(FrameRecord(t, I_FRAME, tuple(dets), ew=ew, diff=diff))
+            next_iframe = t + ew
         else:
             moved = advance(t, tracks)
             tracks = [state for state, _ in moved]

@@ -87,32 +87,20 @@ class SocConfig(ConfigNode):
             if not isinstance(name, str) or name not in PRESETS:
                 where = f"{path}.preset" if path else "preset"
                 raise ConfigError(f"{where}: unknown preset {name!r}, expected one of {sorted(PRESETS)}")
-            data = {**PRESETS[name]().to_dict(), **data}
+            data = {**PRESETS[name].to_dict(), **data}
         return build(cls, data, path)
 
 
-def yolov2_config() -> SocConfig:
-    """Heavy detection network: baseline cannot sustain the capture rate."""
-    return SocConfig()
-
-
-def tiny_yolo_config() -> SocConfig:
+PRESETS = {
+    # Heavy detection network: baseline cannot sustain the capture rate.
+    "yolov2": SocConfig(),
     # Traffic estimated by scaling the measured detection traffic with the
     # networks' compute ratio; no measured figure exists for this network.
-    return SocConfig(net_ops_gop=TINY_YOLO_GOP, iframe_traffic_bytes=646e6 * (675 / 3423))
-
-
-def mdnet_config() -> SocConfig:
+    "tiny-yolo": SocConfig(net_ops_gop=TINY_YOLO_GOP, iframe_traffic_bytes=646e6 * (675 / 3423)),
     # I-frame traffic calibrated so constant-window savings land on the
     # measured tracking results; the tracking network is far smaller than
     # the detection one and spills correspondingly less.
-    return SocConfig(net_ops_gop=MDNET_GOP, iframe_traffic_bytes=35e6)
-
-
-PRESETS = {
-    "yolov2": yolov2_config,
-    "tiny-yolo": tiny_yolo_config,
-    "mdnet": mdnet_config,
+    "mdnet": SocConfig(net_ops_gop=MDNET_GOP, iframe_traffic_bytes=35e6),
 }
 
 

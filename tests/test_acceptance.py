@@ -41,11 +41,10 @@ from euphrates.scheduler import (
     run_pipeline,
 )
 from euphrates.socmodel import (
+    PRESETS,
     achieved_fps,
     constant_schedule_kinds,
-    mdnet_config,
     summarize,
-    yolov2_config,
 )
 
 from oracles import naive_field, shifted_pair
@@ -67,7 +66,7 @@ def test_criterion_1_op_count_formulas():
 
 
 def test_criterion_2_detection_energy_and_fps():
-    cfg = yolov2_config()
+    cfg = PRESETS["yolov2"]
     t0 = time.monotonic()
     fields = [uniform_field(64, 64)] * 999
     provider = TraceProvider({i: [Roi(10, 10, 30, 20)] for i in range(1000)})
@@ -101,7 +100,7 @@ def test_criterion_2_detection_energy_and_fps():
 
 
 def test_criterion_3_tracking_energy():
-    cfg = mdnet_config()
+    cfg = PRESETS["mdnet"]
     s2 = summarize(constant_schedule_kinds(1000, 2), cfg).saving_vs_baseline
     s4 = summarize(constant_schedule_kinds(1000, 4), cfg).saving_vs_baseline
     s32 = summarize(constant_schedule_kinds(3200, 32), cfg).saving_vs_baseline

@@ -196,6 +196,21 @@ def test_runs_from_frames_check_the_metadata_layout_before_searching(synth_dir, 
     assert error_line(capsys) == f"error ConfigError: sweep run mb_size=65536: MetadataError: {message}\n"
 
 
+def test_memory_error_is_one_line_with_exit_3(tmp_path, capsys, monkeypatch):
+    # numpy raises a private subclass of MemoryError when an allocation fails.
+    class _ArrayMemoryError(MemoryError):
+        pass
+
+    message = "Unable to allocate 18.6 GiB for an array with shape (2, 100000, 100000) and data type uint8"
+
+    def exhausted(cfg):
+        raise _ArrayMemoryError(message)
+
+    monkeypatch.setattr(cli, "generate_sequence", exhausted)
+    assert run(["synth", "--out", tmp_path / "x", "--canvas", "100000x100000", "--frames", "2"]) == 3
+    assert error_line(capsys) == f"error MemoryError: {message}\n"
+
+
 def test_estimate_rejects_mixed_dims(tmp_path, capsys):
     d = tmp_path / "seq"
     d.mkdir()

@@ -20,7 +20,7 @@ from euphrates.errors import ConfigError, EuphratesError
 from euphrates.motion import decode_metadata
 from euphrates.pixels import _parse_pgm, generate_sequence
 from euphrates.scheduler import AdaptiveParams, PipelineConfig, ResultTrace, read_detection_trace
-from euphrates.socmodel import FIELD_RANGE, PRESETS, SocConfig, mdnet_config
+from euphrates.socmodel import FIELD_RANGE, PRESETS, SocConfig
 
 PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -41,7 +41,7 @@ def test_echo_is_json_native_and_round_trips():
     cfg = RunConfig.from_dict({"extrapolation": {"grid": [3, 1]}, "soc": {"preset": "mdnet"}})
     echo = cfg.to_dict()
     assert echo["extrapolation"]["grid"] == [3, 1]
-    assert "preset" not in echo["soc"] and echo["soc"] == mdnet_config().to_dict()
+    assert "preset" not in echo["soc"] and echo["soc"] == PRESETS["mdnet"].to_dict()
     assert RunConfig.from_dict(json.loads(json.dumps(echo))) == cfg
 
 
@@ -113,7 +113,7 @@ def test_every_unknown_key_of_the_tree_is_reported_in_one_error(data, unknown):
 def test_preset_values_sit_under_the_explicit_soc_fields(name, overrides):
     if "nnx_utilization" in overrides:
         overrides["nnx_utilization"] = min(overrides["nnx_utilization"], 1.0)
-    expected = replace(PRESETS[name](), **overrides)
+    expected = replace(PRESETS[name], **overrides)
     assert SocConfig.from_dict({"preset": name, **overrides}) == expected
     echo = RunConfig.from_dict({"soc": {"preset": name, **overrides}}).to_dict()["soc"]
     assert "preset" not in echo and SocConfig.from_dict(echo) == expected

@@ -218,7 +218,7 @@ def test_init_track_structure():
 def test_extrapolate_zero_field_identity():
     field = uniform_field(128, 128)
     state = init_track(0, Roi(10, 12, 30, 26))
-    _, roi = extrapolate_track(state, field, (128, 128))
+    _, roi = extrapolate_track(state, field)
     assert (roi.x, roi.y, roi.w, roi.h) == (10, 12, 30, 26)
 
 
@@ -227,7 +227,7 @@ def test_extrapolate_rigid_translation_any_grid():
     for grid in [(1, 1), (2, 2), (3, 1), (4, 5)]:
         state = init_track(0, Roi(100, 100, 48, 36, label=1, score=0.5), grid)
         for step in range(1, 4):
-            state, roi = extrapolate_track(state, field, (256, 256))
+            state, roi = extrapolate_track(state, field)
             assert roi.x == 100 + 4 * step and roi.y == 100 - 3 * step
             assert roi.w == 48 and roi.h == 36
             assert roi.label == 1 and roi.score == 0.5
@@ -240,7 +240,7 @@ def test_extrapolate_deformation_bounding_box():
     v = [[0] * 4] * 4
     field = field_from_grid(u, v)  # 64x64 frame
     state = init_track(0, Roi(16, 16, 32, 32), (2, 2))
-    _, roi = extrapolate_track(state, field, (64, 64))
+    _, roi = extrapolate_track(state, field)
     assert (roi.x, roi.y, roi.w, roi.h) == (14, 16, 36, 32)
 
 
@@ -251,7 +251,7 @@ def test_extrapolate_composed_contains_subrois():
     field = field_from_grid(u, v)
     # placed so that no clamping occurs (moves are bounded by 7)
     state = init_track(0, Roi(20, 20, 50, 40), (2, 2))
-    new_state, roi = extrapolate_track(state, field, (96, 96))
+    new_state, roi = extrapolate_track(state, field)
     for sub in new_state.sub_tracks:
         assert roi.x <= sub.roi.x + 1e-9 and sub.roi.x2 <= roi.x2 + 1e-9
         assert roi.y <= sub.roi.y + 1e-9 and sub.roi.y2 <= roi.y2 + 1e-9
@@ -267,7 +267,7 @@ def test_extrapolate_prev_mv_stays_bounded():
         v = rng.integers(-d, d + 1, size=(8, 8))
         sads = rng.integers(0, 255 * 256, size=(8, 8))
         field = field_from_grid(u, v, sads=sads)
-        state, roi = extrapolate_track(state, field, (128, 128))
+        state, roi = extrapolate_track(state, field)
         if roi is None:
             break
         for sub in state.sub_tracks:
@@ -278,15 +278,23 @@ def test_extrapolate_prev_mv_stays_bounded():
 def test_extrapolate_clamps_to_frame():
     field = uniform_field(64, 64, mv=(7, 0))
     state = init_track(0, Roi(50, 10, 12, 12))
-    state, roi = extrapolate_track(state, field, (64, 64))
+    state, roi = extrapolate_track(state, field)
     assert roi.x2 <= 64 and roi.w == 7  # 57..64 survives the clamp
+
+
+def test_extrapolate_clamps_to_the_frame_not_the_padded_grid():
+    # A 100x70 frame of 16-pixel MBs: the 7x5 grid covers 112x80.
+    field = uniform_field(100, 70, mv=(7, 0))
+    assert (field.cols * 16, field.rows * 16) == (112, 80)
+    _, roi = extrapolate_track(init_track(0, Roi(90, 10, 8, 8)), field)
+    assert roi.x2 == 100.0 and roi.x == 97.0
 
 
 def test_extrapolate_lost_track():
     field = uniform_field(64, 64, mv=(7, 0))
     state = init_track(0, Roi(56, 10, 8, 8))
     for _ in range(10):
-        state, roi = extrapolate_track(state, field, (64, 64))
+        state, roi = extrapolate_track(state, field)
         if roi is None:
             break
     assert roi is None
@@ -295,7 +303,7 @@ def test_extrapolate_lost_track():
 def test_extrapolate_box_that_rounds_to_zero_height_when_moved_is_lost():
     # 3e-106 is far below the spacing of floats at y = 1, where the box moves.
     track = init_track(0, Roi(0.0, 0.0, 1.0, 3e-106))
-    assert extrapolate_track(track, uniform_field(64, 64, mv=(1, 1)), (64, 64))[1] is None
+    assert extrapolate_track(track, uniform_field(64, 64, mv=(1, 1)))[1] is None
 
 
 def test_extrapolate_deterministic():
@@ -306,8 +314,8 @@ def test_extrapolate_deterministic():
     field = field_from_grid(u, v, sads=sads)
     a = init_track(0, Roi(5, 5, 30, 30))
     b = init_track(0, Roi(5, 5, 30, 30))
-    ra = extrapolate_track(a, field, (64, 64))
-    rb = extrapolate_track(b, field, (64, 64))
+    ra = extrapolate_track(a, field)
+    rb = extrapolate_track(b, field)
     assert ra == rb
 
 
@@ -315,12 +323,12 @@ def test_field_changed_in_place_reads_like_a_fresh_field():
     rng = np.random.default_rng(9)
     field = field_from_grid(rng.integers(-7, 8, (4, 4)), rng.integers(-7, 8, (4, 4)), rng.integers(0, 9000, (4, 4)))
     track = init_track(0, Roi(5, 7, 30, 27))
-    before = extrapolate_track(track, field, (64, 64))
+    before = extrapolate_track(track, field)
     field.vectors[...] = rng.integers(-7, 8, (4, 4, 2))
     field.sads[...] = rng.integers(0, 9000, (4, 4))
     fresh = MotionField(64, 64, field.params, field.vectors.copy(), field.sads.copy())
-    after = extrapolate_track(track, field, (64, 64))
-    assert after == extrapolate_track(track, fresh, (64, 64))
+    after = extrapolate_track(track, field)
+    assert after == extrapolate_track(track, fresh)
     assert after != before
 
 

@@ -3,20 +3,22 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from euphrates.errors import ConfigError, MissingDataError
 from euphrates.extrapolate import ExtrapolationParams
 from euphrates.metrics import iou
-from euphrates.motion import MotionParams, estimate_motion_field, uniform_field
+from euphrates.motion import MotionField, MotionParams, estimate_motion_field, uniform_field
 from euphrates.pixels import Frame, SynthConfig, generate_sequence, noise_image
 from euphrates.roi import Roi
 from euphrates.metrics import greedy_match
 from euphrates.scheduler import (
     AdaptiveParams,
-    EWState,
     PipelineConfig,
     ResultTrace,
     TraceProvider,
@@ -24,6 +26,9 @@ from euphrates.scheduler import (
     read_detection_trace,
     run_pipeline,
 )
+
+from oracles import naive_pipeline
+from test_config import PROPERTY
 
 
 def static_setup(n_frames, width=64, height=64, boxes=None):
@@ -97,11 +102,18 @@ def test_pipeline_errors():
 
 def test_bad_mode_strings():
     with pytest.raises(ConfigError):
-        PipelineConfig(mode="ew:0").initial_ew_state()
+        PipelineConfig(mode="ew:0").initial_ew
     with pytest.raises(ConfigError):
-        PipelineConfig(mode="every-other").initial_ew_state()
+        PipelineConfig(mode="every-other").initial_ew
     with pytest.raises(ConfigError):
-        PipelineConfig(mode="ew:two").initial_ew_state()
+        PipelineConfig(mode="ew:two").initial_ew
+
+
+@pytest.mark.parametrize("mode", ["ew:4_0", "ew:\u0664", "ew: 4", "ew:+4", "ew:4 ", "ew:-1", "ew:", "EW:4", "ew:4\n"])
+def test_constant_ew_takes_ascii_digits_only(mode):
+    # int() accepts underscores, other scripts' digits, signs and spaces.
+    with pytest.raises(ConfigError, match=re.escape(f"invalid mode {mode!r}, expected 'ew:N' or 'adaptive'")):
+        PipelineConfig(mode=mode)
 
 
 def moving_objects_scene(width=90, height=70, n_frames=12, seed=11, tags=((0, 1.0),) * 4):
@@ -250,42 +262,42 @@ def test_prediction_diff_values():
     assert prediction_diff([box, far], [box]) == 0.5
 
 
-def adaptive_update(state, predicted, inferred):
-    return state.update(prediction_diff(predicted, inferred))
+def adaptive_update(params, ew, streak, predicted, inferred):
+    return params.next_ew(ew, streak, prediction_diff(predicted, inferred))
 
 
 def test_adaptive_update_grows_after_streak():
-    state = EWState(4, adaptive=AdaptiveParams(k_up=3))
+    params = AdaptiveParams(k_up=3)
+    ew, streak = 4, 0
     box = Roi(0, 0, 10, 10)
     for _ in range(2):
-        state = adaptive_update(state, [box], [box])
-        assert state.ew == 4
-    state = adaptive_update(state, [box], [box])
-    assert state.ew == 5 and state.streak == 0
+        ew, streak = adaptive_update(params, ew, streak, [box], [box])
+        assert ew == 4
+    ew, streak = adaptive_update(params, ew, streak, [box], [box])
+    assert ew == 5 and streak == 0
 
 
 def test_adaptive_update_shrinks_on_disagreement():
-    state = EWState(4, streak=2, adaptive=AdaptiveParams())
-    state = adaptive_update(state, [Roi(0, 0, 10, 10)], [Roi(50, 50, 10, 10)])
-    assert state.ew == 3 and state.streak == 0
+    ew, streak = adaptive_update(AdaptiveParams(), 4, 2, [Roi(0, 0, 10, 10)], [Roi(50, 50, 10, 10)])
+    assert ew == 3 and streak == 0
 
 
 def test_adaptive_update_saturates():
+    params = AdaptiveParams()
     box = Roi(0, 0, 10, 10)
-    state = EWState(32, adaptive=AdaptiveParams())
+    ew, streak = 32, 0
     for _ in range(9):
-        state = adaptive_update(state, [box], [box])
-        assert state.ew == 32
-    state = EWState(1, adaptive=AdaptiveParams())
-    state = adaptive_update(state, [box], [Roi(50, 50, 10, 10)])
-    assert state.ew == 1
+        ew, streak = adaptive_update(params, ew, streak, [box], [box])
+        assert ew == 32
+    ew, streak = adaptive_update(params, 1, 0, [box], [Roi(50, 50, 10, 10)])
+    assert ew == 1
 
 
-def test_ew_state_validation():
-    # An EWState comes from a validated PipelineConfig: its mode and bounds.
-    assert PipelineConfig(mode="ew:3").initial_ew_state() == EWState(3)
+def test_initial_ew_validation():
+    # The EW a run starts from comes from a validated PipelineConfig: its mode and bounds.
+    assert PipelineConfig(mode="ew:3").initial_ew == 3
     adaptive = AdaptiveParams(initial_ew=2)
-    assert PipelineConfig(mode="adaptive", adaptive=adaptive).initial_ew_state() == EWState(2, adaptive=adaptive)
+    assert PipelineConfig(mode="adaptive", adaptive=adaptive).initial_ew == 2
     with pytest.raises(ConfigError):
         PipelineConfig(mode="sometimes")
     with pytest.raises(ConfigError):
@@ -334,6 +346,73 @@ def test_adaptive_interval_matches_decided_ew():
     i_frames = [f for f in trace.frames if f.kind == "I"]
     for cur, nxt in zip(i_frames, i_frames[1:]):
         assert nxt.index - cur.index == cur.ew
+
+
+# ---------------------------------------------------------------------------
+# The whole pipeline against its exact oracle
+
+
+@st.composite
+def pipeline_inputs(draw):
+    """(records, fields, cfg): random fields on MB grids up to 3x3 whose
+    frames need not fill the last MB, boxes on, across or off the frame,
+    sub-ROI grids up to 3x3, and `ew:N` or adaptive modes."""
+    L = draw(st.sampled_from([4, 8, 16]))
+    width, height = draw(st.integers(1, 3 * L)), draw(st.integers(1, 3 * L))
+    params = MotionParams(mb_size=L)
+    d = params.search_range
+    rows, cols = -(-height // L), -(-width // L)
+    vmax = draw(st.sampled_from([0, 1, 2, d]))  # slow fields keep tracks alive for whole windows
+
+    def field():
+        vectors = draw(st.lists(st.integers(-vmax, vmax), min_size=rows * cols * 2, max_size=rows * cols * 2))
+        sads = draw(st.lists(st.integers(0, params.max_sad), min_size=rows * cols, max_size=rows * cols))
+        return MotionField(width, height, params, np.array(vectors, dtype=np.int16).reshape(rows, cols, 2),
+                           np.array(sads, dtype=np.int64).reshape(rows, cols))
+
+    n = draw(st.integers(2, 12))
+    fields = [field() for _ in range(n - 1)]
+
+    def box():
+        where = st.floats(0.0, 0.75) | st.floats(-0.5, 1.5)
+        x, y = draw(where) * width, draw(where) * height
+        return Roi(x, y, draw(st.floats(1.0, max(1.0, width))), draw(st.floats(1.0, max(1.0, height))))
+
+    base = [box() for _ in range(draw(st.integers(0, 3)))]
+    shift = st.just(0.0) | st.floats(-3.0, 3.0)
+    records = {t: [Roi(b.x + draw(shift), b.y + draw(shift), b.w, b.h) for b in base] for t in range(n)}
+    ew_min, initial_ew, ew_max = sorted(draw(st.lists(st.integers(1, 5), min_size=3, max_size=3)))
+    cfg = PipelineConfig(
+        mode=draw(st.sampled_from(["adaptive"]) | st.integers(1, 5).map(lambda k: f"ew:{k}")),
+        extrapolation=ExtrapolationParams(
+            grid=(draw(st.integers(1, 3)), draw(st.integers(1, 3))), filter_threshold=draw(st.floats(0.0, 1.0))
+        ),
+        adaptive=AdaptiveParams(
+            tau_diff=draw(st.floats(0.0, 1.0)), k_up=draw(st.integers(1, 3)),
+            ew_min=ew_min, initial_ew=initial_ew, ew_max=ew_max,
+        ),
+    )
+    return records, fields, cfg
+
+
+@PROPERTY
+@given(pipeline_inputs())
+def test_pipeline_equals_its_exact_oracle(inputs):
+    records, fields, cfg = inputs
+    expected, near = naive_pipeline(records, fields, cfg)
+    assume(not near)
+    trace = run_pipeline(TraceProvider(records), cfg, fields=fields)
+    tol = 1e-9 * max(fields[0].width, fields[0].height)
+    assert len(trace.frames) == len(expected)
+    for rec, (index, kind, boxes, ew, diff) in zip(trace.frames, expected):
+        assert (rec.index, rec.kind, rec.ew) == (index, kind, ew)
+        assert (rec.diff is None) == (diff is None)
+        if diff is not None:
+            assert abs(rec.diff - diff) <= 1e-9
+        assert [d.track_id for d in rec.detections] == [track_id for track_id, _ in boxes]
+        for det, (_, corners) in zip(rec.detections, boxes):
+            r = det.roi
+            assert all(abs(a - b) <= tol for a, b in zip((r.x, r.y, r.x + r.w, r.y + r.h), corners))
 
 
 # ---------------------------------------------------------------------------

@@ -16,23 +16,21 @@ from euphrates.socmodel import (
     CPU_EXTRAPOLATE_TIME_S,
     FIELD_RANGE,
     MDNET_GOP,
+    PRESETS,
     SocConfig,
     YOLOV2_GOP,
     achieved_fps,
     constant_schedule_kinds,
     frame_energy,
     inference_time,
-    mdnet_config,
     summarize,
-    tiny_yolo_config,
-    yolov2_config,
 )
 
 from test_config import PROPERTY
 
 
 def test_inference_time_yolov2():
-    cfg = yolov2_config()
+    cfg = PRESETS["yolov2"]
     t = inference_time(cfg)
     assert t == pytest.approx(0.0590, abs=2e-4)  # ~58.9 ms
     assert achieved_fps(cfg, 1) == pytest.approx(17.0, abs=1.0)
@@ -44,7 +42,7 @@ def test_inference_time_raw_peak():
 
 
 def test_inference_time_mdnet_sustains_capture_rate():
-    cfg = mdnet_config()
+    cfg = PRESETS["mdnet"]
     t = inference_time(cfg)
     assert t * 1000 == pytest.approx(10.9, abs=0.1)
     assert t < 1.0 / cfg.capture_fps
@@ -52,14 +50,14 @@ def test_inference_time_mdnet_sustains_capture_rate():
 
 
 def test_achieved_fps_detection_ladder():
-    cfg = yolov2_config()
+    cfg = PRESETS["yolov2"]
     assert achieved_fps(cfg, 1) == pytest.approx(17.0, abs=1.0)
     assert achieved_fps(cfg, 2) == pytest.approx(35.0, abs=2.0)
     assert achieved_fps(cfg, 4) == 60.0  # frontend-capped
 
 
 def test_achieved_fps_monotone_and_capped():
-    cfg = yolov2_config()
+    cfg = PRESETS["yolov2"]
     prev = 0.0
     for ew in range(1, 64):
         fps = achieved_fps(cfg, ew)
@@ -71,14 +69,14 @@ def test_achieved_fps_monotone_and_capped():
 
 
 def test_frame_energy_frontend_identical_for_kinds():
-    cfg = yolov2_config()
+    cfg = PRESETS["yolov2"]
     ei = frame_energy("I", cfg)
     ee = frame_energy("E", cfg)
     assert ei.frontend_mj == ee.frontend_mj == pytest.approx(5.61, abs=0.01)
 
 
 def test_frame_energy_eframe_traffic():
-    cfg = yolov2_config()
+    cfg = PRESETS["yolov2"]
     ee = frame_energy("E", cfg)
     idle = cfg.dram_idle_power_mw / cfg.capture_fps
     assert ee.dram_mj - idle == pytest.approx(1.824, abs=1e-9)  # 22.8 MB * 80 pJ/B
@@ -93,11 +91,11 @@ def test_frame_energy_degenerate_frame():
 
 def test_frame_energy_unknown_kind():
     with pytest.raises(ValueError):
-        frame_energy("X", yolov2_config())
+        frame_energy("X", PRESETS["yolov2"])
 
 
 def test_detection_savings_match_measured_ratios():
-    cfg = yolov2_config()
+    cfg = PRESETS["yolov2"]
     r2 = summarize(constant_schedule_kinds(1000, 2), cfg)
     r4 = summarize(constant_schedule_kinds(1000, 4), cfg)
     assert r2.saving_vs_baseline == pytest.approx(0.45, abs=0.05)
@@ -105,7 +103,7 @@ def test_detection_savings_match_measured_ratios():
 
 
 def test_tracking_savings_match_measured_ratios():
-    cfg = mdnet_config()
+    cfg = PRESETS["mdnet"]
     r2 = summarize(constant_schedule_kinds(1000, 2), cfg)
     r4 = summarize(constant_schedule_kinds(1000, 4), cfg)
     r32 = summarize(constant_schedule_kinds(3200, 32), cfg)
@@ -116,14 +114,14 @@ def test_tracking_savings_match_measured_ratios():
 
 
 def test_saving_is_exactly_zero_at_ew1():
-    for cfg in (yolov2_config(), mdnet_config(), tiny_yolo_config()):
+    for cfg in (PRESETS["yolov2"], PRESETS["mdnet"], PRESETS["tiny-yolo"]):
         rep = summarize(constant_schedule_kinds(500, 1), cfg)
         assert rep.saving_vs_baseline == 0.0
         assert rep.inference_rate == 1.0
 
 
 def test_energy_monotone_non_increasing_in_ew():
-    for cfg in (yolov2_config(), mdnet_config()):
+    for cfg in (PRESETS["yolov2"], PRESETS["mdnet"]):
         totals = []
         for ew in range(1, 33):
             rep = summarize(constant_schedule_kinds(960, ew), cfg)
@@ -132,7 +130,7 @@ def test_energy_monotone_non_increasing_in_ew():
 
 
 def test_per_frame_energy_approaches_frontend_floor():
-    cfg = yolov2_config()
+    cfg = PRESETS["yolov2"]
     rep = summarize(["I"] + ["E"] * 99_999, cfg)
     ee = frame_energy("E", cfg)
     assert rep.per_frame_mj == pytest.approx(ee.frontend_mj + ee.dram_mj + ee.backend_mj, rel=1e-2)
@@ -141,14 +139,14 @@ def test_per_frame_energy_approaches_frontend_floor():
 
 
 def test_components_sum_to_total_and_nonnegative():
-    cfg = mdnet_config()
+    cfg = PRESETS["mdnet"]
     rep = summarize(constant_schedule_kinds(777, 5), cfg)
     assert rep.total_mj == rep.frontend_mj + rep.dram_mj + rep.backend_mj
     assert min(rep.frontend_mj, rep.dram_mj, rep.backend_mj) >= 0.0
 
 
 def test_inference_rate_exact():
-    rep = summarize(constant_schedule_kinds(960, 4), yolov2_config())
+    rep = summarize(constant_schedule_kinds(960, 4), PRESETS["yolov2"])
     assert rep.inference_rate == 0.25
     assert rep.n_iframes == 240
 
@@ -157,17 +155,17 @@ def test_summarize_accepts_result_trace():
     fields = [uniform_field(64, 64)] * 9
     provider = TraceProvider({i: [Roi(5, 5, 10, 10)] for i in range(10)})
     trace = run_pipeline(provider, PipelineConfig(mode="ew:5"), fields=fields)
-    rep = summarize(trace, yolov2_config())
+    rep = summarize(trace, PRESETS["yolov2"])
     assert rep.n_frames == 10 and rep.n_iframes == 2
 
 
 def test_summarize_empty_trace():
     with pytest.raises(ValueError):
-        summarize([], yolov2_config())
+        summarize([], PRESETS["yolov2"])
 
 
 def test_csv_rows_structure():
-    rep = summarize(constant_schedule_kinds(100, 2), yolov2_config())
+    rep = summarize(constant_schedule_kinds(100, 2), PRESETS["yolov2"])
     rows = rep.csv_rows()
     assert [r[0] for r in rows] == ["frontend", "dram", "backend", "total"]
     assert sum(r[1] for r in rows[:3]) == pytest.approx(rows[3][1])
@@ -180,10 +178,10 @@ CPU_CONFIG = SocConfig(extrapolate_power_mw=CPU_EXTRAPOLATE_POWER_MW, t_extrapol
 def test_software_extrapolation_negates_most_savings():
     """Software extrapolation burns CPU power per E-frame: an EW-8 run lands
     near the dedicated-hardware EW-4 energy, the task-autonomy argument."""
-    mc = summarize(constant_schedule_kinds(960, 4), yolov2_config())
+    mc = summarize(constant_schedule_kinds(960, 4), PRESETS["yolov2"])
     cpu = summarize(constant_schedule_kinds(960, 8), CPU_CONFIG)
     assert cpu.total_mj == pytest.approx(mc.total_mj, rel=0.15)
-    hw8 = summarize(constant_schedule_kinds(960, 8), yolov2_config())
+    hw8 = summarize(constant_schedule_kinds(960, 8), PRESETS["yolov2"])
     assert cpu.total_mj > 1.4 * hw8.total_mj
 
 
@@ -191,14 +189,14 @@ def test_software_extrapolation_negates_most_savings():
     "cfg, report, fps_ew2, fps_all_e",
     [
         (
-            yolov2_config(),
+            PRESETS["yolov2"],
             (960, 120, 5389.199999999999, 11413.760000000002, 4611.846958333334, 21414.806958333334,
              22.307090581597222, 60.0, 0.125, 95561.99166666667, 0.7759066488167061, 7.13125, 100.7),
             33.358107390712625,
             1000.0,
         ),
         (
-            mdnet_config(),
+            PRESETS["mdnet"],
             (960, 120, 5389.199999999999, 5548.160000000001, 860.6316805555557, 11797.991680555557,
              12.289574667245372, 60.0, 0.125, 18627.469444444447, 0.3666347586427392, 1.3229166666666667, 24.325),
             60.0,
@@ -223,8 +221,8 @@ def test_model_numbers_are_pinned_bit_for_bit(cfg, report, fps_ew2, fps_all_e):
 
 
 def test_config_presets_and_overrides():
-    assert yolov2_config().net_ops_gop == pytest.approx(YOLOV2_GOP)
-    assert mdnet_config().net_ops_gop == pytest.approx(MDNET_GOP)
+    assert PRESETS["yolov2"].net_ops_gop == pytest.approx(YOLOV2_GOP)
+    assert PRESETS["mdnet"].net_ops_gop == pytest.approx(MDNET_GOP)
     cfg = SocConfig.from_dict({"preset": "mdnet", "capture_fps": 30.0})
     assert cfg.capture_fps == 30.0
     assert cfg.net_ops_gop == pytest.approx(MDNET_GOP)
@@ -267,7 +265,7 @@ def test_field_range_bounds_every_numeric_field():
 def test_config_file_round_trip(tmp_path):
     import json
 
-    cfg = mdnet_config()
+    cfg = PRESETS["mdnet"]
     p = tmp_path / "soc.json"
     p.write_text(json.dumps(cfg.to_dict()))
     again = SocConfig.from_dict(json.loads(p.read_text()))
