@@ -29,8 +29,7 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigNode, merge_overrides
 from .errors import ConfigError, DimensionMismatchError, EuphratesError, MetadataError, MissingDataError
-from .metrics import DEFAULT_THRESHOLDS, precision_at, success_curve
-from .metrics import average_precision  # noqa: F401  bench/tracer.py wraps cli.average_precision
+from .metrics import DEFAULT_THRESHOLDS, average_precision, precision_at, success_curve
 from .motion import MAX_FRAME_SIDE, MotionField, MotionParams, decode_metadata, encode_metadata, encoded_size
 from .motion import estimate_motion_field
 from .pixels import SynthConfig, generate_sequence, list_frame_files, load_sequence, save_sequence
@@ -45,17 +44,23 @@ from .scheduler import (
 from .socmodel import EnergyReport, SocConfig, summarize
 
 
+def _int(text: str) -> int:
+    """`text` as an int: an optional '-' then ASCII digits; ValueError on the
+    '+', '_', spaces and non-ASCII digits that int() accepts."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_pair(text: str | None, what: str) -> tuple[int, int] | None:
     if text is None:
         return None
-    sep = "x" if "x" in text else ","
-    parts = text.split(sep)
-    if len(parts) != 2:
-        raise ConfigError(f"cannot parse {what} {text!r}, expected two integers")
     try:
-        return int(parts[0]), int(parts[1])
+        a, b = map(_int, text.split("x" if "x" in text else ","))
     except ValueError:
         raise ConfigError(f"cannot parse {what} {text!r}, expected two integers") from None
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +228,20 @@ def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
     pure in-memory."""
     if isinstance(cfg, dict):
         cfg = RunConfig.from_dict(cfg)
+    if cfg.frames_dir and cfg.metadata_dir:
+        raise ConfigError("config must name one input source, not both frames_dir and metadata_dir")
+    if not (cfg.frames_dir or cfg.metadata_dir):
+        raise ConfigError("config needs either 'frames_dir' or 'metadata_dir'")
     if cfg.detections is None:
         raise ConfigError("config needs a 'detections' trace path")
     det_path = Path(cfg.detections)
     if not det_path.is_file():
         raise ConfigError(f"detections trace not found: {det_path}")
     provider = TraceProvider(read_detection_trace(det_path), cfg.provider.noise_sigma, cfg.seed)
-    if cfg.frames_dir and cfg.metadata_dir:
-        raise ConfigError("config must name one input source, not both frames_dir and metadata_dir")
     if cfg.frames_dir:
         source = {"frames": load_sequence(cfg.frames_dir)}
-    elif cfg.metadata_dir:
-        source = {"fields": _load_fields_dir(cfg.metadata_dir, cfg.motion)}
     else:
-        raise ConfigError("config needs either 'frames_dir' or 'metadata_dir'")
+        source = {"fields": _load_fields_dir(cfg.metadata_dir, cfg.motion)}
     try:
         trace = run_pipeline(provider, cfg, **source)
     except ConfigError as e:  # a detection no track can be seeded from
@@ -337,74 +342,67 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 SWEEP_AXES = {"ew": "mode", "mb_size": "motion.mb_size", "algorithm": "motion.algorithm"}
 
 
-def _sweep_variant(cfg: RunConfig, axis: str, value) -> RunConfig:
+def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, RunConfig]:
+    """The run config of each comma-separated `values` entry of a sweep over
+    `axis`, in order: algorithm names as text, ew and mb_size values by the
+    `_int` rule. Every config is checked before any run starts."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {list(SWEEP_AXES)}")
-    change = {SWEEP_AXES[axis]: f"ew:{value}" if axis == "ew" else value}
-    return RunConfig.from_dict(merge_overrides(cfg.to_dict(), change))
-
-
-def run_sweep(cfg: RunConfig, axis: str, values: list) -> list[dict]:
-    """One simulate + evaluate run per value; rows ordered like `values`."""
-    truth_path = cfg.truth or cfg.detections
-    if truth_path is None:
-        raise ConfigError("sweep needs 'truth' or 'detections' in the config")
     if axis in ("mb_size", "algorithm") and not cfg.frames_dir:
         raise ConfigError(
             f"a {axis} sweep re-estimates motion and needs 'frames_dir'; "
             "precomputed metadata_dir fields are fixed"
         )
-    truth = read_detection_trace(truth_path)
-
-    rows = []
-    for value in values:
+    if cfg.truth is None and cfg.detections is None:
+        raise ConfigError("sweep needs 'truth' or 'detections' in the config")
+    variants: dict[int | str, RunConfig] = {}
+    for entry in filter(None, map(str.strip, values.split(","))):
         try:
-            trace, report = run_simulation(_sweep_variant(cfg, axis, value))
-            result = evaluate_trace(trace, truth, (0.5,))
+            value = entry if axis == "algorithm" else _int(entry)
+        except ValueError:
+            raise ConfigError(f"--values for axis {axis} must be integers") from None
+        if value in variants:
+            raise ConfigError(f"--values lists {axis}={value} more than once")
+        change = {SWEEP_AXES[axis]: f"ew:{value}" if axis == "ew" else value}
+        try:
+            variants[value] = RunConfig.from_dict(merge_overrides(cfg.to_dict(), change))
+        except ConfigError as e:
+            raise ConfigError(f"sweep run {axis}={value}: {e.__class__.__name__}: {e}") from None
+    if not variants:
+        raise ConfigError("--values is empty")
+    return variants
+
+
+def run_sweep(variants: dict[int | str, RunConfig], axis: str) -> list[tuple]:
+    """One simulate run per variant, scored by AP at IoU 0.5; rows (value,
+    accuracy, saving, fps, trace, report) in the order of `variants`."""
+    first = next(iter(variants.values()))
+    truth = read_detection_trace(first.truth or first.detections)
+    rows = []
+    for value, cfg in variants.items():
+        try:
+            trace, report = run_simulation(cfg)
+            accuracy = average_precision(*_aligned_boxes(trace, truth), 0.5)
         except EuphratesError as e:
             raise ConfigError(f"sweep run {axis}={value}: {e.__class__.__name__}: {e}") from None
-        rows.append({
-            "value": value,
-            "accuracy_at_0.5": dict(result["ap"])[0.5],
-            "energy_saving": report.saving_vs_baseline,
-            "achieved_fps": report.achieved_fps,
-            "trace": trace,
-            "report": report,
-        })
+        rows.append((value, accuracy, report.saving_vs_baseline, report.achieved_fps, trace, report))
     return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = build_run_config(args.config, args)
-    if args.axis == "algorithm":
-        values: list = [v.strip() for v in args.values.split(",") if v.strip()]
-    else:
-        try:
-            values = [int(v) for v in args.values.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"--values for axis {args.axis} must be integers") from None
-    if not values:
-        raise ConfigError("--values is empty")
-    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
-    if repeated is not None:
-        raise ConfigError(f"--values lists {args.axis}={repeated} more than once")
-
+    variants = _sweep_variants(cfg, args.axis, args.values)
     out = _out_dir(args.out)
-    rows = run_sweep(cfg, args.axis, values)
-    for row in rows:
-        _write_run(out / f"{args.axis}_{row['value']}", row["trace"], row["report"])
-    table = [
-        (row["value"], row["accuracy_at_0.5"], row["energy_saving"], row["achieved_fps"])
-        for row in rows
-    ]
+    rows = run_sweep(variants, args.axis)
+    for value, acc, saving, fps, trace, report in rows:
+        _write_run(out / f"{args.axis}_{value}", trace, report)
+        print(f"{args.axis}={value}: accuracy@0.5 {acc:.4f}, saving {saving:.3f}, fps {fps:.1f}")
     _write_csv(
         out / "sweep.csv",
-        {**cfg.to_dict(), "sweep": {"axis": args.axis, "values": values}},
+        {**cfg.to_dict(), "sweep": {"axis": args.axis, "values": list(variants)}},
         [args.axis, "accuracy_at_0.5", "energy_saving", "achieved_fps"],
-        table,
+        [row[:4] for row in rows],
     )
-    for value, acc, saving, fps in table:
-        print(f"{args.axis}={value}: accuracy@0.5 {acc:.4f}, saving {saving:.3f}, fps {fps:.1f}")
     print(f"wrote sweep.csv and per-run outputs to {out}")
     return 0
 

@@ -75,6 +75,18 @@ def test_synth_negative_velocity_in_equals_form(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flag, value",
+    [("canvas", "12"), ("canvas", "1_28x9_6"), ("canvas", "\u0664x96"), ("velocity", "+2,1"), ("start", "4, 0")],
+)
+def test_synth_pairs_are_two_integers_in_ascii_digits(tmp_path, capsys, flag, value):
+    # int() would read "1_28" as 128, "+2" as 2 and the Arabic-Indic "\u0664" as 4.
+    out = tmp_path / "x"
+    assert run(["synth", f"--{flag}={value}", "--out", out]) == 2
+    assert error_line(capsys) == f"error ConfigError: cannot parse --{flag} {value!r}, expected two integers\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "recipe",
     [
         {"canvas": [0, 96]},
@@ -360,6 +372,35 @@ def test_simulate_missing_inputs(tmp_path, capsys):
     assert run(["simulate", "--config", tmp_path / "absent.json", "--out", tmp_path / "o3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "sources, message",
+    [
+        ({"frames_dir": "f", "metadata_dir": "m"}, "config must name one input source, not both frames_dir and metadata_dir"),
+        ({}, "config needs either 'frames_dir' or 'metadata_dir'"),
+    ],
+)
+def test_simulate_checks_its_input_source_before_reading_the_detections(tmp_path, capsys, sources, message):
+    dets = tmp_path / "dets.jsonl"
+    dets.write_bytes(b"\xff")  # not UTF-8: reading it would fail first
+    cfgp = write_run_config(tmp_path / "run.json", detections=str(dets), **sources)
+    assert run(["simulate", "--config", cfgp, "--out", tmp_path / "o"]) == 2
+    assert error_line(capsys) == f"error ConfigError: {message}\n"
+
+
+def test_simulate_rejects_detections_that_are_not_utf8(synth_dir, tmp_path, capsys):
+    dets = tmp_path / "dets.jsonl"
+    dets.write_bytes(b'\xff\xfe{"frame": 0}\n')
+    assert run(["simulate", "--frames", synth_dir, "--detections", dets, "--out", tmp_path / "o"]) == 2
+    assert error_line(capsys).startswith(f"error ConfigError: {dets}: not UTF-8 text: ")
+
+
+def test_simulate_rejects_a_directory_without_frames(synth_dir, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run(["simulate", "--frames", empty, "--detections", synth_dir / "truth.jsonl", "--out", tmp_path / "o"]) == 2
+    assert error_line(capsys) == f"error MissingDataError: {empty}: no .pgm files\n"
+
+
 def test_simulate_unknown_config_key(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"detections": "x", "frames_per_second": 30}))
@@ -577,6 +618,38 @@ def test_sweep_rejects_repeated_values(synth_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis, values", [("ew", "4_0"), ("ew", "+4"), ("ew", "\u0664"), ("mb_size", "1_6")])
+def test_sweep_values_are_integers_in_ascii_digits(synth_dir, tmp_path, capsys, axis, values):
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
+    out = tmp_path / "s"
+    assert run(["sweep", "--config", cfgp, "--axis", axis, "--values", values, "--out", out]) == 2
+    assert error_line(capsys) == f"error ConfigError: --values for axis {axis} must be integers\n"
+    assert not out.exists()
+
+
+def test_sweep_checks_every_variant_before_any_run(synth_dir, tmp_path, capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("a sweep variant ran before every variant's config was checked")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
+    out = tmp_path / "s"
+    assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,2,0", "--out", out]) == 2
+    assert error_line(capsys) == "error ConfigError: sweep run ew=0: ConfigError: constant EW must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_sweep_needs_a_truth_and_a_value(synth_dir, tmp_path, capsys):
+    out = tmp_path / "s"
+    no_truth = write_run_config(tmp_path / "no_truth.json", frames_dir=str(synth_dir))
+    assert run(["sweep", "--config", no_truth, "--axis", "ew", "--values", "1", "--out", out]) == 2
+    assert error_line(capsys) == "error ConfigError: sweep needs 'truth' or 'detections' in the config\n"
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
+    assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", ",", "--out", out]) == 2
+    assert error_line(capsys) == "error ConfigError: --values is empty\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Malformed inputs end in one error line and exit 2
 
@@ -698,6 +771,12 @@ def test_simulate_rejects_mixed_mvm_fields(synth_dir, tmp_path, capsys):
     assert simulate_from_mvm(synth_dir, tmp_path, mv) == 2
     err = error_line(capsys)
     assert err.startswith(f"error DimensionMismatchError: {mv / '000004.mvm'}: 160x96")
+
+
+def test_estimate_rejects_a_frame_whose_header_comment_is_unterminated(synth_dir, tmp_path, capsys):
+    (synth_dir / "000003.pgm").write_bytes(b"P5\n# no newline ends this comment")
+    assert run(["estimate", "--frames", synth_dir, "--out", tmp_path / "mv"]) == 2
+    assert error_line(capsys) == f"error FrameFormatError: {synth_dir / '000003.pgm'}: unterminated comment in header\n"
 
 
 def test_estimate_flags_checked_like_config(synth_dir, tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Package layout: each module imports on its own, and every public name of
-`src/euphrates` has a caller in `src/`."""
+"""Package layout: each module imports on its own, every public name of
+`src/euphrates` has a caller in `src/`, and the version is defined once."""
 
 import ast
 import os
@@ -15,7 +15,6 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 # Public names with no caller in src/, each kept for the outside caller named.
 EXEMPT = {
-    "metrics.average_precision": "bench/tracer.py",
     "metrics.ops_count": "bench/tracer.py",
     "motion.MotionField.vector_at": "tests/test_acceptance.py",
     "motion.uniform_field": "tests/test_acceptance.py",
@@ -75,3 +74,10 @@ def test_every_public_name_has_a_caller_in_src():
 @pytest.mark.parametrize("dotted, caller", sorted(EXEMPT.items()))
 def test_each_exemption_is_used_by_its_outside_caller(dotted, caller):
     assert dotted.rsplit(".", 1)[1] in (ROOT / caller).read_text(encoding="utf-8")
+
+
+def test_pyproject_reads_the_version_from_the_package():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in pyproject["project"] and "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "euphrates.__version__"}

@@ -452,6 +452,9 @@ def test_detection_trace_file_round_trip(tmp_path):
     p.write_text("\n".join(lines) + "\n")
     again = read_detection_trace(p)
     assert again == records
+    spaced = tmp_path / "spaced.jsonl"  # blank and whitespace-only lines are skipped
+    spaced.write_text("\n" + "\n\n \t\n".join(lines) + "\n\n")
+    assert read_detection_trace(spaced) == records
 
 
 def test_result_trace_readable_as_detection_trace(tmp_path):
