@@ -223,11 +223,9 @@ def _load_fields_dir(directory: str | Path, params: MotionParams) -> list[Motion
     return fields
 
 
-def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
-    """Execute one simulate run from an effective config or its JSON echo;
-    pure in-memory."""
-    if isinstance(cfg, dict):
-        cfg = RunConfig.from_dict(cfg)
+def _check_sources(cfg: RunConfig) -> Path:
+    """The detections trace path of a run that names exactly one of
+    `frames_dir` and `metadata_dir` and an existing detections file."""
     if cfg.frames_dir and cfg.metadata_dir:
         raise ConfigError("config must name one input source, not both frames_dir and metadata_dir")
     if not (cfg.frames_dir or cfg.metadata_dir):
@@ -237,6 +235,15 @@ def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
     det_path = Path(cfg.detections)
     if not det_path.is_file():
         raise ConfigError(f"detections trace not found: {det_path}")
+    return det_path
+
+
+def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
+    """Execute one simulate run from an effective config or its JSON echo;
+    pure in-memory."""
+    if isinstance(cfg, dict):
+        cfg = RunConfig.from_dict(cfg)
+    det_path = _check_sources(cfg)
     provider = TraceProvider(read_detection_trace(det_path), cfg.provider.noise_sigma, cfg.seed)
     if cfg.frames_dir:
         source = {"frames": load_sequence(cfg.frames_dir)}
@@ -345,16 +352,16 @@ SWEEP_AXES = {"ew": "mode", "mb_size": "motion.mb_size", "algorithm": "motion.al
 def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, RunConfig]:
     """The run config of each comma-separated `values` entry of a sweep over
     `axis`, in order: algorithm names as text, ew and mb_size values by the
-    `_int` rule. Every config is checked before any run starts."""
+    `_int` rule. Every config and the run inputs are checked before any run
+    starts."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {list(SWEEP_AXES)}")
+    _check_sources(cfg)
     if axis in ("mb_size", "algorithm") and not cfg.frames_dir:
         raise ConfigError(
             f"a {axis} sweep re-estimates motion and needs 'frames_dir'; "
             "precomputed metadata_dir fields are fixed"
         )
-    if cfg.truth is None and cfg.detections is None:
-        raise ConfigError("sweep needs 'truth' or 'detections' in the config")
     variants: dict[int | str, RunConfig] = {}
     for entry in filter(None, map(str.strip, values.split(","))):
         try:

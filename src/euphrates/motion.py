@@ -13,6 +13,13 @@ shrinking candidate ring. Per-MB confidence is 1 - SAD / (255 * L^2). Both
 per-MB searches read one candidate window (`_window`) and rank equal SADs by
 one order, the one `_canonical_offsets` sorts the offsets into.
 
+SADs are exact integers. A per-MB search sums its |a - b| values (0..255,
+held as int16 and read as uint16) in the narrowest unsigned type that holds
+255 * L^2 (`_block_sads`): uint16 for L <= 16, uint32 up to L = 4096 and
+uint64 beyond. No partial sum exceeds the total, so none wraps. The SADs are
+then widened to int64 before any other arithmetic, since the tie-break key
+SAD * (2d+1)^2 + rank would wrap in the narrow type.
+
 A full exhaustive-search field is computed one offset at a time across the
 whole frame, visiting the offsets in that order. A field restricted to the
 MBs a caller reads (`cells`) runs the per-MB search on those MBs alone;
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .config import ConfigNode
 from .errors import DimensionMismatchError, MetadataError
@@ -176,9 +183,18 @@ def _window(
     h, w = prev_px.shape
     y0, y1 = max(0, y - d), min(h - L, y + d)
     x0, x1 = max(0, x - d), min(w - L, x + d)
-    blocks = sliding_window_view(prev_px[y0 : y1 + L, x0 : x1 + L], (L, L))
+    src = prev_px[y0 : y1 + L, x0 : x1 + L]
+    sy, sx = src.strides
+    blocks = as_strided(src, (y1 - y0 + 1, x1 - x0 + 1, L, L), (sy, sx, sy, sx), writeable=False)
     ranks = _source_ranks(d)[y0 - y + d : y1 - y + d + 1, x0 - x + d : x1 - x + d + 1]
     return blocks, ranks, cur_px[y : y + L, x : x + L].astype(np.int16), x - x0, y - y0
+
+
+def _block_sads(diffs: np.ndarray, max_sad: int) -> np.ndarray:
+    """int64 SAD of each trailing L x L block of the C-contiguous int16
+    |a - b| array `diffs`, summed by the rule in the module docstring."""
+    flat = diffs.view(np.uint16).reshape(*diffs.shape[:-2], -1)
+    return flat.sum(axis=-1, dtype=np.min_scalar_type(max_sad)).astype(np.int64)
 
 
 # Most bytes of int16 differences `exhaustive_search` holds at once: a larger
@@ -203,7 +219,7 @@ def exhaustive_search(
         diff = buf[: rows - r]
         np.subtract(blocks[r : r + band], block, out=diff)
         np.abs(diff, out=diff)
-        sads[r : r + band] = diff.reshape(len(diff), cols, -1).sum(axis=-1, dtype=np.int64)
+        sads[r : r + band] = _block_sads(diff, params.max_sad)
     i, j = divmod(int(np.argmin(sads * (2 * params.search_range + 1) ** 2 + ranks)), cols)
     return MotionVector(ox - j, oy - i), int(sads[i, j])
 
@@ -232,7 +248,7 @@ def three_step_search(
         ii, jj = i + step * _RING_I, j + step * _RING_J
         inside = (ii >= 0) & (ii < rows) & (jj >= 0) & (jj < cols)
         ii, jj = ii[inside], jj[inside]
-        sads = np.abs(blocks[ii, jj] - block).reshape(len(ii), -1).sum(axis=-1, dtype=np.int64)
+        sads = _block_sads(np.abs(blocks[ii, jj] - block), params.max_sad)
         k = int(np.argmin(sads * (2 * d + 1) ** 2 + ranks[ii, jj]))
         i, j, sad = int(ii[k]), int(jj[k]), int(sads[k])
         step //= 2

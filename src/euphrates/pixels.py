@@ -92,13 +92,13 @@ def _parse_pgm(data: bytes, path: str) -> Frame:
         raise FrameFormatError(f"{path}: non-positive dimensions {width}x{height}")
     if maxval != 255:
         raise FrameFormatError(f"{path}: unsupported maxval {maxval}, only 255 is supported")
-    payload = data[pos:]
-    if len(payload) != width * height:
+    payload_size = max(0, len(data) - pos)
+    if payload_size != width * height:
         raise FrameFormatError(
             f"{path}: payload size mismatch: header says {width}x{height} "
-            f"({width * height} bytes), payload has {len(payload)}"
+            f"({width * height} bytes), payload has {payload_size}"
         )
-    return Frame(np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy())
+    return Frame(np.frombuffer(data, np.uint8, count=width * height, offset=pos).reshape(height, width).copy())
 
 
 def _pgm_path(path: str | Path) -> Path:

@@ -643,10 +643,29 @@ def test_sweep_needs_a_truth_and_a_value(synth_dir, tmp_path, capsys):
     out = tmp_path / "s"
     no_truth = write_run_config(tmp_path / "no_truth.json", frames_dir=str(synth_dir))
     assert run(["sweep", "--config", no_truth, "--axis", "ew", "--values", "1", "--out", out]) == 2
-    assert error_line(capsys) == "error ConfigError: sweep needs 'truth' or 'detections' in the config\n"
+    assert error_line(capsys) == "error ConfigError: config needs a 'detections' trace path\n"
     cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
     assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", ",", "--out", out]) == 2
     assert error_line(capsys) == "error ConfigError: --values is empty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sources, message",
+    [
+        ({"truth": "truth.jsonl"}, "config needs a 'detections' trace path"),
+        (
+            {"metadata_dir": "m", "detections": "truth.jsonl"},
+            "config must name one input source, not both frames_dir and metadata_dir",
+        ),
+    ],
+)
+def test_sweep_checks_the_run_inputs_before_making_out(synth_dir, tmp_path, capsys, sources, message):
+    paths = {k: str(synth_dir / v) for k, v in sources.items()}
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), **paths)
+    out = tmp_path / "s"
+    assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,2", "--out", out]) == 2
+    assert error_line(capsys) == f"error ConfigError: {message}\n"
     assert not out.exists()
 
 

@@ -145,6 +145,30 @@ def test_exhaustive_search_memory_is_bounded_for_a_large_window():
     assert peak < 2 * motion._ES_BAND_BYTES
 
 
+@pytest.mark.parametrize("L, d", [(4, 5), (16, 7), (32, 5), (64, 2)])
+def test_block_searches_sum_each_accumulator_width_exactly(L, d):
+    """SADs summed in uint16 (L <= 16) and uint32 (L >= 32) equal the literal
+    int64 searches on 0/255 frames, whose SADs reach 255 * L^2."""
+    rng = np.random.default_rng(L)
+    noise = [rng.integers(0, 2, size=(3 * L, 3 * L), dtype=np.uint8) * 255 for _ in range(2)]
+    flat = [np.zeros((3 * L, 3 * L), dtype=np.uint8), np.full((3 * L, 3 * L), 255, dtype=np.uint8)]
+    for prev, cur in [noise, flat]:
+        for origin in [(0, 0), (L, L), (2 * L, L)]:
+            params = MotionParams(L, d)
+            (u, v), s = naive_block_search(prev, cur, origin, L, d)
+            assert exhaustive_search(prev, cur, origin, params) == (MotionVector(u, v), s)
+            (u, v), s = naive_three_step_search(prev, cur, origin, L, d)
+            assert three_step_search(prev, cur, origin, params) == (MotionVector(u, v), s)
+    assert exhaustive_search(*flat, (L, L), MotionParams(L, d))[1] == 255 * L * L
+
+
+def test_window_blocks_are_read_only():
+    f = random_frame(3)
+    blocks = motion._window(f, f, (16, 16), MotionParams())[0]
+    assert blocks.shape == (15, 15, 16, 16) and not blocks.flags.writeable
+    assert np.array_equal(blocks[2, 5], f[11:27, 14:30])
+
+
 def test_tss_recovers_shift():
     prev, cur = shifted_pair(8, 64, 64, (3, -2))
     mv, s = three_step_search(prev, cur, (16, 16), MotionParams(algorithm="tss"))
