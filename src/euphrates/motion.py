@@ -10,21 +10,24 @@ at (x, y) matches the previous-frame block at (x - u, y - v).
 Two search strategies are provided: exhaustive search (ES) over the whole
 window and the classic three-step search (TSS), which walks a logarithmically
 shrinking candidate ring. Per-MB confidence is 1 - SAD / (255 * L^2). Both
-per-MB searches read one candidate window (`_window`) and rank equal SADs by
-one order, the one `_canonical_offsets` sorts the offsets into.
+rank equal SADs by one order (`_source_ranks`).
 
-SADs are exact integers. A per-MB search sums its |a - b| values (0..255,
+SADs are exact integers. Both searches sum their |a - b| values (0..255,
 held as int16 and read as uint16) in the narrowest unsigned type that holds
-255 * L^2 (`_block_sads`): uint16 for L <= 16, uint32 up to L = 4096 and
-uint64 beyond. No partial sum exceeds the total, so none wraps. The SADs are
-then widened to int64 before any other arithmetic, since the tie-break key
+255 * L^2: uint16 for L <= 16, uint32 up to L = 4096 and uint64 beyond. No
+partial sum exceeds the total, so none wraps. The SADs are then widened to
+int64 before any other arithmetic, since the tie-break key
 SAD * (2d+1)^2 + rank would wrap in the narrow type.
 
-A full exhaustive-search field is computed one offset at a time across the
-whole frame, visiting the offsets in that order. A field restricted to the
-MBs a caller reads (`cells`) runs the per-MB search on those MBs alone;
-tie-breaking is position-free, so every searched MB gets the vector and SAD
-the full field gives it.
+ES has one kernel (`_es_cells`) for any set of MBs: a full field, a field
+restricted to the MBs a caller reads (`cells`), or the one MB of
+`exhaustive_search`. It copies each MB's window of the previous frame into
+a strip that holds every candidate column's L pixels side by side, so each
+difference runs over (2d+1) * L contiguous pixels rather than L. It takes
+the MBs in chunks, and a large window in bands of candidate rows, that fit
+`_ES_BAND_BYTES`. Tie-breaking is position-free, so every searched MB gets
+the vector and SAD the full field gives it. TSS searches one MB at a time
+over a view of its candidate window (`_window`).
 """
 
 from __future__ import annotations
@@ -143,28 +146,43 @@ def uniform_field(
 # Searches
 
 
-@lru_cache(maxsize=32)
-def _canonical_offsets(d: int) -> tuple[tuple[int, int], ...]:
-    """Every offset in [-d, d]^2, best first among equal SADs: the shortest
-    |u|+|v| (stabilizes static scenes), then the smallest v, then u."""
-    offsets = [(u, v) for v in range(-d, d + 1) for u in range(-d, d + 1)]
-    offsets.sort(key=lambda o: (abs(o[0]) + abs(o[1]), o[1], o[0]))
-    return tuple(offsets)
-
-
 def _pixels(frame: Frame | np.ndarray) -> np.ndarray:
     return frame.pixels if isinstance(frame, Frame) else np.asarray(frame)
 
 
 @lru_cache(maxsize=32)
 def _source_ranks(d: int) -> np.ndarray:
-    """Rank of each candidate in `_canonical_offsets(d)`, indexed by where its
-    source block sits in the search window: [d - v, d - u]."""
-    ranks = np.empty((2 * d + 1, 2 * d + 1), dtype=np.int64)
-    for rank, (u, v) in enumerate(_canonical_offsets(d)):
-        ranks[d - v, d - u] = rank
+    """Rank of each offset (u, v) in [-d, d]^2 among equal SADs, best first:
+    the shortest |u|+|v| (stabilizes static scenes), then the smallest v,
+    then u. Indexed by where the candidate's source block sits in the search
+    window: [d - v, d - u]."""
+    v, u = np.mgrid[d : -d - 1 : -1, d : -d - 1 : -1]
+    order = np.lexsort((u.ravel(), v.ravel(), (np.abs(u) + np.abs(v)).ravel()))
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order] = np.arange(order.size)
+    ranks = ranks.reshape(u.shape)
     ranks.flags.writeable = False
     return ranks
+
+
+def _frame_pair(prev: Frame | np.ndarray, cur: Frame | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels of `prev` and `cur`; DimensionMismatchError unless their
+    shapes agree, which also keeps every read of `prev` made from `cur`'s MB
+    grid inside `prev`."""
+    prev_px, cur_px = _pixels(prev), _pixels(cur)
+    if prev_px.shape != cur_px.shape:
+        raise DimensionMismatchError(
+            f"frame dimensions differ: prev {prev_px.shape[::-1]} vs cur {cur_px.shape[::-1]}"
+        )
+    return prev_px, cur_px
+
+
+def _check_origin(cur_px: np.ndarray, mb_origin: tuple[int, int], L: int) -> None:
+    """ValueError unless `mb_origin` is on the L-grid and its MB lies wholly inside the frame."""
+    x, y = mb_origin
+    h, w = cur_px.shape
+    if x % L or y % L or not (0 <= x <= w - L and 0 <= y <= h - L):
+        raise ValueError(f"mb_origin {mb_origin} is not on the {L}-grid of a {w}x{h} frame")
 
 
 def _window(
@@ -174,12 +192,10 @@ def _window(
     every candidate (u, v) = (ox - j, oy - i) in [-d, d]^2 whose source block
     lies inside `prev` (the zero offset always does), `blocks[i, j]` is that
     block and `ranks[i, j]` its `_source_ranks` rank; `block` is the MB as int16."""
-    prev_px, cur_px = _pixels(prev), _pixels(cur)
+    prev_px, cur_px = _frame_pair(prev, cur)
     L, d = params.mb_size, params.search_range
+    _check_origin(cur_px, mb_origin, L)
     x, y = mb_origin
-    h, w = cur_px.shape
-    if x % L or y % L or not (0 <= x <= w - L and 0 <= y <= h - L):
-        raise ValueError(f"mb_origin {mb_origin} is not on the {L}-grid of a {w}x{h} frame")
     h, w = prev_px.shape
     y0, y1 = max(0, y - d), min(h - L, y + d)
     x0, x1 = max(0, x - d), min(w - L, x + d)
@@ -197,9 +213,86 @@ def _block_sads(diffs: np.ndarray, max_sad: int) -> np.ndarray:
     return flat.sum(axis=-1, dtype=np.min_scalar_type(max_sad)).astype(np.int64)
 
 
-# Most bytes of int16 differences `exhaustive_search` holds at once: a larger
-# candidate window is summed a band of rows at a time (at least one row).
-_ES_BAND_BYTES = 16 << 20
+# Most bytes the exhaustive-search kernel holds at once, beyond the frames:
+# MBs are searched in chunks that fit, and a window too large for it in bands
+# of candidate rows (at least one MB and one row). Small, so that a full
+# field costs little more memory than its frames.
+_ES_BAND_BYTES = 2 << 20
+_NEVER = np.iinfo(np.int64).max  # the key of a candidate whose source block leaves the frame
+
+
+def _es_plan(L: int, d: int) -> tuple[int, int]:
+    """(MBs per chunk, candidate rows per band) of `_es_cells`. For a band of
+    k candidate rows one MB holds its differences (k * L strip rows), its
+    strip (k + L - 1 rows) and its tiled block (L rows): under k * (L + 1) +
+    2L strip rows of (2d + 1) * L int16 pixels."""
+    n = 2 * d + 1
+    budget_rows = _ES_BAND_BYTES // (2 * n * L)
+    band = min(n, max(1, (budget_rows - 2 * L) // (L + 1)))
+    return max(1, budget_rows // (band * (L + 1) + 2 * L)), band
+
+
+def _es_cells(
+    prev: np.ndarray, cur: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: MotionParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 (u, v, sad) of the exhaustive search of each MB (rows[k], cols[k])
+    of `cur`; each MB lies wholly inside `cur`, and `prev` has its shape.
+
+    The window of the MB at (x, y) is prev[y - d : y + L + d, x - d : x + L + d].
+    Its strip holds every candidate column's L pixels side by side in each
+    window row, strip[i, j * L + l] = window[i, j + l], and the MB is tiled
+    the same way, so one |strip - tile| runs over (2d + 1) * L contiguous
+    pixels. The SAD of candidate (i, j), the offset (u, v) = (d - j, d - i),
+    sums strip rows i to i + L - 1, then the L pixels of column j.
+    """
+    L, d = params.mb_size, params.search_range
+    n = 2 * d + 1
+    h, w = cur.shape
+    u, v, sad = (np.empty(len(rows), np.int64) for _ in range(3))
+    if not len(rows):
+        return u, v, sad
+    # prev under every window, zero beyond the frame: a candidate reading
+    # the zeros gets the key _NEVER.
+    r0, c0 = rows.min(), cols.min()
+    y0, x0 = r0 * L - d, c0 * L - d
+    grid = rows.max() + 1 - r0, cols.max() + 1 - c0
+    padded = np.zeros((grid[0] * L + 2 * d, grid[1] * L + 2 * d), np.int16)
+    ys, ye = max(y0, 0), min(y0 + padded.shape[0], h)
+    xs, xe = max(x0, 0), min(x0 + padded.shape[1], w)
+    padded[ys - y0 : ye - y0, xs - x0 : xe - x0] = prev[ys:ye, xs:xe]
+    sy, sx = padded.strides
+    strips = as_strided(padded, (*grid, L + 2 * d, n, L), (L * sy, L * sx, sy, sx, sx), writeable=False)
+    sy, sx = cur.strides
+    blocks = as_strided(cur, (h // L, w // L, L, L), (L * sy, L * sx, sy, sx), writeable=False)
+
+    chunk, band = _es_plan(L, d)
+    acc = np.min_scalar_type(params.max_sad)
+    offsets = np.arange(-d, d + 1)
+    diffs = np.empty((min(chunk, len(rows)), band, L, n * L), np.int16)
+    for s in range(0, len(rows), chunk):
+        r, c = rows[s : s + chunk], cols[s : s + chunk]
+        m = len(r)
+        tile = np.tile(blocks[r, c].astype(np.int16), (1, 1, n))
+        sads = np.empty((m, n, n), np.int64)
+        for i in range(0, n, band):
+            k = min(band, n - i)
+            strip = strips[r - r0, c - c0, i : i + k + L - 1].reshape(m, k + L - 1, n * L)
+            # under[., b, a] is strip row b + a: MB row a of candidate row i + b.
+            st = strip.strides
+            under = as_strided(strip, (m, k, L, n * L), (st[0], st[1], st[1], st[2]), writeable=False)
+            diff = diffs[:m, :k]
+            np.subtract(under, tile[:, None], out=diff)
+            np.abs(diff, out=diff)
+            col_sads = np.einsum("...aw->...w", diff.view(np.uint16), dtype=acc)
+            sads[:, i : i + k] = np.einsum("...jl->...j", col_sads.reshape(m, k, n, L))
+            del strip, under  # freed before the next band's strip is gathered
+        top = r[:, None] * L + offsets  # each candidate row's source block top
+        left = c[:, None] * L + offsets
+        inside = ((top >= 0) & (top <= h - L))[:, :, None] & ((left >= 0) & (left <= w - L))[:, None, :]
+        keys = np.where(inside, sads * n * n + _source_ranks(d), _NEVER)
+        i, j = np.divmod(keys.reshape(m, -1).argmin(axis=1), n)
+        u[s : s + m], v[s : s + m], sad[s : s + m] = d - j, d - i, sads[np.arange(m), i, j]
+    return u, v, sad
 
 
 def exhaustive_search(
@@ -210,18 +303,12 @@ def exhaustive_search(
     Candidate blocks that fall outside `prev` are skipped. Ties break toward
     the smallest |u|+|v|, then smallest v, then smallest u.
     """
-    blocks, ranks, block, ox, oy = _window(prev, cur, mb_origin, params)
-    rows, cols = ranks.shape
-    band = min(rows, max(1, _ES_BAND_BYTES // (cols * block.nbytes)))
-    buf = np.empty((band, cols, *block.shape), dtype=np.int16)  # contiguous: reshape is a view
-    sads = np.empty((rows, cols), dtype=np.int64)
-    for r in range(0, rows, band):
-        diff = buf[: rows - r]
-        np.subtract(blocks[r : r + band], block, out=diff)
-        np.abs(diff, out=diff)
-        sads[r : r + band] = _block_sads(diff, params.max_sad)
-    i, j = divmod(int(np.argmin(sads * (2 * params.search_range + 1) ** 2 + ranks)), cols)
-    return MotionVector(ox - j, oy - i), int(sads[i, j])
+    prev_px, cur_px = _frame_pair(prev, cur)
+    _check_origin(cur_px, mb_origin, params.mb_size)
+    x, y = mb_origin
+    L = params.mb_size
+    u, v, sad = _es_cells(prev_px, cur_px, np.array([y // L]), np.array([x // L]), params)
+    return MotionVector(int(u[0]), int(v[0])), int(sad[0])
 
 
 # Window-index steps (di, dj) of the 3x3 ring, its centre included.
@@ -264,44 +351,6 @@ def _pad_to_grid(px: np.ndarray, L: int) -> np.ndarray:
     return np.pad(px, ((0, ph), (0, pw)), mode="edge")
 
 
-def _es_field(prev: np.ndarray, cur: np.ndarray, L: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exhaustive search over the whole padded frame pair.
-
-    Offsets are visited in tie-break order, so a strict `<` update yields the
-    same winners as per-MB comparisons with the full tie-break key.
-    """
-    hp, wp = cur.shape
-    rows, cols = hp // L, wp // L
-    curi = cur.astype(np.int16)
-    previ = prev.astype(np.int16)
-
-    best_sad = np.full((rows, cols), np.iinfo(np.int64).max, dtype=np.int64)
-    best_u = np.zeros((rows, cols), dtype=np.int16)
-    best_v = np.zeros((rows, cols), dtype=np.int16)
-
-    for u, v in _canonical_offsets(d):
-        # MB (r, c) is valid iff its source block [cL-u, rL-v] lies in-frame.
-        r0 = max(0, -((-v) // L))
-        r1 = min(rows - 1, (hp - L + v) // L)
-        c0 = max(0, -((-u) // L))
-        c1 = min(cols - 1, (wp - L + u) // L)
-        if r0 > r1 or c0 > c1:
-            continue
-        ys, ye = r0 * L, (r1 + 1) * L
-        xs, xe = c0 * L, (c1 + 1) * L
-        diff = np.abs(curi[ys:ye, xs:xe] - previ[ys - v : ye - v, xs - u : xe - u])
-        sads = diff.reshape(r1 - r0 + 1, L, c1 - c0 + 1, L).sum(axis=(1, 3), dtype=np.int64)
-
-        view = best_sad[r0 : r1 + 1, c0 : c1 + 1]
-        better = sads < view
-        view[better] = sads[better]
-        best_u[r0 : r1 + 1, c0 : c1 + 1][better] = u
-        best_v[r0 : r1 + 1, c0 : c1 + 1][better] = v
-
-    vectors = np.stack([best_u, best_v], axis=-1)
-    return vectors, best_sad
-
-
 def estimate_motion_field(
     prev: Frame | np.ndarray,
     cur: Frame | np.ndarray,
@@ -320,12 +369,7 @@ def estimate_motion_field(
     gets what the unrestricted search gives it.
     """
     params = params or MotionParams()
-    prev_px = _pixels(prev)
-    cur_px = _pixels(cur)
-    if prev_px.shape != cur_px.shape:
-        raise DimensionMismatchError(
-            f"frame dimensions differ: prev {prev_px.shape[::-1]} vs cur {cur_px.shape[::-1]}"
-        )
+    prev_px, cur_px = _frame_pair(prev, cur)
     height, width = cur_px.shape
     L = params.mb_size
     rows, cols = grid_shape(width, height, L)
@@ -334,19 +378,16 @@ def estimate_motion_field(
     prev_pad = _pad_to_grid(prev_px, L)
     cur_pad = _pad_to_grid(cur_px, L)
 
-    if params.algorithm == ES and cells is None:
-        vectors, sads = _es_field(prev_pad, cur_pad, L, params.search_range)
-        return MotionField(width, height, params, vectors, sads)
-
-    search = exhaustive_search if params.algorithm == ES else three_step_search
-    if cells is None:
-        cells = np.ones((rows, cols), dtype=bool)
+    r, c = np.nonzero(np.ones((rows, cols), dtype=bool) if cells is None else cells)
     vectors = np.zeros((rows, cols, 2), dtype=np.int16)
     sads = np.full((rows, cols), params.max_sad, dtype=np.int64)
-    for r, c in np.argwhere(cells).tolist():
-        mv, s = search(prev_pad, cur_pad, (c * L, r * L), params)
-        vectors[r, c] = (mv.u, mv.v)
-        sads[r, c] = s
+    if params.algorithm == ES:
+        vectors[r, c, 0], vectors[r, c, 1], sads[r, c] = _es_cells(prev_pad, cur_pad, r, c, params)
+    else:
+        for rr, cc in zip(r.tolist(), c.tolist()):
+            mv, s = three_step_search(prev_pad, cur_pad, (cc * L, rr * L), params)
+            vectors[rr, cc] = (mv.u, mv.v)
+            sads[rr, cc] = s
     return MotionField(width, height, params, vectors, sads)
 
 

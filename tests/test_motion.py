@@ -119,6 +119,14 @@ def test_exhaustive_origin_validation():
         exhaustive_search(f, f, (7, 16), MotionParams())
 
 
+@pytest.mark.parametrize("search", [exhaustive_search, three_step_search])
+@pytest.mark.parametrize("prev_side, cur_side, origin", [(32, 64, (48, 48)), (32, 64, (16, 16)), (64, 32, (16, 16))])
+def test_per_mb_searches_reject_frames_of_different_shapes(search, prev_side, cur_side, origin):
+    prev, cur = random_frame(0, prev_side, prev_side), random_frame(1, cur_side, cur_side)
+    with pytest.raises(DimensionMismatchError, match="frame dimensions differ"):
+        search(prev, cur, origin, MotionParams())
+
+
 @pytest.mark.parametrize("band", [1, 2, 3])
 def test_exhaustive_search_in_bands_equals_the_literal_search(band, monkeypatch):
     """A window summed a few candidate rows at a time ranks as one sum does."""
@@ -143,6 +151,42 @@ def test_exhaustive_search_memory_is_bounded_for_a_large_window():
     finally:
         tracemalloc.stop()
     assert peak < 2 * motion._ES_BAND_BYTES
+
+
+@pytest.mark.parametrize("chunk, band", [(1, None), (2, None), (3, None), (1, 2), (1, 3)])
+def test_es_fields_in_chunks_and_bands_equal_the_literal_search(chunk, band, monkeypatch):
+    """Full and masked ES fields searched a few MBs, or a few candidate rows
+    of one MB, at a time equal the literal per-MB search, edge MBs included."""
+    rng = np.random.default_rng(10 * chunk + (band or 0))
+    for L, d, levels in [(4, 5, 2), (8, 9, 256), (16, 7, 2), (16, 7, 256)]:
+        n = 2 * d + 1
+        rows = band or n
+        monkeypatch.setattr(motion, "_ES_BAND_BYTES", chunk * 2 * n * L * (rows * (L + 1) + 2 * L))
+        assert motion._es_plan(L, d) == (chunk, rows)
+        height, width = 3 * L + L // 2, 4 * L + 1
+        prev, cur = (rng.integers(0, levels, size=(height, width), dtype=np.uint8) for _ in range(2))
+        pad = ((0, -height % L), (0, -width % L))
+        ref_vectors, ref_sads = naive_field(np.pad(prev, pad, mode="edge"), np.pad(cur, pad, mode="edge"), L, d)
+        cells = rng.random(ref_sads.shape) < 0.5
+        full = estimate_motion_field(prev, cur, MotionParams(L, d))
+        masked = estimate_motion_field(prev, cur, MotionParams(L, d), cells=cells)
+        assert np.array_equal(full.vectors, ref_vectors) and np.array_equal(full.sads, ref_sads)
+        assert np.array_equal(masked.vectors[cells], ref_vectors[cells])
+        assert np.array_equal(masked.sads[cells], ref_sads[cells])
+
+
+def test_es_field_memory_is_bounded():
+    """A full 640 x 480 ES field holds at most twice the kernel's byte budget
+    beyond the previous frame padded by d as int16."""
+    rng = np.random.default_rng(0)
+    prev, cur = (rng.integers(0, 256, size=(480, 640), dtype=np.uint8) for _ in range(2))
+    tracemalloc.start()
+    try:
+        estimate_motion_field(prev, cur, MotionParams(16, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * motion._ES_BAND_BYTES + (480 + 14) * (640 + 14) * 2
 
 
 @pytest.mark.parametrize("L, d", [(4, 5), (16, 7), (32, 5), (64, 2)])

@@ -17,6 +17,7 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 EXEMPT = {
     "metrics.ops_count": "bench/tracer.py",
     "motion.MotionField.vector_at": "tests/test_acceptance.py",
+    "motion.exhaustive_search": "bench/checks.py",
     "motion.uniform_field": "tests/test_acceptance.py",
     "socmodel.constant_schedule_kinds": "tests/test_acceptance.py",
 }
