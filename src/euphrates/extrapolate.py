@@ -14,9 +14,11 @@ An ROI's displacement for the next frame is estimated in three steps:
 
 Non-rigid deformation is handled by splitting an ROI into a grid of sub-ROIs
 that are each filtered and moved independently; the reported ROI is the
-minimal bounding box of the moved sub-ROIs, clamped to the frame. A track's
-sub-ROIs are reduced in one batch over the MB grid, each sum bit-identical
-to a reduction of that sub-ROI alone.
+minimal bounding box of the moved sub-ROIs, clamped to the frame. The
+sub-ROIs of every live track on a field are reduced together over the MB
+grid (`roi_motion_stats`, in chunks of bounded size), each sum bit-identical
+to a reduction of that sub-ROI alone; `extrapolate_track` then steps each
+track from its share.
 
 Everything here is pure; a TrackState is never mutated in place.
 """
@@ -35,11 +37,15 @@ from .motion import MotionField
 from .roi import Roi, framed_bounding_box
 
 
-# Most sub-ROIs per grid axis. A track holds rows x cols sub-ROIs, and
-# `roi_motion_stats` one float64 per sub-ROI and macroblock of each field: an
-# 8x8 grid on a 1080p frame of 16-pixel macroblocks is 64 x 8160 x 8 B, about
-# 4 MB per track and field.
+# Most sub-ROIs per grid axis. A track holds rows x cols sub-ROIs.
 MAX_GRID_AXIS = 8
+
+# `roi_motion_stats` reduces its ROIs in chunks that hold at most about
+# _STATS_BATCH_BYTES. One chunk of the 2048 sub-ROIs of 32 tracks on an 8x8
+# grid at 1080p would hold 2048 rows of 8160 float64, about 134 MB. On the
+# 1200 MBs of a 640x480 field, 2 MiB chunks raised a run's peak RSS by about
+# 0.4 MB over reducing each track alone; 128 KiB chunks did not.
+_STATS_BATCH_BYTES = 128 << 10
 
 
 @dataclass(frozen=True)
@@ -125,26 +131,66 @@ def _axis_overlaps(grid: tuple[int, int], L: int, rois: Sequence[Roi]) -> tuple[
     return ov_y, ov_x
 
 
-def roi_motion_stats(field: MotionField, rois: Sequence[Roi]) -> list[tuple[float, float, float]] | None:
+def roi_motion_stats(field: MotionField, rois: Sequence[Roi]) -> list[tuple[float, float, float] | None]:
     """(mu_u, mu_v, alpha) of each of `rois`: the area-weighted mean motion
-    vector and confidence of the MBs it covers, reduced in one batch over the
-    MB grid; None when some ROI does not overlap the grid."""
-    # (S, 1, rows * cols): each ROI's weights, broadcast over the u, v and
-    # confidence planes. Every sum runs over one contiguous rows * cols row,
-    # as a one-ROI batch's does, so batching changes no bit of a result.
+    vector and confidence of the MBs it covers, or None where the ROI does
+    not overlap the MB grid. The ROIs are reduced in chunks of bounded
+    size, every result bit-identical to a reduction of that ROI alone.
+    Besides a chunk, this holds each ROI's overlaps with every MB row and
+    column."""
+    n = field.rows * field.cols
     ov_y, ov_x = _axis_overlaps((field.rows, field.cols), field.params.mb_size, rois)
-    weights = (ov_y[:, :, None] * ov_x[:, None, :]).reshape(len(rois), 1, -1)
-    total = weights.sum(axis=2)
-    if (total <= 0.0).any():
-        return None
-    # Anchor the weighted means on one covered cell per ROI: a constant field
-    # then averages to its value bit-exactly (rigid translations stay rigid).
-    planes = np.stack([field.vectors[..., 0], field.vectors[..., 1], field.confidences]).reshape(3, -1)
-    base = planes[:, np.argmax(weights[:, 0], axis=1)].T  # (S, 3): u0, v0, a0 of each ROI
-    terms = planes - base[:, :, None]
-    terms *= weights
-    means = base + terms.sum(axis=2) / total
-    return [(mu_u, mu_v, min(1.0, max(0.0, alpha))) for mu_u, mu_v, alpha in means.tolist()]
+    # Per ROI, a chunk holds a float64 and a bool per MB of the field and at
+    # most sixteen 8-byte indices and values per MB it covers, for as many
+    # MBs as the ROI that covers the most.
+    most_covered = int(((ov_y > 0.0).sum(axis=1) * (ov_x > 0.0).sum(axis=1)).max(initial=0))
+    chunk = max(1, _STATS_BATCH_BYTES // (n * 9 + most_covered * 128))
+    planes = np.empty((3, n))  # u, v and confidence of each MB
+    planes[:2] = field.vectors.reshape(n, 2).T
+    planes[2] = field.confidences.reshape(n)
+    stats: list[tuple[float, float, float] | None] = []
+    for lo in range(0, len(rois), chunk):
+        stats += _chunk_motion_stats(planes, ov_y[lo:lo + chunk], ov_x[lo:lo + chunk])
+    return stats
+
+
+def _chunk_motion_stats(
+    planes: np.ndarray, ov_y: np.ndarray, ov_x: np.ndarray
+) -> list[tuple[float, float, float] | None]:
+    """`roi_motion_stats` of the ROIs with axis overlaps `ov_y`, `ov_x`
+    (`_axis_overlaps`), given the (3, rows * cols) u, v and confidence
+    planes of the field. Each ROI's means are anchored on its first MB of
+    greatest weight, so a constant field averages to its value bit-exactly
+    (rigid translations stay rigid)."""
+    S, n = len(ov_y), planes.shape[1]
+    # ROI s's weight on each MB it overlaps on both axes, the product that
+    # the dense outer product of its overlaps holds there; elsewhere that
+    # product is +-0.
+    at = np.flatnonzero((ov_y > 0.0)[:, :, None] & (ov_x > 0.0)[:, None, :])
+    s, flat = np.divmod(at, n)
+    rows, cols = np.divmod(flat, ov_x.shape[1])
+    weights = ov_y[s, rows] * ov_x[s, cols]
+    # spread[s] holds ROI s's weights, then in turn its u, v and confidence
+    # terms, on every MB, +0 where it covers none. Each sum runs over one
+    # contiguous row of n, as a reduction of the dense terms does, and the
+    # terms that only the dense one adds are +-0: they leave every nonzero
+    # sum unchanged and keep a zero sum zero.
+    spread = np.zeros((S, n))
+    cells = spread.reshape(-1)
+    cells[at] = weights
+    base = planes.take(spread.argmax(axis=1), axis=1)  # u, v and confidence of each ROI's anchor
+    total = spread.sum(axis=1)
+    terms = (planes.take(flat, axis=1) - base.take(s, axis=1)) * weights
+    sums = np.empty((3, S))
+    for j in range(3):
+        cells[at] = terms[j]
+        sums[j] = spread.sum(axis=1)
+    kept = total > 0.0
+    means = base + sums / np.where(kept, total, 1.0)
+    return [
+        (mu_u, mu_v, min(1.0, max(0.0, alpha))) if ok else None
+        for ok, mu_u, mu_v, alpha in zip(kept.tolist(), *means.tolist())
+    ]
 
 
 def cells_read(tracks: Iterable[TrackState], grid: tuple[int, int], L: int) -> np.ndarray:
@@ -185,6 +231,7 @@ def extrapolate_track(
     state: TrackState,
     field: MotionField,
     filter_threshold: float = ExtrapolationParams.filter_threshold,
+    stats: Sequence[tuple[float, float, float] | None] | None = None,
 ) -> tuple[TrackState, Roi | None]:
     """Advance a track by one frame using `field`.
 
@@ -196,9 +243,12 @@ def extrapolate_track(
     frame entirely or rounds to zero extent where it moved, the track is lost
     and the ROI is None; the caller decides what to do (typically: drop the
     track until the next inference re-seeds it).
+    `stats` is `roi_motion_stats` of the sub-ROIs on `field` when the caller
+    has reduced them already, as part of a larger batch.
     """
-    stats = roi_motion_stats(field, [sub.roi for sub in state.sub_tracks])
     if stats is None:
+        stats = roi_motion_stats(field, [sub.roi for sub in state.sub_tracks])
+    if None in stats:
         return state, None
     new_subs: list[SubTrack] = []
     for sub, (mu_u, mu_v, alpha) in zip(state.sub_tracks, stats):

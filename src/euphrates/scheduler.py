@@ -1,7 +1,8 @@
 """Per-frame pipeline sequencing: inference frames vs extrapolation frames.
 
 Frame 0 always runs inference (I-frame) and seeds one track per detection.
-E-frames advance every live track through that frame's motion field. At each
+E-frames advance every live track through that frame's motion field, from
+one reduction of all their sub-ROIs' motion statistics per field. At each
 subsequent I-frame the tracks are re-seeded from fresh inference results; in
 adaptive mode the extrapolated predictions are first carried through the
 I-frame's own motion field and compared against the inference output, and
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .config import ConfigNode, check
 from .errors import ConfigError, MissingDataError
-from .extrapolate import ExtrapolationParams, TrackState, cells_read, extrapolate_track, init_track
+from .extrapolate import ExtrapolationParams, TrackState, cells_read, extrapolate_track, init_track, roi_motion_stats
 from .metrics import greedy_match
 from .motion import MotionField, MotionParams, encoded_size, estimate_motion_field, grid_shape
 from .pixels import Frame
@@ -320,7 +322,12 @@ def run_pipeline(
         """Every track carried through field t: the survivors and their ROIs.
         A lost track drops out until the next I-frame re-seeds it."""
         f = field_for(t, tracks)
-        moved = [extrapolate_track(tr, f, filter_threshold=cfg.extrapolation.filter_threshold) for tr in tracks]
+        stats = iter(roi_motion_stats(f, [sub.roi for tr in tracks for sub in tr.sub_tracks]))
+        threshold = cfg.extrapolation.filter_threshold
+        moved = [
+            extrapolate_track(tr, f, filter_threshold=threshold, stats=list(islice(stats, len(tr.sub_tracks))))
+            for tr in tracks
+        ]
         return [(state, roi) for state, roi in moved if roi is not None]
 
     ew, streak = cfg.initial_ew, 0  # streak: consecutive clean adaptive comparisons

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from euphrates import extrapolate
 from euphrates.errors import ConfigError
 from euphrates.extrapolate import (
+    _STATS_BATCH_BYTES,
     MAX_GRID_AXIS,
     ExtrapolationParams,
     SubTrack,
@@ -85,7 +87,15 @@ def test_average_random_integer_rois_vs_pixel_oracle():
 
 def test_average_empty_intersection():
     field = uniform_field(64, 64)
-    assert roi_motion_stats(field, [Roi(100, 100, 10, 10)]) is None
+    assert roi_motion_stats(field, [Roi(100, 100, 10, 10)]) == [None]
+
+
+@pytest.mark.parametrize("L", [16, 4])  # 8160 and 129600 MBs: a row of the latter exceeds the chunk budget
+def test_no_rois_give_no_stats(L):
+    rows, cols = 1080 // L, 1920 // L
+    field = MotionField(1920, 1080, MotionParams(mb_size=L), np.zeros((rows, cols, 2), np.int16),
+                        np.zeros((rows, cols), np.int64))
+    assert roi_motion_stats(field, []) == []
 
 
 def test_confidence_all_ones():
@@ -401,15 +411,15 @@ def test_batched_motion_stats_equal_per_roi_stats_bit_for_bit(rows, cols, L, n_r
     rois = [Roi(float(a), float(b), float(c), float(d)) for a, b, c, d in zip(x, y, w, h)]
 
     want = [one_roi_motion_stats(field, r) for r in rois]
-    on_grid = [(r, s) for r, s in zip(rois, want) if s is not None]
-    # One ROI off the grid loses the whole batch, as it loses a track.
-    assert (roi_motion_stats(field, rois) is None) == (len(on_grid) < len(rois))
-    if on_grid:
-        got = roi_motion_stats(field, [r for r, _ in on_grid])
-        assert np.array(got).tobytes() == np.array([s for _, s in on_grid]).tobytes()
+    # A batch, mixed or not, and each ROI alone: None exactly where the ROI
+    # misses the grid, and the same bytes as the literal reduction elsewhere.
+    for got, one in zip(roi_motion_stats(field, rois), want, strict=True):
+        assert (got is None) == (one is None)
+        if one is not None:
+            assert np.array(got).tobytes() == np.array(one).tobytes()
     for roi, one in zip(rois, want):
         if one is None:
-            assert roi_motion_stats(field, [roi]) is None
+            assert roi_motion_stats(field, [roi]) == [None]
         else:
             assert np.array(roi_motion_stats(field, [roi])[0]).tobytes() == np.array(one).tobytes()
 
@@ -469,3 +479,54 @@ def test_cells_read_memory_is_bounded_at_1080p():
     finally:
         tracemalloc.stop()
     assert mask.any() and peak < 2 * 2**20
+
+
+def test_motion_stats_memory_is_bounded_at_1080p():
+    """32 tracks of 8x8 sub-ROIs on the 68 x 120 grid of 16-pixel MBs: zeroed
+    rows for all 2048 sub-ROIs at once would hold 2048 x 8160 float64, about
+    134 MB, and reducing one track at a time peaks at about 16 MB."""
+    rng = np.random.default_rng(4)
+    field = MotionField(1920, 1080, MotionParams(mb_size=16), rng.integers(-7, 8, (68, 120, 2)).astype(np.int16),
+                        rng.integers(0, 65280, (68, 120)))
+    rois = [sub.roi for i in range(32)
+            for sub in init_track(i, Roi(*rng.uniform(-50, 1800, 2), *rng.uniform(20, 300, 2)), (8, 8)).sub_tracks]
+    tracemalloc.start()
+    try:
+        stats = roi_motion_stats(field, rois)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A chunk and the per-axis overlaps of every sub-ROI, or those overlaps
+    # and one temporary of their size while they are formed.
+    assert peak < _STATS_BATCH_BYTES + 2 * len(rois) * (68 + 120) * 8
+    assert any(s is None for s in stats) and any(s is not None for s in stats)
+    for k in rng.choice(len(rois), 20, replace=False):
+        want = one_roi_motion_stats(field, rois[k])
+        assert stats[k] is None if want is None else np.array(stats[k]).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 30_000, 60_000])
+def test_motion_stats_in_chunks_equal_the_literal_reduction(monkeypatch, budget):
+    """Chunks of one ROI and of several, some of them off the grid, give the
+    literal per-ROI reduction bit for bit."""
+    rng = np.random.default_rng(budget)
+    rows, cols, L = 12, 15, 8
+    field = MotionField(cols * L, rows * L, MotionParams(mb_size=L),
+                        rng.integers(-9, 10, (rows, cols, 2)).astype(np.int16),
+                        rng.integers(0, 2 * 255 * L * L, (rows, cols)))
+    rois = [Roi(*rng.uniform(-40, 130, 2), *rng.uniform(0.5, 60, 2)) for _ in range(13)]
+    sizes = []
+    real = extrapolate._chunk_motion_stats
+
+    def record(planes, ov_y, ov_x):
+        sizes.append(len(ov_y))
+        return real(planes, ov_y, ov_x)
+
+    monkeypatch.setattr(extrapolate, "_STATS_BATCH_BYTES", budget)
+    monkeypatch.setattr(extrapolate, "_chunk_motion_stats", record)
+    stats = roi_motion_stats(field, rois)
+    assert sum(sizes) == len(rois) and (max(sizes) == 1) == (budget == 1) and len(sizes) > 1
+    want = [one_roi_motion_stats(field, r) for r in rois]
+    assert any(s is None for s in want) and any(s is not None for s in want)
+    for got, one in zip(stats, want, strict=True):
+        assert got is None if one is None else np.array(got).tobytes() == np.array(one).tobytes()

@@ -4,14 +4,16 @@ import hashlib
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from euphrates import scheduler
 from euphrates.errors import ConfigError, MissingDataError
-from euphrates.extrapolate import ExtrapolationParams
+from euphrates.extrapolate import ExtrapolationParams, extrapolate_track
 from euphrates.metrics import iou
 from euphrates.motion import MotionField, MotionParams, estimate_motion_field, uniform_field
 from euphrates.pixels import Frame, SynthConfig, generate_sequence, noise_image
@@ -413,6 +415,78 @@ def test_pipeline_equals_its_exact_oracle(inputs):
         for det, (_, corners) in zip(rec.detections, boxes):
             r = det.roi
             assert all(abs(a - b) <= tol for a, b in zip((r.x, r.y, r.x + r.w, r.y + r.h), corners))
+
+
+# ---------------------------------------------------------------------------
+# One batched motion reduction per field
+
+
+def recorded_steps(provider, cfg, fields):
+    """run_pipeline's trace and each call it makes to extrapolate_track:
+    ((state, field), kwargs, result)."""
+    calls = []
+    real = scheduler.extrapolate_track
+
+    def record(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    with mock.patch.object(scheduler, "extrapolate_track", record):
+        trace = run_pipeline(provider, cfg, fields=fields)
+    return trace, calls
+
+
+def assert_steps_equal_lone_tracks(calls, filter_threshold):
+    """Each track stepped with the field's batched statistics gives the
+    (state, roi) of extrapolate_track on that track alone, bit for bit."""
+    for (state, fld), kwargs, result in calls:
+        assert kwargs["stats"] is not None and kwargs["filter_threshold"] == filter_threshold
+        assert repr(result) == repr(extrapolate_track(state, fld, filter_threshold))
+
+
+@pytest.mark.parametrize("L", [16, 4])  # 80 and 1280 MBs: one chunk of sub-ROIs per field, and several
+def test_batched_step_equals_extrapolating_each_track_alone(L):
+    rng = np.random.default_rng(11)
+    rows, cols = 128 // L, 160 // L
+    fields = []
+    for _ in range(5):
+        vectors = rng.integers(-2, 3, (rows, cols, 2)).astype(np.int16)
+        sads = rng.integers(0, 255 * L * L, (rows, cols))
+        vectors[0, 0], sads[0, 0] = (1, 1), 0  # moves the sliver below by exactly one pixel
+        fields.append(MotionField(160, 128, MotionParams(mb_size=L), vectors, sads))
+    boxes = [
+        Roi(20.5, 30.25, 40.0, 28.0),
+        Roi(90.0, 60.0, 50.0, 44.0),
+        Roi(175.0, 20.0, 12.0, 12.0),  # off the grid: lost at once
+        Roi(0.0, 0.0, 1.0, 3e-106),  # rounds to zero height where it moves
+        Roi(60.0, 90.0, 30.0, 30.0),
+    ]
+    # Frames 1, 2: E-frames; frame 3 seeds nothing, so frames 4, 5 have no live track.
+    provider = TraceProvider({0: boxes, 3: []})
+    trace, calls = recorded_steps(provider, PipelineConfig(mode="ew:3"), fields)
+    assert_steps_equal_lone_tracks(calls, ExtrapolationParams.filter_threshold)
+    assert [len(f.detections) for f in trace.frames] == [5, 3, 3, 0, 0, 0]
+    lost = [state.track_id for (state, fld), _, (_, roi) in calls if roi is None and fld is fields[0]]
+    assert lost == [2, 3]
+    assert [fld for (_, fld), _, _ in calls] == [fields[0]] * 5 + [fields[1]] * 3
+
+
+def test_eframes_without_a_live_track_on_a_large_grid():
+    """An I-frame that seeds nothing leaves its E-frames no track to step,
+    also on a grid of 129600 MBs, where one sub-ROI fills a chunk."""
+    field = MotionField(1920, 1080, MotionParams(mb_size=4), np.zeros((270, 480, 2), np.int16),
+                        np.zeros((270, 480), np.int64))
+    trace = run_pipeline(TraceProvider({0: []}), PipelineConfig(mode="ew:4"), fields=[field] * 3)
+    assert [(f.kind, len(f.detections)) for f in trace.frames] == [("I", 0), ("E", 0), ("E", 0), ("E", 0)]
+
+
+@PROPERTY
+@given(pipeline_inputs())
+def test_batched_step_equals_extrapolating_each_track_alone_on_random_inputs(inputs):
+    records, fields, cfg = inputs
+    _, calls = recorded_steps(TraceProvider(records), cfg, fields)
+    assert_steps_equal_lone_tracks(calls, cfg.extrapolation.filter_threshold)
 
 
 # ---------------------------------------------------------------------------
