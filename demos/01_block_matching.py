@@ -15,8 +15,6 @@ from euphrates.motion import (
     decode_metadata,
     encode_metadata,
     estimate_motion_field,
-    exhaustive_search,
-    three_step_search,
 )
 from euphrates.pixels import Frame, noise_image
 
@@ -28,21 +26,22 @@ margin, dx, dy = 8, 3, -2
 prev = Frame(big[margin : margin + 64, margin : margin + 64].copy())
 cur = Frame(big[margin - dy : margin - dy + 64, margin - dx : margin - dx + 64].copy())
 
-# A single macroblock, both search strategies. The motion vector convention:
-# (u, v) is how far the content moved from the previous frame to this one.
+# Both search strategies estimate a whole field; read the macroblock at grid
+# (1, 1), pixel (16, 16). The motion vector convention: (u, v) is how far the
+# content moved from the previous frame to this one.
 params = MotionParams(mb_size=16, search_range=7)
-mv_es, sad_es = exhaustive_search(prev, cur, (16, 16), params)
-mv_tss, sad_tss = three_step_search(prev, cur, (16, 16), params)
-print(f"exhaustive search : mv=({mv_es.u},{mv_es.v})  sad={sad_es}")
-print(f"three-step search : mv=({mv_tss.u},{mv_tss.v})  sad={sad_tss}")
+field = estimate_motion_field(prev, cur, params)
+tss_field = estimate_motion_field(prev, cur, MotionParams(mb_size=16, search_range=7, algorithm="tss"))
+for name, f in (("exhaustive search", field), ("three-step search", tss_field)):
+    mv = f.vector_at(1, 1)
+    print(f"{name} : mv=({mv.u},{mv.v})  sad={f.sads[1, 1]}")
 
 # The searches differ enormously in arithmetic cost per macroblock:
 es_ops = ops_count("es", 16, 7)
 tss_ops = ops_count("tss", 16, 7)
 print(f"ops per MB        : ES {es_ops}, TSS {tss_ops} ({1 - tss_ops / es_ops:.0%} fewer)")
 
-# A whole-frame motion field: one vector + SAD + confidence per macroblock.
-field = estimate_motion_field(prev, cur, params)
+# The whole ES field: one vector + SAD + confidence per macroblock.
 print(f"\nfield grid        : {field.cols}x{field.rows} macroblocks")
 print("u components      :")
 print(field.vectors[..., 0])

@@ -19,15 +19,16 @@ partial sum exceeds the total, so none wraps. The SADs are then widened to
 int64 before any other arithmetic, since the tie-break key
 SAD * (2d+1)^2 + rank would wrap in the narrow type.
 
-ES has one kernel (`_es_cells`) for any set of MBs: a full field, a field
+Each search has one kernel for any set of MBs: a full field, a field
 restricted to the MBs a caller reads (`cells`), or the one MB of
-`exhaustive_search`. It copies each MB's window of the previous frame into
-a strip that holds every candidate column's L pixels side by side, so each
-difference runs over (2d+1) * L contiguous pixels rather than L. It takes
-the MBs in chunks, and a large window in bands of candidate rows, that fit
-`_ES_BAND_BYTES`. Tie-breaking is position-free, so every searched MB gets
-the vector and SAD the full field gives it. TSS searches one MB at a time
-over a view of its candidate window (`_window`).
+`exhaustive_search`. Both take the MBs in chunks that fit `_ES_BAND_BYTES`,
+and tie-breaking is position-free, so every searched MB gets the vector and
+SAD the full field gives it. ES (`_es_cells`) copies each MB's window of the
+previous frame into a strip that holds every candidate column's L pixels
+side by side, so each difference runs over (2d+1) * L contiguous pixels
+rather than L, and takes a large window in bands of candidate rows. TSS
+(`_tss_cells`) runs the rounds of every MB in the chunk in lockstep,
+gathering each round's 9 candidates from one view of the previous frame.
 """
 
 from __future__ import annotations
@@ -177,35 +178,6 @@ def _frame_pair(prev: Frame | np.ndarray, cur: Frame | np.ndarray) -> tuple[np.n
     return prev_px, cur_px
 
 
-def _check_origin(cur_px: np.ndarray, mb_origin: tuple[int, int], L: int) -> None:
-    """ValueError unless `mb_origin` is on the L-grid and its MB lies wholly inside the frame."""
-    x, y = mb_origin
-    h, w = cur_px.shape
-    if x % L or y % L or not (0 <= x <= w - L and 0 <= y <= h - L):
-        raise ValueError(f"mb_origin {mb_origin} is not on the {L}-grid of a {w}x{h} frame")
-
-
-def _window(
-    prev: Frame | np.ndarray, cur: Frame | np.ndarray, mb_origin: tuple[int, int], params: MotionParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """(blocks, ranks, block, ox, oy) of the MB of `cur` at `mb_origin`: for
-    every candidate (u, v) = (ox - j, oy - i) in [-d, d]^2 whose source block
-    lies inside `prev` (the zero offset always does), `blocks[i, j]` is that
-    block and `ranks[i, j]` its `_source_ranks` rank; `block` is the MB as int16."""
-    prev_px, cur_px = _frame_pair(prev, cur)
-    L, d = params.mb_size, params.search_range
-    _check_origin(cur_px, mb_origin, L)
-    x, y = mb_origin
-    h, w = prev_px.shape
-    y0, y1 = max(0, y - d), min(h - L, y + d)
-    x0, x1 = max(0, x - d), min(w - L, x + d)
-    src = prev_px[y0 : y1 + L, x0 : x1 + L]
-    sy, sx = src.strides
-    blocks = as_strided(src, (y1 - y0 + 1, x1 - x0 + 1, L, L), (sy, sx, sy, sx), writeable=False)
-    ranks = _source_ranks(d)[y0 - y + d : y1 - y + d + 1, x0 - x + d : x1 - x + d + 1]
-    return blocks, ranks, cur_px[y : y + L, x : x + L].astype(np.int16), x - x0, y - y0
-
-
 def _block_sads(diffs: np.ndarray, max_sad: int) -> np.ndarray:
     """int64 SAD of each trailing L x L block of the C-contiguous int16
     |a - b| array `diffs`, summed by the rule in the module docstring."""
@@ -213,12 +185,12 @@ def _block_sads(diffs: np.ndarray, max_sad: int) -> np.ndarray:
     return flat.sum(axis=-1, dtype=np.min_scalar_type(max_sad)).astype(np.int64)
 
 
-# Most bytes the exhaustive-search kernel holds at once, beyond the frames:
-# MBs are searched in chunks that fit, and a window too large for it in bands
-# of candidate rows (at least one MB and one row). Small, so that a full
-# field costs little more memory than its frames.
+# Most bytes either search kernel holds at once, beyond the frames: MBs are
+# searched in chunks that fit, and an ES window too large for it in bands of
+# candidate rows (at least one MB and one row). Small, so that a full field
+# costs little more memory than its frames.
 _ES_BAND_BYTES = 2 << 20
-_NEVER = np.iinfo(np.int64).max  # the key of a candidate whose source block leaves the frame
+_NEVER = np.iinfo(np.int64).max  # the key of a candidate the search may not pick
 
 
 def _es_plan(L: int, d: int) -> tuple[int, int]:
@@ -304,42 +276,70 @@ def exhaustive_search(
     the smallest |u|+|v|, then smallest v, then smallest u.
     """
     prev_px, cur_px = _frame_pair(prev, cur)
-    _check_origin(cur_px, mb_origin, params.mb_size)
     x, y = mb_origin
     L = params.mb_size
+    h, w = cur_px.shape
+    if x % L or y % L or not (0 <= x <= w - L and 0 <= y <= h - L):
+        raise ValueError(f"mb_origin {mb_origin} is not on the {L}-grid of a {w}x{h} frame")
     u, v, sad = _es_cells(prev_px, cur_px, np.array([y // L]), np.array([x // L]), params)
     return MotionVector(int(u[0]), int(v[0])), int(sad[0])
 
 
-# Window-index steps (di, dj) of the 3x3 ring, its centre included.
-_RING_I = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])
-_RING_J = np.array([-1, 0, 1] * 3)
+# Offsets (du, dv) of the 3x3 ring from its centre, the centre included.
+_RING_U = np.array([-1, 0, 1] * 3)
+_RING_V = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])
 
 
-def three_step_search(
-    prev: Frame | np.ndarray, cur: Frame | np.ndarray, mb_origin: tuple[int, int], params: MotionParams
-) -> tuple[MotionVector, int]:
-    """Three-step search: 9 candidates per round around the running center,
-    recenter on the minimum, halve the step until it reaches 1.
+def _tss_plan(L: int) -> int:
+    """MBs per chunk of `_tss_cells`. One MB holds its block, gathered as
+    uint8 and widened to int16, and for each of its 9 candidates the gathered
+    uint8 block, its int16 differences and ten int64 scalars:
+    9 * (3L^2 + 80) + 3L^2 bytes."""
+    return max(1, _ES_BAND_BYTES // (9 * (3 * L * L + 80) + 3 * L * L))
 
-    The step schedule is {4, 2, 1} for d = 7 and starts at
-    2^(ceil(log2(d+1)) - 1) in general. Candidates outside [-d, d]^2 or
-    outside `prev` are skipped; ties break as in exhaustive search.
+
+def _tss_cells(
+    prev: np.ndarray, cur: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: MotionParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 (u, v, sad) of the three-step search of each MB (rows[k], cols[k])
+    of `cur`; each MB lies wholly inside `cur`, and `prev` has its shape.
+
+    The MBs walk their rings in lockstep. From (0, 0), each round scores the
+    running centre and its 8 neighbours at the step, recentres on the best
+    and halves the step, from the largest power of two not above d down to 1.
+    A candidate outside [-d, d]^2 or whose source block leaves `prev` gets
+    the key _NEVER, and the nearest offset that is neither is read in its place.
     """
-    blocks, ranks, block, ox, oy = _window(prev, cur, mb_origin, params)
-    d = params.search_range
-    rows, cols = ranks.shape
-    i, j = oy, ox
-    step = 1 << (int(d).bit_length() - 1)  # 2^(ceil(log2(d+1)) - 1)
-    while step >= 1:
-        ii, jj = i + step * _RING_I, j + step * _RING_J
-        inside = (ii >= 0) & (ii < rows) & (jj >= 0) & (jj < cols)
-        ii, jj = ii[inside], jj[inside]
-        sads = _block_sads(np.abs(blocks[ii, jj] - block), params.max_sad)
-        k = int(np.argmin(sads * (2 * d + 1) ** 2 + ranks[ii, jj]))
-        i, j, sad = int(ii[k]), int(jj[k]), int(sads[k])
-        step //= 2
-    return MotionVector(ox - j, oy - i), sad
+    L, d = params.mb_size, params.search_range
+    n = 2 * d + 1
+    h, w = cur.shape
+    # Every L x L block of each frame, by its top-left pixel.
+    sources, blocks = (as_strided(f, (h - L + 1, w - L + 1, L, L), f.strides * 2, writeable=False) for f in (prev, cur))
+    u, v, sad = (np.empty(len(rows), np.int64) for _ in range(3))
+    chunk = _tss_plan(L)
+    diffs = np.empty((min(chunk, len(rows)), 9, L, L), np.int16)
+    for s in range(0, len(rows), chunk):
+        y, x = rows[s : s + chunk, None] * L, cols[s : s + chunk, None] * L
+        m = len(y)
+        diff = diffs[:m]
+        block = blocks[y, x].astype(np.int16)
+        # The offsets in [-d, d] whose source block lies inside prev.
+        lo_u, hi_u = np.maximum(-d, x + L - w), np.minimum(d, x)
+        lo_v, hi_v = np.maximum(-d, y + L - h), np.minimum(d, y)
+        cu, cv = np.zeros((m, 1), np.int64), np.zeros((m, 1), np.int64)
+        step = 1 << (int(d).bit_length() - 1)
+        while step:
+            ru, rv = cu + step * _RING_U, cv + step * _RING_V
+            iu, iv = np.clip(ru, lo_u, hi_u), np.clip(rv, lo_v, hi_v)
+            np.subtract(sources[y - iv, x - iu], block, out=diff)
+            np.abs(diff, out=diff)
+            sads = _block_sads(diff, params.max_sad)
+            keys = np.where((iu == ru) & (iv == rv), sads * n * n + _source_ranks(d)[d - iv, d - iu], _NEVER)
+            k = keys.argmin(axis=1)[:, None]
+            cu, cv, best = (np.take_along_axis(a, k, axis=1) for a in (ru, rv, sads))
+            step //= 2
+        u[s : s + m], v[s : s + m], sad[s : s + m] = cu[:, 0], cv[:, 0], best[:, 0]
+    return u, v, sad
 
 
 def _pad_to_grid(px: np.ndarray, L: int) -> np.ndarray:
@@ -360,8 +360,8 @@ def estimate_motion_field(
     """One (motion vector, SAD) per macroblock of `cur` matched against `prev`.
 
     Frames must share dimensions. Partial edge MBs are padded by edge
-    replication to the L-grid before matching; the result is identical to
-    running the configured per-MB search on the padded frames.
+    replication to the L-grid before matching, so every MB is searched as
+    in the padded frames.
 
     `cells`, a boolean (rows, cols) array, restricts the search to the MBs it
     marks. The field still covers the whole grid: every MB outside `cells`
@@ -381,13 +381,8 @@ def estimate_motion_field(
     r, c = np.nonzero(np.ones((rows, cols), dtype=bool) if cells is None else cells)
     vectors = np.zeros((rows, cols, 2), dtype=np.int16)
     sads = np.full((rows, cols), params.max_sad, dtype=np.int64)
-    if params.algorithm == ES:
-        vectors[r, c, 0], vectors[r, c, 1], sads[r, c] = _es_cells(prev_pad, cur_pad, r, c, params)
-    else:
-        for rr, cc in zip(r.tolist(), c.tolist()):
-            mv, s = three_step_search(prev_pad, cur_pad, (cc * L, rr * L), params)
-            vectors[rr, cc] = (mv.u, mv.v)
-            sads[rr, cc] = s
+    search = _es_cells if params.algorithm == ES else _tss_cells
+    vectors[r, c, 0], vectors[r, c, 1], sads[r, c] = search(prev_pad, cur_pad, r, c, params)
     return MotionField(width, height, params, vectors, sads)
 
 

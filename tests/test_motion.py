@@ -19,7 +19,7 @@ from euphrates.motion import (
     encoded_size,
     estimate_motion_field,
     exhaustive_search,
-    three_step_search,
+    grid_shape,
     uniform_field,
 )
 from euphrates.pixels import Frame
@@ -43,6 +43,17 @@ def block_sad(a, b):
     mv, s = exhaustive_search(a, b, (0, 0), MotionParams(mb_size=a.shape[0]))
     assert (mv.u, mv.v) == (0, 0)
     return s
+
+
+def tss_at(prev, cur, origin, params=MotionParams()):
+    """(vector, SAD) of the three-step search of the MB of `cur` at `origin`,
+    from a TSS field searched at that MB alone."""
+    L = params.mb_size
+    r, c = origin[1] // L, origin[0] // L
+    cells = np.zeros(grid_shape(cur.shape[1], cur.shape[0], L), dtype=bool)
+    cells[r, c] = True
+    field = estimate_motion_field(prev, cur, MotionParams(L, params.search_range, "tss"), cells=cells)
+    return field.vector_at(r, c), int(field.sads[r, c])
 
 
 def test_sad_identity():
@@ -119,7 +130,7 @@ def test_exhaustive_origin_validation():
         exhaustive_search(f, f, (7, 16), MotionParams())
 
 
-@pytest.mark.parametrize("search", [exhaustive_search, three_step_search])
+@pytest.mark.parametrize("search", [exhaustive_search, tss_at], ids=["exhaustive_search", "three_step_search"])
 @pytest.mark.parametrize("prev_side, cur_side, origin", [(32, 64, (48, 48)), (32, 64, (16, 16)), (64, 32, (16, 16))])
 def test_per_mb_searches_reject_frames_of_different_shapes(search, prev_side, cur_side, origin):
     prev, cur = random_frame(0, prev_side, prev_side), random_frame(1, cur_side, cur_side)
@@ -202,26 +213,19 @@ def test_block_searches_sum_each_accumulator_width_exactly(L, d):
             (u, v), s = naive_block_search(prev, cur, origin, L, d)
             assert exhaustive_search(prev, cur, origin, params) == (MotionVector(u, v), s)
             (u, v), s = naive_three_step_search(prev, cur, origin, L, d)
-            assert three_step_search(prev, cur, origin, params) == (MotionVector(u, v), s)
+            assert tss_at(prev, cur, origin, params) == (MotionVector(u, v), s)
     assert exhaustive_search(*flat, (L, L), MotionParams(L, d))[1] == 255 * L * L
-
-
-def test_window_blocks_are_read_only():
-    f = random_frame(3)
-    blocks = motion._window(f, f, (16, 16), MotionParams())[0]
-    assert blocks.shape == (15, 15, 16, 16) and not blocks.flags.writeable
-    assert np.array_equal(blocks[2, 5], f[11:27, 14:30])
 
 
 def test_tss_recovers_shift():
     prev, cur = shifted_pair(8, 64, 64, (3, -2))
-    mv, s = three_step_search(prev, cur, (16, 16), MotionParams(algorithm="tss"))
+    mv, s = tss_at(prev, cur, (16, 16))
     assert (mv.u, mv.v) == (3, -2) and s == 0
 
 
 def test_tss_identity():
     f = random_frame(4)
-    mv, s = three_step_search(f, f, (32, 16), MotionParams(algorithm="tss"))
+    mv, s = tss_at(f, f, (32, 16))
     assert (mv.u, mv.v) == (0, 0) and s == 0
 
 
@@ -232,7 +236,7 @@ def test_tss_never_beats_es():
         cur = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
         for origin in [(0, 0), (16, 16), (48, 32)]:
             _, s_es = exhaustive_search(prev, cur, origin, MotionParams())
-            _, s_tss = three_step_search(prev, cur, origin, MotionParams(algorithm="tss"))
+            _, s_tss = tss_at(prev, cur, origin)
             assert s_tss >= s_es
 
 
@@ -296,8 +300,49 @@ def test_field_tss_matches_per_mb_tss():
     field = estimate_motion_field(Frame(prev), Frame(cur), params)
     for r in range(field.rows):
         for c in range(field.cols):
-            mv, s = three_step_search(prev, cur, (c * 16, r * 16), params)
-            assert field.vector_at(r, c) == mv and field.sads[r, c] == s
+            (u, v), s = naive_three_step_search(prev, cur, (c * 16, r * 16), 16, 7)
+            assert field.vector_at(r, c) == MotionVector(u, v) and field.sads[r, c] == s
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_tss_fields_in_chunks_equal_the_literal_ring_walk(chunk, monkeypatch):
+    """Full and masked TSS fields searched a few MBs at a time equal the
+    literal per-MB ring walk, edge MBs included; an empty mask searches none."""
+    rng = np.random.default_rng(chunk)
+    for L, d, levels in [(4, 5, 2), (8, 9, 256), (16, 7, 2), (16, 7, 256)]:
+        monkeypatch.setattr(motion, "_ES_BAND_BYTES", chunk * (9 * (3 * L * L + 80) + 3 * L * L))
+        assert motion._tss_plan(L) == chunk
+        height, width = 3 * L + L // 2, 4 * L + 1
+        prev, cur = (rng.integers(0, levels, size=(height, width), dtype=np.uint8) for _ in range(2))
+        pad = ((0, -height % L), (0, -width % L))
+        prev_pad, cur_pad = np.pad(prev, pad, mode="edge"), np.pad(cur, pad, mode="edge")
+        params = MotionParams(L, d, "tss")
+        full = estimate_motion_field(prev, cur, params)
+        cells = rng.random(full.sads.shape) < 0.5
+        masked = estimate_motion_field(prev, cur, params, cells=cells)
+        for r in range(full.rows):
+            for c in range(full.cols):
+                (u, v), s = naive_three_step_search(prev_pad, cur_pad, (c * L, r * L), L, d)
+                assert (full.vector_at(r, c), full.sads[r, c]) == (MotionVector(u, v), s)
+                if cells[r, c]:
+                    assert (masked.vector_at(r, c), masked.sads[r, c]) == (MotionVector(u, v), s)
+    f = np.zeros((1080, 1920), np.uint8)
+    empty = estimate_motion_field(f, f, MotionParams(4, 7, "tss"), cells=np.zeros((270, 480), dtype=bool))
+    assert not empty.vectors.any() and np.all(empty.sads == 255 * 4 * 4)
+
+
+def test_tss_field_memory_is_bounded():
+    """A full 1920 x 1080 TSS field holds at most twice the kernel's byte
+    budget beyond the two frames padded to the 16-grid."""
+    rng = np.random.default_rng(0)
+    prev, cur = (rng.integers(0, 256, size=(1080, 1920), dtype=np.uint8) for _ in range(2))
+    tracemalloc.start()
+    try:
+        estimate_motion_field(prev, cur, MotionParams(16, 7, "tss"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * motion._ES_BAND_BYTES + 2 * 1088 * 1920
 
 
 @st.composite
@@ -352,7 +397,6 @@ def test_three_step_search_equals_the_literal_ring_walk(case):
     for r in range(full.rows):
         for c in range(full.cols):
             (u, v), s = naive_three_step_search(prev_pad, cur_pad, (c * L, r * L), L, d)
-            assert three_step_search(prev_pad, cur_pad, (c * L, r * L), params) == (MotionVector(u, v), s)
             assert (full.vector_at(r, c), full.sads[r, c]) == (MotionVector(u, v), s)
             if cells[r, c]:
                 assert (masked.vector_at(r, c), masked.sads[r, c]) == (MotionVector(u, v), s)
