@@ -42,10 +42,14 @@ MAX_GRID_AXIS = 8
 
 # `roi_motion_stats` reduces its ROIs in chunks that hold at most about
 # _STATS_BATCH_BYTES. One chunk of the 2048 sub-ROIs of 32 tracks on an 8x8
-# grid at 1080p would hold 2048 rows of 8160 float64, about 134 MB. On the
-# 1200 MBs of a 640x480 field, 2 MiB chunks raised a run's peak RSS by about
-# 0.4 MB over reducing each track alone; 128 KiB chunks did not.
-_STATS_BATCH_BYTES = 128 << 10
+# grid at 1080p would hold 2048 rows of 8160 float64, about 134 MB. Each chunk
+# has a fixed cost: the 48 sub-ROIs of 12 tracks on 2x2 grids over the 1200
+# MBs of a 640x480 field hold about 0.57 MB, and such a field took a median
+# 440 us in the five chunks of a 128 KiB budget against 306 us in one (2-vCPU
+# VM, 234 fields each). 1 MiB is the least power of two that holds that field
+# in one chunk; at equal job counts it raised the benchmark crowd workload's
+# peak RSS by about 0.2 MB.
+_STATS_BATCH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,25 @@ class Roi:
         """Inverse of `to_dict`; ConfigError unless x, y, w, h are finite
         numbers, the far corner x + w, y + h is finite and beyond x, y, and
         the area between the corners neither rounds to 0 nor exceeds
-        half the largest float."""
+        half the largest float.
+
+        A box whose x, y, w, h are plain floats, whose score is absent, None
+        or a finite plain float, and that `_box_fault` passes is built at
+        once; every other box goes through `_checked_from_dict`, which
+        decides it and words any error."""
+        if type(d) is dict:
+            x, y, w, h, score = d.get("x"), d.get("y"), d.get("w"), d.get("h"), d.get("score")
+            if (
+                type(x) is type(y) is type(w) is type(h) is float
+                and (score is None or (type(score) is float and math.isfinite(score)))
+                and _box_fault(x, y, w, h) is None
+            ):
+                return cls(x, y, w, h, label=d.get("label"), score=score)
+        return cls._checked_from_dict(d)
+
+    @classmethod
+    def _checked_from_dict(cls, d) -> "Roi":
+        """`from_dict` of any JSON value, checking each key in turn."""
         if not isinstance(d, dict):
             raise ConfigError(f"box: expected an object, got {d!r}")
         x, y, w, h = [float(check(float, d.get(k), path)) for k, path in _BOX_PATHS]
@@ -66,14 +84,25 @@ class Roi:
             roi = cls(x, y, w, h, label=d.get("label"), score=score)
         except ValueError as e:
             raise ConfigError(f"box: {e}") from None
-        x2, y2 = roi.x2, roi.y2
-        if not (x < x2 < math.inf and y < y2 < math.inf):
-            raise ConfigError(f"box: far corner ({x2!r}, {y2!r}) is not finite or not beyond ({x!r}, {y!r})")
-        area = (x2 - x) * (y2 - y)  # the area IoU takes
-        if not 0.0 < area <= _MAX_AREA:
-            fault = "exceeds half the largest float" if area > 0.0 else "rounds to 0"
-            raise ConfigError(f"box: area of {w!r}x{h!r} at ({x!r}, {y!r}) {fault}")
+        fault = _box_fault(x, y, w, h)
+        if fault is not None:
+            raise ConfigError(f"box: {fault}")
         return roi
+
+
+def _box_fault(x: float, y: float, w: float, h: float) -> str | None:
+    """Why floats x, y, w, h make no valid box, or None when they make one:
+    the far corner must be finite and beyond (x, y), and the area between
+    the corners, the one IoU takes, must neither round to 0 nor exceed
+    `_MAX_AREA`. A box that passes has finite x, y and positive, finite w, h."""
+    x2, y2 = x + w, y + h
+    if not (x < x2 < math.inf and y < y2 < math.inf):
+        return f"far corner ({x2!r}, {y2!r}) is not finite or not beyond ({x!r}, {y!r})"
+    area = (x2 - x) * (y2 - y)
+    if not 0.0 < area <= _MAX_AREA:
+        fault = "exceeds half the largest float" if area > 0.0 else "rounds to 0"
+        return f"area of {w!r}x{h!r} at ({x!r}, {y!r}) {fault}"
+    return None
 
 
 def framed_bounding_box(rois: Sequence[Roi], width: float, height: float) -> Roi | None:

@@ -241,12 +241,14 @@ class ResultTrace:
             kind = obj.get("kind")
             if kind not in (I_FRAME, E_FRAME):
                 raise ConfigError(f"kind: expected {I_FRAME!r} or {E_FRAME!r}, got {kind!r}")
-            dets = tuple(
-                Detection(check(int, b.get("id", i), "id"), roi) for i, (b, roi) in enumerate(boxes)
-            )
-            ew = check(int | None, obj.get("ew"), "ew")
-            diff = check(float | None, obj.get("diff"), "diff")
-            return FrameRecord(index, kind, dets, ew=ew, diff=diff)
+            dets = []
+            for i, (b, roi) in enumerate(boxes):
+                track_id = b.get("id", i)
+                dets.append(Detection(track_id if type(track_id) is int else check(int, track_id, "id"), roi))
+            ew, diff = obj.get("ew"), obj.get("diff")
+            ew = None if ew is None else check(int, ew, "ew")
+            diff = None if diff is None else check(float, diff, "diff")
+            return FrameRecord(index, kind, tuple(dets), ew=ew, diff=diff)
 
         frames = [f for f in _read_jsonl(path, parse) if f is not None]
         frames.sort(key=lambda f: f.index)

@@ -36,7 +36,10 @@ def test_instrument_wraps_the_hooked_names_and_uninstall_restores_them():
         tracer_mod.instrument(tracer)
         patched = {(owner, attr) for owner, attr, _ in tracer._patches}
         for owner, attr in [(cli, "decode_metadata"), (pixels, "load_frame"), (scheduler, "extrapolate_track"),
-                            (cli, "estimate_motion_field"), (scheduler, "estimate_motion_field")]:
+                            (cli, "estimate_motion_field"), (scheduler, "estimate_motion_field"),
+                            # scheduler.trace_io
+                            (cli, "read_detection_trace"), (scheduler, "read_detection_trace"),
+                            (ResultTrace, "load"), (ResultTrace, "save")]:
             assert (owner, attr) in patched
             assert vars(owner)[attr] is not before[OWNERS.index(owner)][attr]
     finally:

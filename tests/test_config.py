@@ -19,6 +19,7 @@ from euphrates.config import ConfigNode, check, merge_overrides
 from euphrates.errors import ConfigError, EuphratesError
 from euphrates.motion import decode_metadata
 from euphrates.pixels import _parse_pgm, generate_sequence
+from euphrates.roi import Roi
 from euphrates.scheduler import AdaptiveParams, PipelineConfig, ResultTrace, read_detection_trace
 from euphrates.socmodel import FIELD_RANGE, PRESETS, SocConfig
 
@@ -403,6 +404,54 @@ def test_trace_readers_parse_or_raise(tmp_path, lines):
             reader(p)
         except EuphratesError:
             pass
+
+
+# Box values around each rule: plain floats, ints and bools, non-finite
+# floats, strings, and extents whose area exceeds the bound (1e308), rounds
+# to 0 (1e-200), or that are 0 or negative.
+EXTENT = st.floats(0.5, 60) | st.sampled_from([1e308, 1e-200, 0.0, -0.0, -3.0])
+BOX_VALUE = st.one_of(
+    st.floats(-5, 50),
+    EXTENT,
+    st.sampled_from([1e308, math.nan, math.inf, -math.inf, "1.5", None]),
+    st.integers(-5, 50),
+    st.booleans(),
+)
+SCORE = st.none() | st.integers(0, 1) | st.floats(0, 1) | st.sampled_from([math.nan, "0.5", True])
+BOX_EXTRAS = {"score": SCORE, "label": st.none() | st.integers(0, 3) | TEXT}
+BOX_DICT = st.one_of(
+    # plain floats throughout, as result traces write them
+    st.fixed_dictionaries({"x": st.floats(-5, 50), "y": st.floats(-5, 50), "w": EXTENT, "h": EXTENT},
+                          optional=BOX_EXTRAS),
+    st.fixed_dictionaries({k: BOX_VALUE for k in "xywh"}, optional=BOX_EXTRAS),
+    st.fixed_dictionaries({}, optional={**{k: BOX_VALUE for k in "xywh"}, **BOX_EXTRAS}),  # keys missing
+    JSON,
+)
+
+
+def _box_outcome(parse, box):
+    try:
+        return parse(box)
+    except ConfigError as e:
+        return str(e)
+
+
+@settings(PROPERTY, max_examples=10 * PROPERTY.max_examples)
+@given(BOX_DICT)
+@example({"x": 0.0, "y": 0.0, "w": 1e308, "h": 1e308, "score": 1.0})
+@example({"x": 0.0, "y": 0.0, "w": 1e-200, "h": 1e-200})
+@example({"x": 1e308, "y": 0.0, "w": 1e308, "h": 1.0})
+@example({"x": 1.0, "y": 2.0, "w": 3.0, "h": 4.0, "score": 1})
+@example({"x": 1.0, "y": 2.0, "w": 3.0, "h": 4.0, "score": math.inf})
+def test_box_fast_path_equals_the_checking_path(box):
+    # The checking path decides every box and words every error; the fast
+    # path may only take a box it would accept, and build the same Roi.
+    got, want = _box_outcome(Roi.from_dict, box), _box_outcome(Roi._checked_from_dict, box)
+    assert type(got) is type(want)
+    if isinstance(want, Roi):
+        assert [(type(v), repr(v)) for v in vars(got).values()] == [(type(v), repr(v)) for v in vars(want).values()]
+    else:
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,30 @@ def test_motion_stats_memory_is_bounded_at_1080p():
         assert stats[k] is None if want is None else np.array(stats[k]).tobytes() == np.array(want).tobytes()
 
 
+def test_crowd_sized_field_reduces_in_one_chunk(monkeypatch):
+    """12 tracks of 2x2 sub-ROIs on the 40 x 30 grid of a 640x480 field of
+    16-pixel MBs go in one chunk: each further chunk adds a fixed cost."""
+    rng = np.random.default_rng(12)
+    field = MotionField(640, 480, MotionParams(mb_size=16), rng.integers(-7, 8, (30, 40, 2)).astype(np.int16),
+                        rng.integers(0, 65280, (30, 40)))
+    # One box per 40-pixel lane, its sub-ROIs straddling MB edges on both axes.
+    boxes = [Roi(float(rng.integers(0, 560)) + 13.5, 40.0 * lane + 9.0, float(rng.choice([56, 64, 72])), 24.0)
+             for lane in range(12)]
+    rois = [sub.roi for i, box in enumerate(boxes) for sub in init_track(i, box, (2, 2)).sub_tracks]
+    sizes = []
+    real = extrapolate._chunk_motion_stats
+
+    def record(planes, ov_y, ov_x):
+        sizes.append(len(ov_y))
+        return real(planes, ov_y, ov_x)
+
+    monkeypatch.setattr(extrapolate, "_chunk_motion_stats", record)
+    stats = roi_motion_stats(field, rois)
+    assert sizes == [48]
+    for got, roi in zip(stats, rois, strict=True):
+        assert np.array(got).tobytes() == np.array(one_roi_motion_stats(field, roi)).tobytes()
+
+
 @pytest.mark.parametrize("budget", [1, 30_000, 60_000])
 def test_motion_stats_in_chunks_equal_the_literal_reduction(monkeypatch, budget):
     """Chunks of one ROI and of several, some of them off the grid, give the

@@ -19,6 +19,8 @@ EXEMPT = {
     "motion.MotionField.vector_at": "tests/test_acceptance.py",
     "motion.exhaustive_search": "bench/checks.py",
     "motion.uniform_field": "tests/test_acceptance.py",
+    "roi.Roi.x2": "bench/tracer.py",
+    "roi.Roi.y2": "bench/tracer.py",
     "socmodel.constant_schedule_kinds": "tests/test_acceptance.py",
 }
 
