@@ -20,7 +20,8 @@ grid (`roi_motion_stats`, in chunks of bounded size), each sum bit-identical
 to a reduction of that sub-ROI alone; `extrapolate_track` then steps each
 track from its share.
 
-Everything here is pure; a TrackState is never mutated in place.
+Everything here is pure. `SubTrack` and `TrackState`, like `Roi`, are plain
+dataclasses, cheap to build; no module assigns to them (tests/test_package.py).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class ExtrapolationParams(ConfigNode):
             raise ValueError(f"filter_threshold must be within [0, 1], got {self.filter_threshold}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class SubTrack:
     """One sub-ROI and its previous filtered motion vector (pixels/frame)."""
 
@@ -76,7 +77,7 @@ class SubTrack:
     prev_mv: tuple[float, float] = (0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass
 class TrackState:
     """Extrapolation state of one tracked object across an EW."""
 
@@ -227,8 +228,7 @@ def filtered_mv(
 
 def init_track(track_id: int, roi: Roi, grid: tuple[int, int] = ExtrapolationParams.grid) -> TrackState:
     """Seed a track from an inference result; all filter state starts at zero."""
-    subs = tuple(SubTrack(r) for r in split_sub_rois(roi, grid))
-    return TrackState(track_id, subs)
+    return TrackState(track_id, tuple(SubTrack(r) for r in split_sub_rois(roi, grid)))
 
 
 def extrapolate_track(

@@ -1,7 +1,9 @@
 """Axis-aligned bounding boxes (ROIs).
 
 Coordinates are real-valued; rounding is deferred to display/metric time so
-repeated extrapolation does not accumulate truncation drift.
+repeated extrapolation does not accumulate truncation drift. `Roi` is a plain
+dataclass, not a frozen one, so that it is cheap to build; the package never
+assigns to one, and tests/test_package.py checks that.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ _BOX_PATHS = tuple((k, f"box.{k}") for k in "xywh")
 _MAX_AREA = sys.float_info.max / 2  # IoU adds two areas
 
 
-@dataclass(frozen=True)
+@dataclass
 class Roi:
     """Axis-aligned box with top-left corner (x, y) and extent (w, h) > 0."""
 

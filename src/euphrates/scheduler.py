@@ -64,9 +64,7 @@ class TraceProvider:
         noisy = []
         for b in boxes:
             dx, dy, dw, dh = rng.normal(0.0, self.noise_sigma, size=4).tolist()
-            noisy.append(
-                Roi(b.x + dx, b.y + dy, max(1.0, b.w + dw), max(1.0, b.h + dh), label=b.label, score=b.score)
-            )
+            noisy.append(Roi(b.x + dx, b.y + dy, max(1.0, b.w + dw), max(1.0, b.h + dh), label=b.label, score=b.score))
         return noisy
 
 
@@ -175,7 +173,7 @@ def prediction_diff(predicted: list[Roi], inferred: list[Roi]) -> float:
 # Result trace
 
 
-@dataclass(frozen=True)
+@dataclass
 class Detection:
     track_id: int
     roi: Roi

@@ -429,6 +429,13 @@ BOX_DICT = st.one_of(
 )
 
 
+@pytest.mark.parametrize("w, h", [(0, 1.0), (1.0, 0), (-1, 1.0), (1.0, -1), (math.nan, 1.0), (1.0, math.nan)])
+def test_roi_extent_must_be_positive(w, h):
+    with pytest.raises(ValueError) as e:
+        Roi(0.0, 0.0, w, h)
+    assert str(e.value) == f"roi extent must be positive, got w={w}, h={h}"
+
+
 def _box_outcome(parse, box):
     try:
         return parse(box)

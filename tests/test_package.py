@@ -1,13 +1,19 @@
 """Package layout: each module imports on its own, every public name of
-`src/euphrates` has a caller in `src/`, and the version is defined once."""
+`src/euphrates` has a caller in `src/`, no module assigns to a record built
+per box or track, and the version is defined once."""
 
 import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from euphrates.extrapolate import SubTrack, TrackState
+from euphrates.roi import Roi
+from euphrates.scheduler import Detection
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "euphrates"
@@ -77,6 +83,29 @@ def test_every_public_name_has_a_caller_in_src():
 @pytest.mark.parametrize("dotted, caller", sorted(EXEMPT.items()))
 def test_each_exemption_is_used_by_its_outside_caller(dotted, caller):
     assert dotted.rsplit(".", 1)[1] in (ROOT / caller).read_text(encoding="utf-8")
+
+
+# Records built per box, sub-ROI or track: plain dataclasses, so that they
+# are cheap to build.
+PLAIN_RECORDS = (Roi, SubTrack, TrackState, Detection)
+
+
+def test_no_module_assigns_to_a_plain_record():
+    """What keeps a plain record unchanged once built: no module stores to
+    or deletes an attribute named like one of their fields, and none calls
+    `setattr` or `__setattr__`."""
+    names = {f.name for record in PLAIN_RECORDS for f in fields(record)}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load) and node.attr in names:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id == "setattr")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__")
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+    assert found == []
 
 
 def test_pyproject_reads_the_version_from_the_package():

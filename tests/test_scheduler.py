@@ -1,5 +1,6 @@
 """Pipeline sequencing: schedules, association, adaptive EW, traces."""
 
+import copy
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from euphrates.metrics import iou
 from euphrates.motion import MotionField, MotionParams, estimate_motion_field, uniform_field
 from euphrates.pixels import Frame, SynthConfig, generate_sequence, noise_image
 from euphrates.roi import Roi
-from euphrates.metrics import greedy_match
+from euphrates.metrics import greedy_match, precision_at
 from euphrates.scheduler import (
     AdaptiveParams,
     PipelineConfig,
@@ -513,6 +514,31 @@ def test_trace_save_load_round_trip(tmp_path):
     assert loaded.config == trace.config
     for a, b in zip(loaded.frames, trace.frames):
         assert a == b
+
+
+@pytest.mark.parametrize("source", ["frames", "fields"])
+@pytest.mark.parametrize("mode", ["ew:3", "adaptive"])
+def test_a_run_leaves_its_inputs_as_they_were(tmp_path, mode, source):
+    """Without noise the provider hands out its own boxes, and the seeds and
+    I-frame detections share them, so a step that changed a shared record
+    would change the inputs and the next run."""
+    frames, records = moving_objects_scene(tags=GOLDEN_TAGS)
+    snapshot = copy.deepcopy(records)
+    provider = TraceProvider(records, noise_sigma=0.0)
+    cfg = PipelineConfig(mode=mode, adaptive=AdaptiveParams(initial_ew=2, k_up=1))
+    if source == "frames":
+        inputs = {"frames": frames}
+    else:
+        inputs = {"fields": [estimate_motion_field(a, b, cfg.motion) for a, b in zip(frames, frames[1:])]}
+    trace = run_pipeline(provider, cfg, **inputs)
+    assert trace.frames[0].detections[0].roi is records[0][0]
+    dets = [[d.roi for d in f.detections] for f in trace.frames]
+    precision_at(dets, [records[f.index] for f in trace.frames], (0.5, 0.75))
+    p = tmp_path / "trace.jsonl"
+    trace.save(p)
+    assert ResultTrace.load(p).frames == trace.frames
+    assert records == snapshot
+    assert run_pipeline(provider, cfg, **inputs).to_jsonl() == trace.to_jsonl()
 
 
 def test_detection_trace_file_round_trip(tmp_path):
