@@ -9,7 +9,7 @@ cheap extrapolation until the always-on frontend dominates.
 
 from euphrates.motion import uniform_field
 from euphrates.roi import Roi
-from euphrates.scheduler import PipelineConfig, TraceProvider, run_pipeline
+from euphrates.scheduler import PipelineConfig, StoredMotion, TraceProvider, run_pipeline
 from euphrates.socmodel import (
     CPU_EXTRAPOLATE_POWER_MW,
     CPU_EXTRAPOLATE_TIME_S,
@@ -67,7 +67,7 @@ print(f"\nEW-8 with CPU extrapolation: {cpu.per_frame_mj:.1f} mJ/frame vs EW-4 h
 # inference, one step per clean comparison streak, capped at 32.
 fields = [uniform_field(64, 64)] * 599
 provider = TraceProvider({i: [Roi(10, 10, 30, 20)] for i in range(600)})
-trace = run_pipeline(provider, PipelineConfig(mode="adaptive"), fields=fields)
+trace = run_pipeline(provider, PipelineConfig(mode="adaptive"), StoredMotion(fields))
 ews = [f.ew for f in trace.frames if f.kind == "I"]
 print(f"\nadaptive EW trajectory (static scene): {ews[:8]} ... -> {ews[-1]}")
 rep = summarize(trace, trk)

@@ -34,13 +34,8 @@ from .motion import MAX_FRAME_SIDE, MotionField, MotionParams, decode_metadata, 
 from .motion import estimate_motion_field
 from .pixels import SynthConfig, generate_sequence, list_frame_files, load_sequence, save_sequence
 from .roi import Roi
-from .scheduler import (
-    PipelineConfig,
-    ResultTrace,
-    TraceProvider,
-    read_detection_trace,
-    run_pipeline,
-)
+from .scheduler import FrameMotion, PipelineConfig, ResultTrace, StoredMotion, TraceProvider
+from .scheduler import read_detection_trace, run_pipeline
 from .socmodel import EnergyReport, SocConfig, summarize
 
 
@@ -246,11 +241,11 @@ def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
     det_path = _check_sources(cfg)
     provider = TraceProvider(read_detection_trace(det_path), cfg.provider.noise_sigma, cfg.seed)
     if cfg.frames_dir:
-        source = {"frames": load_sequence(cfg.frames_dir)}
+        motion = FrameMotion(load_sequence(cfg.frames_dir), cfg.motion)
     else:
-        source = {"fields": _load_fields_dir(cfg.metadata_dir, cfg.motion)}
+        motion = StoredMotion(_load_fields_dir(cfg.metadata_dir, cfg.motion))
     try:
-        trace = run_pipeline(provider, cfg, **source)
+        trace = run_pipeline(provider, cfg, motion)
     except ConfigError as e:  # a detection no track can be seeded from
         raise ConfigError(f"{det_path}: {e}") from None
     trace.version = __version__
@@ -357,6 +352,8 @@ def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, R
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {list(SWEEP_AXES)}")
     _check_sources(cfg)
+    if cfg.truth and not Path(cfg.truth).is_file():  # run_sweep scores against `truth`, or else `detections`
+        raise ConfigError(f"truth trace not found: {cfg.truth}")
     if axis in ("mb_size", "algorithm") and not cfg.frames_dir:
         raise ConfigError(
             f"a {axis} sweep re-estimates motion and needs 'frames_dir'; "

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -198,12 +198,12 @@ def _chunk_motion_stats(
     ]
 
 
-def cells_read(tracks: Iterable[TrackState], grid: tuple[int, int], L: int) -> np.ndarray:
-    """Boolean (rows, cols) mask of the MBs whose motion `extrapolate_track`
-    reads for `tracks`: those some sub-ROI overlaps on both axes. Every other
-    MB has weight exactly 0 in `roi_motion_stats`, so its vector and SAD
-    cannot change a result."""
-    ov_y, ov_x = _axis_overlaps(grid, L, [sub.roi for state in tracks for sub in state.sub_tracks])
+def cells_read(rois: Sequence[Roi], grid: tuple[int, int], L: int) -> np.ndarray:
+    """Boolean (rows, cols) mask of the MBs whose motion `roi_motion_stats`
+    reads for `rois`: those some ROI overlaps on both axes. Every other MB
+    has weight exactly 0 there, so its vector and SAD cannot change a
+    result."""
+    ov_y, ov_x = _axis_overlaps(grid, L, rois)
     return (ov_y > 0.0).T @ (ov_x > 0.0)
 
 

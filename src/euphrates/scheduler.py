@@ -9,9 +9,11 @@ I-frame's own motion field and compared against the inference output, and
 the extrapolation window (EW) shrinks or grows based on the disagreement.
 
 Motion fields always pair a frame with its immediate predecessor, regardless
-of frame kind. When the pipeline estimates motion from frames, it searches
-only the macroblocks that the live tracks' sub-ROIs overlap, the only ones
-extrapolation reads, so the trace equals the one the full fields give.
+of frame kind, and a run reads them from one source. `StoredMotion` holds
+precomputed fields (decoded `.mvm` metadata). `FrameMotion` searches each
+field from frames when the run needs it, over only the macroblocks that the
+live tracks' sub-ROIs overlap: those are the only ones extrapolation reads,
+so the trace equals the one the full fields give.
 """
 
 from __future__ import annotations
@@ -285,44 +287,44 @@ class PipelineConfig(ConfigNode):
         return n
 
 
-def run_pipeline(
-    provider: TraceProvider,
-    cfg: PipelineConfig,
-    frames: Sequence[Frame] | None = None,
-    fields: Sequence[MotionField] | None = None,
-) -> ResultTrace:
-    """Run the I/E-frame pipeline and return its result trace.
+class FrameMotion:
+    """Motion searched from `frames` with `params`: field t pairs frames t-1
+    and t, over the macroblocks that `rois` overlap."""
 
-    Exactly one of `frames` (motion estimated on the fly against each
-    frame's predecessor) or `fields` (precomputed; fields[t-1] pairs frames
-    t-1 and t) must be given. The trace is deterministic for identical
-    inputs and configuration.
-    """
-    if (frames is None) == (fields is None):
-        raise ConfigError("provide exactly one of frames= or fields=")
-    if frames is not None:
+    def __init__(self, frames: Sequence[Frame], params: MotionParams):
         if not frames:
             raise ConfigError("sequence must contain at least one frame")
-        n = len(frames)
-        encoded_size(frames[0].width, frames[0].height, cfg.motion)  # search only what a .mvm can hold
-    else:
-        n = len(fields) + 1
+        encoded_size(frames[0].width, frames[0].height, params)  # search only what a .mvm can hold
+        self.frames, self.params = frames, params
 
-    def field_for(t: int, tracks: list[TrackState]) -> MotionField:
-        if fields is not None:
-            f = fields[t - 1]
-            if f is None:
-                raise MissingDataError(f"no motion field for frame {t}")
-            return f
-        L = cfg.motion.mb_size
-        cells = cells_read(tracks, grid_shape(frames[t].width, frames[t].height, L), L)
-        return estimate_motion_field(frames[t - 1], frames[t], cfg.motion, cells=cells)
+    def __len__(self) -> int:
+        return len(self.frames) - 1
+
+    def field(self, t: int, rois: Sequence[Roi]) -> MotionField:
+        L, frame = self.params.mb_size, self.frames[t]
+        cells = cells_read(rois, grid_shape(frame.width, frame.height, L), L)
+        return estimate_motion_field(self.frames[t - 1], frame, self.params, cells=cells)
+
+
+class StoredMotion(tuple):
+    """Precomputed fields: field t, which pairs frames t-1 and t, is the
+    (t-1)-th; every macroblock is already there, so `rois` is not read."""
+
+    def field(self, t: int, rois: Sequence[Roi]) -> MotionField:
+        return self[t - 1]
+
+
+def run_pipeline(provider: TraceProvider, cfg: PipelineConfig, motion: FrameMotion | StoredMotion) -> ResultTrace:
+    """Run the I/E-frame pipeline over the len(motion) + 1 frames whose motion
+    fields `motion` gives, and return its result trace, which is deterministic
+    for identical inputs and configuration."""
 
     def advance(t: int, tracks: list[TrackState]) -> list[tuple[TrackState, Roi]]:
         """Every track carried through field t: the survivors and their ROIs.
         A lost track drops out until the next I-frame re-seeds it."""
-        f = field_for(t, tracks)
-        stats = iter(roi_motion_stats(f, [sub.roi for tr in tracks for sub in tr.sub_tracks]))
+        rois = [sub.roi for tr in tracks for sub in tr.sub_tracks]
+        f = motion.field(t, rois)
+        stats = iter(roi_motion_stats(f, rois))
         threshold = cfg.extrapolation.filter_threshold
         moved = [
             extrapolate_track(tr, f, filter_threshold=threshold, stats=list(islice(stats, len(tr.sub_tracks))))
@@ -336,7 +338,7 @@ def run_pipeline(
     next_iframe = 0
     records: list[FrameRecord] = []
 
-    for t in range(n):
+    for t in range(len(motion) + 1):
         if t == next_iframe:
             inferred = provider.detections(t)
             diff = None

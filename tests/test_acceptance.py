@@ -36,7 +36,9 @@ from euphrates.motion import (
 from euphrates.pixels import Frame, SynthConfig, generate_sequence, save_sequence
 from euphrates.roi import Roi
 from euphrates.scheduler import (
+    FrameMotion,
     PipelineConfig,
+    StoredMotion,
     TraceProvider,
     run_pipeline,
 )
@@ -71,7 +73,7 @@ def test_criterion_2_detection_energy_and_fps():
     fields = [uniform_field(64, 64)] * 999
     provider = TraceProvider({i: [Roi(10, 10, 30, 20)] for i in range(1000)})
     traces = {
-        ew: run_pipeline(provider, PipelineConfig(mode=f"ew:{ew}"), fields=fields)
+        ew: run_pipeline(provider, PipelineConfig(mode=f"ew:{ew}"), StoredMotion(fields))
         for ew in (1, 2, 4)
     }
     reports = {ew: summarize(tr, cfg) for ew, tr in traces.items()}
@@ -197,7 +199,7 @@ def test_criterion_6_rigid_tracking_exactness():
     spec = SynthConfig((192, 144), (64, 48), 32, ((2, 1),), seed=5, background="flat")
     frames, rois = generate_sequence(spec)
     provider = TraceProvider({i: [r] for i, r in enumerate(rois)})
-    trace = run_pipeline(provider, PipelineConfig(mode="ew:4"), frames=frames)
+    trace = run_pipeline(provider, PipelineConfig(mode="ew:4"), FrameMotion(frames, MotionParams()))
     ious = [
         iou(rec.detections[0].roi, gt)
         for rec, gt in zip(trace.frames, rois)
@@ -209,7 +211,7 @@ def test_criterion_6_rigid_tracking_exactness():
     spec2 = SynthConfig((192, 144), (64, 48), 32, traj, seed=6, background="flat", start=(30, 10))
     frames2, rois2 = generate_sequence(spec2)
     provider2 = TraceProvider({i: [r] for i, r in enumerate(rois2)})
-    trace2 = run_pipeline(provider2, PipelineConfig(mode="ew:4"), frames=frames2)
+    trace2 = run_pipeline(provider2, PipelineConfig(mode="ew:4"), FrameMotion(frames2, MotionParams()))
     ious2 = [iou(rec.detections[0].roi, gt) for rec, gt in zip(trace2.frames, rois2)]
     mean_alt = float(np.mean(ious2))
 
@@ -228,19 +230,19 @@ def test_criterion_7_scheduler_algebra():
     for n, ew in [(100, 4), (97, 5), (10, 2), (50, 1)]:
         fields = [uniform_field(48, 48)] * (n - 1)
         provider = TraceProvider({i: [Roi(5, 5, 20, 15)] for i in range(n)})
-        trace = run_pipeline(provider, PipelineConfig(mode=f"ew:{ew}"), fields=fields)
+        trace = run_pipeline(provider, PipelineConfig(mode=f"ew:{ew}"), StoredMotion(fields))
         checks.append(trace.n_iframes == math.ceil(n / ew))
 
     records = {i: [Roi(float(i), 2.0, 8.0, 6.0, label=3, score=0.4)] for i in range(8)}
     fields = [uniform_field(48, 48)] * 7
-    trace = run_pipeline(TraceProvider(records), PipelineConfig(mode="ew:1"), fields=fields)
+    trace = run_pipeline(TraceProvider(records), PipelineConfig(mode="ew:1"), StoredMotion(fields))
     checks.append(all(f.kind == "I" for f in trace.frames))
     checks.append(all([d.roi for d in f.detections] == records[f.index] for f in trace.frames))
 
     n = 1900
     fields = [uniform_field(48, 48)] * (n - 1)
     provider = TraceProvider({i: [Roi(8, 8, 20, 16)] for i in range(n)})
-    trace = run_pipeline(provider, PipelineConfig(mode="adaptive"), fields=fields)
+    trace = run_pipeline(provider, PipelineConfig(mode="adaptive"), StoredMotion(fields))
     ews = [f.ew for f in trace.frames if f.kind == "I"]
     checks.append(all(1 <= e <= 32 for e in ews))
     checks.append(all(abs(b - a) <= 1 for a, b in zip(ews, ews[1:])))

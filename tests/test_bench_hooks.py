@@ -2,6 +2,7 @@
 up through; this keeps those names in place without running the benchmark."""
 
 import importlib
+import json
 import importlib.util
 import sys
 from pathlib import Path
@@ -59,7 +60,7 @@ def test_pipeline_estimates_each_needed_field_through_the_hooked_name():
     cfg = PipelineConfig(mode="adaptive", adaptive=AdaptiveParams(initial_ew=2, k_up=1))
     try:
         tracer_mod.instrument(tracer)
-        trace = scheduler.run_pipeline(provider, cfg, frames=frames)
+        trace = scheduler.run_pipeline(provider, cfg, scheduler.FrameMotion(frames, cfg.motion))
     finally:
         tracer.uninstall()
     # E-frames, and I-frames that compare a carried prediction, each need one field.
@@ -68,6 +69,27 @@ def test_pipeline_estimates_each_needed_field_through_the_hooked_name():
     assert len(needed) >= 4 and any(f.kind == "I" for f in needed)
     assert len(spans) == len(needed)
     assert all(s.attrs["site"] == "scheduler" for s in spans)
+
+
+def test_simulate_decodes_each_mvm_file_through_the_hooked_name(tmp_path):
+    # The traced run counts .mvm decodes by the spans of cli.decode_metadata;
+    # a field loader moved out of cli would drop out of motion.decode.*.
+    frames, rois = generate_sequence(SynthConfig((96, 64), (32, 24), 6, ((2, 1),), seed=4))
+    save_sequence(frames, tmp_path / "frames")
+    assert cli.main(["estimate", "--frames", str(tmp_path / "frames"), "--out", str(tmp_path / "mv")]) == 0
+    dets = tmp_path / "dets.jsonl"
+    dets.write_text("".join(json.dumps({"frame": i, "boxes": [r.to_dict()]}) + "\n" for i, r in enumerate(rois)))
+    files = sorted((tmp_path / "mv").glob("*.mvm"))
+    tracer_mod = load_tracer()
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.instrument(tracer)
+        trace, _ = cli.run_simulation(cli.RunConfig(metadata_dir=str(tmp_path / "mv"), detections=str(dets)))
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s.name == "motion.decode"]
+    assert len(files) == 5 and len(trace.frames) == 6
+    assert sorted(s.attrs["bytes"] for s in spans) == sorted(f.stat().st_size for f in files)
 
 
 def test_extrapolation_spans_read_the_track_field_and_loss():
@@ -81,10 +103,11 @@ def test_extrapolation_spans_read_the_track_field_and_loss():
     cfg = PipelineConfig(mode="ew:3")
     try:
         tracer_mod.instrument(tracer)
-        trace = scheduler.run_pipeline(provider, cfg, frames=frames)
+        trace = scheduler.run_pipeline(provider, cfg, scheduler.FrameMotion(frames, cfg.motion))
     finally:
         tracer.uninstall()
-    assert trace.to_jsonl() == scheduler.run_pipeline(provider, cfg, frames=frames).to_jsonl()
+    again = scheduler.run_pipeline(provider, cfg, scheduler.FrameMotion(frames, cfg.motion))
+    assert trace.to_jsonl() == again.to_jsonl()
     spans = [s for s in tracer.spans if s.name == "extrapolate.extrapolate_track"]
     assert {s.attrs["lost"] for s in spans} == {True, False}
     assert all("new_cells" in s.attrs for s in spans)

@@ -658,6 +658,7 @@ def test_sweep_needs_a_truth_and_a_value(synth_dir, tmp_path, capsys):
             {"metadata_dir": "m", "detections": "truth.jsonl"},
             "config must name one input source, not both frames_dir and metadata_dir",
         ),
+        ({"detections": "truth.jsonl", "truth": "nope.jsonl"}, "truth trace not found: {synth_dir}/nope.jsonl"),
     ],
 )
 def test_sweep_checks_the_run_inputs_before_making_out(synth_dir, tmp_path, capsys, sources, message):
@@ -665,7 +666,7 @@ def test_sweep_checks_the_run_inputs_before_making_out(synth_dir, tmp_path, caps
     cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), **paths)
     out = tmp_path / "s"
     assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,2", "--out", out]) == 2
-    assert error_line(capsys) == f"error ConfigError: {message}\n"
+    assert error_line(capsys) == f"error ConfigError: {message.format(synth_dir=synth_dir)}\n"
     assert not out.exists()
 
 

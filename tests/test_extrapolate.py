@@ -13,8 +13,6 @@ from euphrates.extrapolate import (
     _STATS_BATCH_BYTES,
     MAX_GRID_AXIS,
     ExtrapolationParams,
-    SubTrack,
-    TrackState,
     cells_read,
     extrapolate_track,
     filtered_mv,
@@ -347,7 +345,7 @@ def test_touched_macroblocks_cost_bound():
     field = uniform_field(256, 128)
 
     def touched(roi):
-        return int(np.count_nonzero(cells_read([init_track(0, roi, (1, 1))], (field.rows, field.cols), 16)))
+        return int(np.count_nonzero(cells_read([roi], (field.rows, field.cols), 16)))
 
     assert touched(Roi(0, 0, 100, 50)) == 7 * 4
     assert touched(Roi(0, 0, 16, 16)) == 1
@@ -450,8 +448,7 @@ def test_cells_read_covers_every_cell_of_nonzero_weight(rows, cols, L, n_rois, t
     w = cols * L * 10.0 ** rng.uniform(low, 0.2, n_rois)
     h = rows * L * 10.0 ** rng.uniform(low, 0.2, n_rois)
     rois = [Roi(float(a), float(b), float(c), float(d)) for a, b, c, d in zip(x, y, w, h)]
-    tracks = [TrackState(i, (SubTrack(r),)) for i, r in enumerate(rois)]
-    mask = cells_read(tracks, (rows, cols), L)
+    mask = cells_read(rois, (rows, cols), L)
     want = np.zeros((rows, cols), dtype=bool)
     for roi in rois:
         want |= one_roi_weights(roi, rows, cols, L) > 0.0
@@ -462,9 +459,9 @@ def test_cells_read_covers_every_cell_of_nonzero_weight(rows, cols, L, n_rois, t
 
 
 def test_cells_read_keeps_a_cell_whose_overlap_area_underflows():
-    tracks = [TrackState(0, (SubTrack(Roi(0.0, 0.0, 1e-200, 1e-200)),))]
-    assert one_roi_weights(tracks[0].sub_tracks[0].roi, 2, 2, 16).max() == 0.0
-    assert cells_read(tracks, (2, 2), 16).tolist() == [[True, False], [False, False]]
+    roi = Roi(0.0, 0.0, 1e-200, 1e-200)
+    assert one_roi_weights(roi, 2, 2, 16).max() == 0.0
+    assert cells_read([roi], (2, 2), 16).tolist() == [[True, False], [False, False]]
 
 
 def test_cells_read_memory_is_bounded_at_1080p():
@@ -472,9 +469,10 @@ def test_cells_read_memory_is_bounded_at_1080p():
     float overlap tensor would hold 48 x 129600 float64, about 50 MB."""
     rng = np.random.default_rng(3)
     tracks = [init_track(i, Roi(*rng.uniform(0, 1000, 2), *rng.uniform(20, 300, 2))) for i in range(12)]
+    rois = [sub.roi for tr in tracks for sub in tr.sub_tracks]
     tracemalloc.start()
     try:
-        mask = cells_read(tracks, (270, 480), 4)
+        mask = cells_read(rois, (270, 480), 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

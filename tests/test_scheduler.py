@@ -13,7 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from euphrates import scheduler
-from euphrates.errors import ConfigError, MissingDataError
+from euphrates.errors import ConfigError, MetadataError, MissingDataError
 from euphrates.extrapolate import ExtrapolationParams, extrapolate_track
 from euphrates.metrics import iou
 from euphrates.motion import MotionField, MotionParams, estimate_motion_field, uniform_field
@@ -22,8 +22,10 @@ from euphrates.roi import Roi
 from euphrates.metrics import greedy_match, precision_at
 from euphrates.scheduler import (
     AdaptiveParams,
+    FrameMotion,
     PipelineConfig,
     ResultTrace,
+    StoredMotion,
     TraceProvider,
     prediction_diff,
     read_detection_trace,
@@ -49,7 +51,7 @@ def static_setup(n_frames, width=64, height=64, boxes=None):
 @pytest.mark.parametrize("n,ew", [(10, 2), (10, 3), (7, 1), (100, 8), (5, 32)])
 def test_constant_inference_count(n, ew):
     fields, provider = static_setup(n)
-    trace = run_pipeline(provider, PipelineConfig(mode=f"ew:{ew}"), fields=fields)
+    trace = run_pipeline(provider, PipelineConfig(mode=f"ew:{ew}"), StoredMotion(fields))
     kinds = trace.kinds()
     assert kinds[0] == "I"
     assert trace.n_iframes == math.ceil(n / ew)
@@ -58,7 +60,7 @@ def test_constant_inference_count(n, ew):
 
 def test_constant_ew2_ten_frames():
     fields, provider = static_setup(10)
-    trace = run_pipeline(provider, PipelineConfig(mode="ew:2"), fields=fields)
+    trace = run_pipeline(provider, PipelineConfig(mode="ew:2"), StoredMotion(fields))
     assert [f.index for f in trace.frames if f.kind == "I"] == [0, 2, 4, 6, 8]
     assert trace.n_iframes == 5
 
@@ -71,7 +73,7 @@ def test_ew1_equals_provider_verbatim():
     }
     provider = TraceProvider(records)
     fields, _ = static_setup(6)
-    trace = run_pipeline(provider, PipelineConfig(mode="ew:1"), fields=fields)
+    trace = run_pipeline(provider, PipelineConfig(mode="ew:1"), StoredMotion(fields))
     assert all(f.kind == "I" for f in trace.frames)
     for i, f in enumerate(trace.frames):
         assert [d.roi for d in f.detections] == records[i]
@@ -81,7 +83,7 @@ def test_pipeline_rigid_synthetic_matches_truth():
     spec = SynthConfig((160, 120), (48, 32), 16, ((2, 1),), seed=2, background="flat")
     frames, rois = generate_sequence(spec)
     provider = TraceProvider({i: [r] for i, r in enumerate(rois)})
-    trace = run_pipeline(provider, PipelineConfig(mode="ew:4"), frames=frames)
+    trace = run_pipeline(provider, PipelineConfig(mode="ew:4"), FrameMotion(frames, MotionParams()))
     for rec, gt in zip(trace.frames, rois):
         assert len(rec.detections) == 1
         assert iou(rec.detections[0].roi, gt) == pytest.approx(1.0, abs=1e-12)
@@ -89,18 +91,40 @@ def test_pipeline_rigid_synthetic_matches_truth():
 
 def test_pipeline_errors():
     fields, provider = static_setup(5)
-    with pytest.raises(ConfigError):
-        run_pipeline(provider, PipelineConfig(), fields=fields, frames=[])
-    with pytest.raises(ConfigError):
-        run_pipeline(provider, PipelineConfig())
     sparse = TraceProvider({0: [Roi(0, 0, 5, 5)]})
     with pytest.raises(MissingDataError, match="frame 2"):
-        run_pipeline(sparse, PipelineConfig(mode="ew:2"), fields=fields)
-    holey = list(fields)
-    holey[2] = None
-    with pytest.raises(MissingDataError, match="frame 3"):
-        run_pipeline(TraceProvider({i: [Roi(0, 0, 5, 5)] for i in range(5)}),
-                     PipelineConfig(mode="ew:8"), fields=holey)
+        run_pipeline(sparse, PipelineConfig(mode="ew:2"), StoredMotion(fields))
+
+
+def test_frame_motion_checks_its_frames_before_any_search():
+    with pytest.raises(ConfigError, match="^sequence must contain at least one frame$"):
+        FrameMotion([], MotionParams())
+    frames, _ = generate_sequence(SynthConfig((64, 48), (16, 16), 2, ((1, 0),)))
+    with mock.patch.object(scheduler, "estimate_motion_field", side_effect=AssertionError("searched")):
+        with pytest.raises(MetadataError, match="search range 200"):
+            FrameMotion(frames, MotionParams(search_range=200))
+
+
+class RecordingMotion(StoredMotion):
+    """Stored fields that log each t a run asks for."""
+
+    def field(self, t, rois):
+        self.asked.append(t)
+        return super().field(t, rois)
+
+
+@pytest.mark.parametrize(
+    "mode, asked", [("ew:1", []), ("ew:3", [1, 2, 4, 5, 7, 8, 10, 11]), ("adaptive", list(range(1, 12)))]
+)
+def test_a_run_asks_its_source_once_for_each_field_it_needs_in_order(mode, asked):
+    """A run asks for field t at each E-frame and each adaptive I-frame
+    after frame 0, once, in increasing t, and never beyond len(motion)."""
+    fields, provider = static_setup(12)
+    motion = RecordingMotion(fields)
+    motion.asked = []
+    trace = run_pipeline(provider, PipelineConfig(mode=mode), motion)
+    assert motion.asked == [f.index for f in trace.frames if f.kind == "E" or f.diff is not None] == asked
+    assert all(1 <= t <= len(motion) for t in motion.asked)
 
 
 def test_bad_mode_strings():
@@ -170,8 +194,8 @@ def test_frames_path_equals_fields_path(mode, algorithm, grid, L, d):
         adaptive=AdaptiveParams(initial_ew=2, k_up=1),
     )
     fields = [estimate_motion_field(a, b, cfg.motion) for a, b in zip(frames, frames[1:])]
-    from_frames = run_pipeline(provider, cfg, frames=frames)
-    assert from_frames.to_jsonl() == run_pipeline(provider, cfg, fields=fields).to_jsonl()
+    from_frames = run_pipeline(provider, cfg, FrameMotion(frames, cfg.motion))
+    assert from_frames.to_jsonl() == run_pipeline(provider, cfg, StoredMotion(fields)).to_jsonl()
     if mode != "ew:1":
         # Some E-frame reports fewer objects than the frame before it: a track was lost.
         counts = [len(f.detections) for f in from_frames.frames]
@@ -217,9 +241,9 @@ def test_golden_frame_records(mode, grid, threshold, source, digest):
             adaptive=AdaptiveParams(initial_ew=2, k_up=1),
         )
         if source == "frames":
-            return run_pipeline(provider, cfg, frames=frames).to_jsonl()
+            return run_pipeline(provider, cfg, FrameMotion(frames, cfg.motion)).to_jsonl()
         fields = [estimate_motion_field(a, b, cfg.motion) for a, b in zip(frames, frames[1:])]
-        return run_pipeline(provider, cfg, fields=fields).to_jsonl()
+        return run_pipeline(provider, cfg, StoredMotion(fields)).to_jsonl()
 
     text = trace(threshold)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -317,7 +341,7 @@ def test_adaptive_grows_to_max_on_perfect_run():
     n = 1900
     fields, provider = static_setup(n)
     cfg = PipelineConfig(mode="adaptive")
-    trace = run_pipeline(provider, cfg, fields=fields)
+    trace = run_pipeline(provider, cfg, StoredMotion(fields))
     ews = [f.ew for f in trace.frames if f.kind == "I"]
     assert ews[0] == 1
     assert max(ews) == 32
@@ -334,7 +358,8 @@ def test_adaptive_stays_in_bounds_with_noisy_provider():
     boxes = [Roi(20.0, 20.0, 24.0, 18.0, label=0, score=1.0)]
     fields = [uniform_field(64, 64)] * (n - 1)
     provider = TraceProvider({i: list(boxes) for i in range(n)}, noise_sigma=6.0, seed=3)
-    trace = run_pipeline(provider, PipelineConfig(mode="adaptive", adaptive=AdaptiveParams(initial_ew=4)), fields=fields)
+    trace = run_pipeline(provider, PipelineConfig(mode="adaptive", adaptive=AdaptiveParams(initial_ew=4)),
+                         StoredMotion(fields))
     ews = [f.ew for f in trace.frames if f.kind == "I"]
     assert all(1 <= e <= 32 for e in ews)
     assert all(abs(b - a) <= 1 for a, b in zip(ews, ews[1:]))
@@ -345,7 +370,7 @@ def test_adaptive_stays_in_bounds_with_noisy_provider():
 def test_adaptive_interval_matches_decided_ew():
     n = 200
     fields, provider = static_setup(n)
-    trace = run_pipeline(provider, PipelineConfig(mode="adaptive"), fields=fields)
+    trace = run_pipeline(provider, PipelineConfig(mode="adaptive"), StoredMotion(fields))
     i_frames = [f for f in trace.frames if f.kind == "I"]
     for cur, nxt in zip(i_frames, i_frames[1:]):
         assert nxt.index - cur.index == cur.ew
@@ -404,7 +429,7 @@ def test_pipeline_equals_its_exact_oracle(inputs):
     records, fields, cfg = inputs
     expected, near = naive_pipeline(records, fields, cfg)
     assume(not near)
-    trace = run_pipeline(TraceProvider(records), cfg, fields=fields)
+    trace = run_pipeline(TraceProvider(records), cfg, StoredMotion(fields))
     tol = 1e-9 * max(fields[0].width, fields[0].height)
     assert len(trace.frames) == len(expected)
     for rec, (index, kind, boxes, ew, diff) in zip(trace.frames, expected):
@@ -434,7 +459,7 @@ def recorded_steps(provider, cfg, fields):
         return result
 
     with mock.patch.object(scheduler, "extrapolate_track", record):
-        trace = run_pipeline(provider, cfg, fields=fields)
+        trace = run_pipeline(provider, cfg, StoredMotion(fields))
     return trace, calls
 
 
@@ -478,7 +503,7 @@ def test_eframes_without_a_live_track_on_a_large_grid():
     also on a grid of 129600 MBs, where one sub-ROI fills a chunk."""
     field = MotionField(1920, 1080, MotionParams(mb_size=4), np.zeros((270, 480, 2), np.int16),
                         np.zeros((270, 480), np.int64))
-    trace = run_pipeline(TraceProvider({0: []}), PipelineConfig(mode="ew:4"), fields=[field] * 3)
+    trace = run_pipeline(TraceProvider({0: []}), PipelineConfig(mode="ew:4"), StoredMotion([field] * 3))
     assert [(f.kind, len(f.detections)) for f in trace.frames] == [("I", 0), ("E", 0), ("E", 0), ("E", 0)]
 
 
@@ -499,14 +524,14 @@ def test_trace_determinism():
     frames, rois = generate_sequence(spec)
     provider = TraceProvider({i: [r] for i, r in enumerate(rois)})
     cfg = PipelineConfig(mode="ew:3")
-    a = run_pipeline(provider, cfg, frames=frames).to_jsonl()
-    b = run_pipeline(provider, cfg, frames=frames).to_jsonl()
+    a = run_pipeline(provider, cfg, FrameMotion(frames, cfg.motion)).to_jsonl()
+    b = run_pipeline(provider, cfg, FrameMotion(frames, cfg.motion)).to_jsonl()
     assert a == b
 
 
 def test_trace_save_load_round_trip(tmp_path):
     fields, provider = static_setup(9)
-    trace = run_pipeline(provider, PipelineConfig(mode="ew:3"), fields=fields)
+    trace = run_pipeline(provider, PipelineConfig(mode="ew:3"), StoredMotion(fields))
     p = tmp_path / "trace.jsonl"
     trace.save(p)
     loaded = ResultTrace.load(p)
@@ -527,10 +552,10 @@ def test_a_run_leaves_its_inputs_as_they_were(tmp_path, mode, source):
     provider = TraceProvider(records, noise_sigma=0.0)
     cfg = PipelineConfig(mode=mode, adaptive=AdaptiveParams(initial_ew=2, k_up=1))
     if source == "frames":
-        inputs = {"frames": frames}
+        motion = FrameMotion(frames, cfg.motion)
     else:
-        inputs = {"fields": [estimate_motion_field(a, b, cfg.motion) for a, b in zip(frames, frames[1:])]}
-    trace = run_pipeline(provider, cfg, **inputs)
+        motion = StoredMotion(estimate_motion_field(a, b, cfg.motion) for a, b in zip(frames, frames[1:]))
+    trace = run_pipeline(provider, cfg, motion)
     assert trace.frames[0].detections[0].roi is records[0][0]
     dets = [[d.roi for d in f.detections] for f in trace.frames]
     precision_at(dets, [records[f.index] for f in trace.frames], (0.5, 0.75))
@@ -538,7 +563,7 @@ def test_a_run_leaves_its_inputs_as_they_were(tmp_path, mode, source):
     trace.save(p)
     assert ResultTrace.load(p).frames == trace.frames
     assert records == snapshot
-    assert run_pipeline(provider, cfg, **inputs).to_jsonl() == trace.to_jsonl()
+    assert run_pipeline(provider, cfg, motion).to_jsonl() == trace.to_jsonl()
 
 
 def test_detection_trace_file_round_trip(tmp_path):
@@ -559,7 +584,7 @@ def test_detection_trace_file_round_trip(tmp_path):
 
 def test_result_trace_readable_as_detection_trace(tmp_path):
     fields, provider = static_setup(6)
-    trace = run_pipeline(provider, PipelineConfig(mode="ew:2"), fields=fields)
+    trace = run_pipeline(provider, PipelineConfig(mode="ew:2"), StoredMotion(fields))
     p = tmp_path / "trace.jsonl"
     trace.save(p)
     records = read_detection_trace(p)  # config echo line must be skipped

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from euphrates.errors import ConfigError
 from euphrates.motion import uniform_field
 from euphrates.roi import Roi
-from euphrates.scheduler import PipelineConfig, TraceProvider, run_pipeline
+from euphrates.scheduler import PipelineConfig, StoredMotion, TraceProvider, run_pipeline
 from euphrates.socmodel import (
     CPU_EXTRAPOLATE_POWER_MW,
     CPU_EXTRAPOLATE_TIME_S,
@@ -154,7 +154,7 @@ def test_inference_rate_exact():
 def test_summarize_accepts_result_trace():
     fields = [uniform_field(64, 64)] * 9
     provider = TraceProvider({i: [Roi(5, 5, 10, 10)] for i in range(10)})
-    trace = run_pipeline(provider, PipelineConfig(mode="ew:5"), fields=fields)
+    trace = run_pipeline(provider, PipelineConfig(mode="ew:5"), StoredMotion(fields))
     rep = summarize(trace, PRESETS["yolov2"])
     assert rep.n_frames == 10 and rep.n_iframes == 2
 
