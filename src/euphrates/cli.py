@@ -34,7 +34,7 @@ from .motion import MAX_FRAME_SIDE, MotionField, MotionParams, decode_metadata, 
 from .motion import estimate_motion_field
 from .pixels import SynthConfig, generate_sequence, list_frame_files, load_sequence, save_sequence
 from .roi import Roi
-from .scheduler import FrameMotion, PipelineConfig, ResultTrace, StoredMotion, TraceProvider
+from .scheduler import FrameMotion, PipelineConfig, ResultTrace, SearchStore, StoredMotion, TraceProvider
 from .scheduler import read_detection_trace, run_pipeline
 from .socmodel import EnergyReport, SocConfig, summarize
 
@@ -233,15 +233,16 @@ def _check_sources(cfg: RunConfig) -> Path:
     return det_path
 
 
-def run_simulation(cfg: RunConfig | dict) -> tuple[ResultTrace, EnergyReport]:
+def run_simulation(cfg: RunConfig | dict, store: SearchStore | None = None) -> tuple[ResultTrace, EnergyReport]:
     """Execute one simulate run from an effective config or its JSON echo;
-    pure in-memory."""
+    pure in-memory. A run from frames searches motion through `store`, which
+    only runs over the same frames and motion parameters may share."""
     if isinstance(cfg, dict):
         cfg = RunConfig.from_dict(cfg)
     det_path = _check_sources(cfg)
     provider = TraceProvider(read_detection_trace(det_path), cfg.provider.noise_sigma, cfg.seed)
     if cfg.frames_dir:
-        motion = FrameMotion(load_sequence(cfg.frames_dir), cfg.motion)
+        motion = FrameMotion(load_sequence(cfg.frames_dir), cfg.motion, store)
     else:
         motion = StoredMotion(_load_fields_dir(cfg.metadata_dir, cfg.motion))
     try:
@@ -379,13 +380,16 @@ def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, R
 
 def run_sweep(variants: dict[int | str, RunConfig], axis: str) -> list[tuple]:
     """One simulate run per variant, scored by AP at IoU 0.5; rows (value,
-    accuracy, saving, fps, trace, report) in the order of `variants`."""
+    accuracy, saving, fps, trace, report) in the order of `variants`.
+    Variants with the same frames and motion parameters share one search
+    store, so each (frame pair, MB) is searched once for all of them."""
     first = next(iter(variants.values()))
     truth = read_detection_trace(first.truth or first.detections)
+    stores: dict[tuple, SearchStore] = {}
     rows = []
     for value, cfg in variants.items():
         try:
-            trace, report = run_simulation(cfg)
+            trace, report = run_simulation(cfg, stores.setdefault((cfg.frames_dir, cfg.motion), {}))
             accuracy = average_precision(*_aligned_boxes(trace, truth), 0.5)
         except EuphratesError as e:
             raise ConfigError(f"sweep run {axis}={value}: {e.__class__.__name__}: {e}") from None

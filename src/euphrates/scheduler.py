@@ -13,7 +13,11 @@ of frame kind, and a run reads them from one source. `StoredMotion` holds
 precomputed fields (decoded `.mvm` metadata). `FrameMotion` searches each
 field from frames when the run needs it, over only the macroblocks that the
 live tracks' sub-ROIs overlap: those are the only ones extrapolation reads,
-so the trace equals the one the full fields give.
+so the trace equals the one the full fields give. It keeps a store of the
+MBs it has searched for each field index (13 B per MB per index) and
+searches each one once; every field it returns still equals the search of
+exactly that field's MBs. Sources over equal frames and motion parameters
+may share one store, as the variants of a sweep do.
 """
 
 from __future__ import annotations
@@ -85,7 +89,9 @@ def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
     except UnicodeDecodeError as e:
         raise ConfigError(f"{p}: not UTF-8 text: {e}") from None
     out = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    # JSON Lines ends lines at "\n" only (read_text folds "\r\n"); a JSON
+    # string may hold a raw U+2028 or U+0085, where str.splitlines would cut.
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -287,15 +293,29 @@ class PipelineConfig(ConfigNode):
         return n
 
 
+# Field index t -> (mask of the MBs searched for t, their vectors, their SADs),
+# each array over the whole MB grid.
+SearchStore = dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 class FrameMotion:
     """Motion searched from `frames` with `params`: field t pairs frames t-1
-    and t, over the macroblocks that `rois` overlap."""
+    and t, over the macroblocks that `rois` overlap.
 
-    def __init__(self, frames: Sequence[Frame], params: MotionParams):
+    `store` remembers every MB searched for each t, so an MB is searched once
+    however often its field is asked for. Every field returned equals
+    `estimate_motion_field(frames[t - 1], frames[t], params, cells=cells)`
+    for the `cells_read` mask of its `rois`: a remembered MB holds what that
+    search gives it. Sources may share one store only when their frames and
+    `params` are equal. It costs 13 B per MB per field index asked for (a
+    bool mask, two int16 vector components, an int64 SAD)."""
+
+    def __init__(self, frames: Sequence[Frame], params: MotionParams, store: SearchStore | None = None):
         if not frames:
             raise ConfigError("sequence must contain at least one frame")
         encoded_size(frames[0].width, frames[0].height, params)  # search only what a .mvm can hold
         self.frames, self.params = frames, params
+        self.store = {} if store is None else store
 
     def __len__(self) -> int:
         return len(self.frames) - 1
@@ -303,7 +323,19 @@ class FrameMotion:
     def field(self, t: int, rois: Sequence[Roi]) -> MotionField:
         L, frame = self.params.mb_size, self.frames[t]
         cells = cells_read(rois, grid_shape(frame.width, frame.height, L), L)
-        return estimate_motion_field(self.frames[t - 1], frame, self.params, cells=cells)
+        if t not in self.store:
+            grid = cells.shape
+            self.store[t] = (np.zeros(grid, bool), np.zeros((*grid, 2), np.int16), np.zeros(grid, np.int64))
+        searched, vectors, sads = self.store[t]
+        new, old = cells & ~searched, cells & searched
+        # One search per field asked for, even of no MB, and that search's own
+        # field returned: bench/tracer.py counts fields by these calls and
+        # finds each field's MBs by its id.
+        f = estimate_motion_field(self.frames[t - 1], frame, self.params, cells=new)
+        f.vectors[old], f.sads[old] = vectors[old], sads[old]
+        vectors[new], sads[new] = f.vectors[new], f.sads[new]
+        searched |= new
+        return f
 
 
 class StoredMotion(tuple):

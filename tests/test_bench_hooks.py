@@ -71,6 +71,33 @@ def test_pipeline_estimates_each_needed_field_through_the_hooked_name():
     assert all(s.attrs["site"] == "scheduler" for s in spans)
 
 
+def test_a_sweep_estimates_each_field_a_variant_needs_through_the_hooked_name(tmp_path):
+    # Variants share the MBs searched for each field, yet each field a variant
+    # needs is still one scheduler.estimate_motion_field call whose own result
+    # reaches extrapolation: the traced run counts fields by those spans and
+    # finds each field's MBs by the id of its result.
+    frames, rois = generate_sequence(SynthConfig((96, 64), (32, 24), 9, ((2, 1),), seed=4))
+    save_sequence(frames, tmp_path / "frames")
+    dets = tmp_path / "dets.jsonl"
+    dets.write_text("".join(json.dumps({"frame": i, "boxes": [r.to_dict()]}) + "\n" for i, r in enumerate(rois)))
+    variants = cli._sweep_variants(cli.RunConfig(frames_dir=str(tmp_path / "frames"), detections=str(dets)),
+                                   "ew", "2,3,4")
+    tracer_mod = load_tracer()
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.instrument(tracer)
+        rows = cli.run_sweep(variants, "ew")
+    finally:
+        tracer.uninstall()
+    needed = [f for row in rows for f in row[4].frames if f.kind == "E" or f.diff is not None]
+    spans = [s for s in tracer.spans if s.name == "motion.estimate"]
+    assert len(rows) == 3 and len(spans) == len(needed) > 0
+    assert all(s.attrs["site"] == "scheduler" for s in spans)
+    extrapolations = [s for s in tracer.spans if s.name == "extrapolate.extrapolate_track"]
+    assert extrapolations and all("new_cells" in s.attrs for s in extrapolations)
+    assert 0 < tracer_mod.layer_metrics(tracer.spans, 1)["motion.unique_field_ratio"] < 1
+
+
 def test_simulate_decodes_each_mvm_file_through_the_hooked_name(tmp_path):
     # The traced run counts .mvm decodes by the spans of cli.decode_metadata;
     # a field loader moved out of cli would drop out of motion.decode.*.

@@ -557,7 +557,9 @@ def test_sweep_algorithm_axis(synth_dir, tmp_path):
     assert [r.split(",")[0] for r in rows] == ["es", "tss"]
 
 
-@pytest.mark.parametrize("axis, values", [("ew", "1,3,8"), ("algorithm", "tss,es")])
+@pytest.mark.parametrize(
+    "axis, values", [("ew", "1,3,8"), ("algorithm", "tss,es"), ("ew", "8,3,1"), ("mb_size", "16,8")]
+)
 def test_sweep_variant_outputs_equal_a_simulate_of_their_echo(synth_dir, tmp_path, axis, values):
     cfgp = write_run_config(
         tmp_path / "run.json",
@@ -570,7 +572,9 @@ def test_sweep_variant_outputs_equal_a_simulate_of_their_echo(synth_dir, tmp_pat
     for value in values.split(","):
         variant = out / f"{axis}_{value}"
         echoed = json.loads((variant / "energy.json").read_text())["config"]
-        assert (echoed["mode"] == f"ew:{value}") if axis == "ew" else (echoed["motion"]["algorithm"] == value)
+        varied = {"ew": echoed["mode"], "algorithm": echoed["motion"]["algorithm"],
+                  "mb_size": str(echoed["motion"]["mb_size"])}[axis]
+        assert varied == (f"ew:{value}" if axis == "ew" else value)
         echo = tmp_path / f"{axis}_{value}.json"
         echo.write_text(json.dumps(echoed))
         assert run(["simulate", "--config", echo, "--out", tmp_path / "sim"]) == 0

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -12,16 +13,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from euphrates import scheduler
+from euphrates import cli, scheduler
 from euphrates.errors import ConfigError, MetadataError, MissingDataError
-from euphrates.extrapolate import ExtrapolationParams, extrapolate_track
+from euphrates.extrapolate import ExtrapolationParams, cells_read, extrapolate_track
 from euphrates.metrics import iou
-from euphrates.motion import MotionField, MotionParams, estimate_motion_field, uniform_field
-from euphrates.pixels import Frame, SynthConfig, generate_sequence, noise_image
+from euphrates.motion import MotionField, MotionParams, estimate_motion_field, grid_shape, uniform_field
+from euphrates.pixels import Frame, SynthConfig, generate_sequence, noise_image, save_sequence
 from euphrates.roi import Roi
 from euphrates.metrics import greedy_match, precision_at
 from euphrates.scheduler import (
     AdaptiveParams,
+    Detection,
     FrameMotion,
     PipelineConfig,
     ResultTrace,
@@ -249,6 +251,88 @@ def test_golden_frame_records(mode, grid, threshold, source, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     if threshold != 0.7 and mode != "ew:1":
         assert text.splitlines()[1:] != trace(0.7).splitlines()[1:]
+
+
+# ---------------------------------------------------------------------------
+# Each macroblock searched once per field index
+
+
+@st.composite
+def store_requests(draw):
+    """Frames whose sides need not be multiples of L, search params, and
+    requests (source 0 or 1, t, sub-ROIs) in random order."""
+    L = draw(st.sampled_from([4, 8, 16]))
+    params = MotionParams(L, draw(st.integers(1, 7)), draw(st.sampled_from(["es", "tss"])))
+    width = L * draw(st.integers(1, 4)) + draw(st.integers(0, L - 1))
+    height = L * draw(st.integers(1, 4)) + draw(st.integers(1, L - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = [noise_image(height, width, rng) for _ in range(draw(st.integers(2, 5)))]
+
+    def roi():
+        x, y = draw(st.floats(-0.5, 1.2)) * width, draw(st.floats(-0.5, 1.2)) * height
+        return Roi(x, y, draw(st.floats(1.0, 2.0 * L)), draw(st.floats(1.0, 2.0 * L)))
+
+    t = st.integers(1, len(pixels) - 1)
+    requests = [
+        (draw(st.integers(0, 1)), draw(t), [roi() for _ in range(draw(st.integers(0, 4)))])
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    return pixels, params, requests
+
+
+@PROPERTY
+@given(store_requests())
+def test_a_shared_store_gives_each_request_the_field_of_its_own_macroblocks(inputs):
+    """Two sources over separately built equal frames share one store; every
+    field either one returns equals a search of exactly its request's
+    cells, and still does after later requests have filled the store."""
+    pixels, params, requests = inputs
+    sources = [[Frame(px.copy()) for px in pixels] for _ in range(2)]
+    store: dict = {}
+    motions = [FrameMotion(frames, params, store) for frames in sources]
+    returned = []
+    for which, t, rois in requests:
+        frames = sources[which]
+        cells = cells_read(rois, grid_shape(frames[t].width, frames[t].height, params.mb_size), params.mb_size)
+        expected = estimate_motion_field(frames[t - 1], frames[t], params, cells=cells)
+        returned.append((motions[which].field(t, rois), expected))
+        assert returned[-1][0] == expected
+    assert all(got == expected for got, expected in returned)
+
+
+def searched_cells(run) -> Counter:
+    """How often each (t, row, col) is searched while `run()` runs."""
+    count: Counter = Counter()
+    asked = []
+    real_field, real_estimate = FrameMotion.field, scheduler.estimate_motion_field
+
+    def field(self, t, rois):
+        asked.append(t)
+        return real_field(self, t, rois)
+
+    def estimate(prev, cur, params, cells):
+        count.update((asked[-1], int(r), int(c)) for r, c in zip(*np.nonzero(cells)))
+        return real_estimate(prev, cur, params, cells=cells)
+
+    with mock.patch.object(FrameMotion, "field", field):
+        with mock.patch.object(scheduler, "estimate_motion_field", estimate):
+            run()
+    return count
+
+
+@pytest.mark.parametrize("values", ["1,2,4,8", "8,4,2,1"])
+def test_an_ew_sweep_searches_each_needed_macroblock_once(tmp_path, values):
+    frames, rois = generate_sequence(SynthConfig((96, 72), (24, 16), 14, ((2, 1),), seed=6, background="noise"))
+    save_sequence(frames, tmp_path / "frames")
+    dets = tmp_path / "dets.jsonl"
+    dets.write_text("".join(json.dumps({"frame": i, "boxes": [r.to_dict()]}) + "\n" for i, r in enumerate(rois)))
+    base = cli.RunConfig(frames_dir=str(tmp_path / "frames"), detections=str(dets))
+    variants = cli._sweep_variants(base, "ew", values)
+    alone = [searched_cells(lambda: cli.run_simulation(cfg)) for cfg in variants.values()]
+    needed = set().union(*alone)
+    swept = searched_cells(lambda: cli.run_sweep(variants, "ew"))
+    assert sum(map(len, alone)) > len(needed)  # the variants need some (t, MB) in common
+    assert set(swept) == needed and set(swept.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +664,24 @@ def test_detection_trace_file_round_trip(tmp_path):
     spaced = tmp_path / "spaced.jsonl"  # blank and whitespace-only lines are skipped
     spaced.write_text("\n" + "\n\n \t\n".join(lines) + "\n\n")
     assert read_detection_trace(spaced) == records
+
+
+@pytest.mark.parametrize("mark", ["\u2028", "\u0085"])
+def test_trace_readers_end_lines_at_newlines_only(tmp_path, mark):
+    """A JSON string may hold a raw U+2028 or U+0085 (a writer with
+    ensure_ascii=False leaves them raw); neither ends a JSON Lines line, so
+    such a line parses and a bad line after it is named by its own number."""
+    box = Roi(1.0, 2.0, 3.0, 4.0, label=f"a{mark}b", score=0.5)
+    line = json.dumps({"frame": 0, "kind": "I", "boxes": [box.to_dict()]}, ensure_ascii=False)
+    assert mark in line
+    p = tmp_path / "trace.jsonl"
+    p.write_text(line + "\n", encoding="utf-8")
+    assert read_detection_trace(p) == {0: [box]}
+    assert ResultTrace.load(p).frames[0].detections == (Detection(0, box),)
+    p.write_text(line + "\n" + json.dumps({"frame": 1, "kind": "E", "boxes": 3}) + "\n", encoding="utf-8")
+    for read in (read_detection_trace, ResultTrace.load):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}:2: boxes: expected a list"):
+            read(p)
 
 
 def test_result_trace_readable_as_detection_trace(tmp_path):
