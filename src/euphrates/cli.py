@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigNode, merge_overrides
+from .config import ConfigNode, decoding, merge_overrides
 from .errors import ConfigError, DimensionMismatchError, EuphratesError, MetadataError, MissingDataError
 from .metrics import DEFAULT_THRESHOLDS, average_precision, precision_at, success_curve
 from .motion import MAX_FRAME_SIDE, MotionField, MotionParams, decode_metadata, encode_metadata, encoded_size
@@ -100,15 +100,9 @@ def _load_config(cls: type[ConfigNode], config_path: str | None, flags: dict[str
     p = config_path and Path(config_path)
     if p and not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    try:
+    with decoding(p):
         data = json.loads(p.read_text(encoding="utf-8")) if p else {}
         return cls.from_dict(merge_overrides(data, flags))
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{p}: not UTF-8 text: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{p}: invalid JSON: {e}") from None
-    except ConfigError as e:
-        raise ConfigError(f"{p}: {e}" if p else str(e)) from None
 
 
 # Flags of simulate and sweep, and the config fields they override.

@@ -7,6 +7,9 @@ fills absent keys from the defaults and rejects unknown keys, so a typo or a
 mistyped value ends in a `ConfigError` naming its dotted path. Every unknown
 key of the tree is named in one error. `to_dict` is the JSON echo, and
 `from_dict(node.to_dict()) == node`.
+
+`decoding(path)` guards the reading of a JSON file: text that breaks any input
+rule, or nests too deeply to decode, ends in one `ConfigError` naming the file.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import math
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import lru_cache
 
@@ -32,6 +36,28 @@ class ConfigNode:
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(asdict(self)))  # tuples become lists
+
+
+@contextmanager
+def decoding(path):
+    """Guard around decoding the JSON text of file `path`: bad UTF-8 or JSON,
+    JSON too deep for the decoder and a ConfigError raised inside end in one
+    ConfigError naming `path`, or `path:line` while the yielded `at.line` is set."""
+    at = types.SimpleNamespace(line=None)
+    try:
+        yield at
+    except UnicodeDecodeError as e:
+        reason = f"not UTF-8 text: {e}"
+    except ValueError as e:  # a JSONDecodeError, or an integer past int's digit limit
+        reason = f"invalid JSON: {e}"
+    except RecursionError:
+        reason = "JSON nests too deeply to decode"
+    except ConfigError as e:
+        reason = str(e)
+    else:
+        return
+    where = path if at.line is None else f"{path}:{at.line}"
+    raise ConfigError(f"{where}: {reason}" if path else reason) from None
 
 
 def _join(path: str, key: str) -> str:

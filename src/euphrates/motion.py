@@ -148,7 +148,7 @@ def uniform_field(
 
 
 def _pixels(frame: Frame | np.ndarray) -> np.ndarray:
-    return frame.pixels if isinstance(frame, Frame) else np.asarray(frame)
+    return (frame if isinstance(frame, Frame) else Frame(np.asarray(frame))).pixels
 
 
 @lru_cache(maxsize=32)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import ConfigNode, check
+from .config import ConfigNode, check, decoding
 from .errors import ConfigError, MissingDataError
 from .extrapolate import ExtrapolationParams, TrackState, cells_read, extrapolate_track, init_track, roi_motion_stats
 from .metrics import greedy_match
@@ -74,49 +74,37 @@ class TraceProvider:
         return noisy
 
 
-def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
-    """`parse` of each object line of a JSONL file; blank lines are skipped.
-
-    A missing file raises MissingDataError. A line that is not a JSON object,
-    or that `parse` rejects with ConfigError, raises ConfigError naming
-    path:line.
-    """
+def _read_trace(path: str | Path, parse: Callable[[dict, int, list[Roi]], object]) -> tuple[dict, list]:
+    """(header, frames) of a JSONL trace: lines without "frame" merged into
+    `header`, and `parse(line, index, boxes)` of the others, their "boxes" as
+    Rois. A missing file raises MissingDataError; a broken rule (a repeated
+    frame index, say) raises ConfigError naming path:line."""
     p = Path(path)
     if not p.is_file():
         raise MissingDataError(f"file not found: {p}")
-    try:
+    header, frames, seen = {}, [], set()
+    with decoding(p) as at:
         text = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{p}: not UTF-8 text: {e}") from None
-    out = []
-    # JSON Lines ends lines at "\n" only (read_text folds "\r\n"); a JSON
-    # string may hold a raw U+2028 or U+0085, where str.splitlines would cut.
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
+        # JSON Lines ends lines at "\n" only (read_text folds "\r\n"); a JSON
+        # string may hold a raw U+2028 or U+0085, where str.splitlines would cut.
+        for at.line, line in enumerate(text.split("\n"), 1):
+            if not line.strip():
+                continue
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ConfigError(f"expected a JSON object, got {line.strip()!r}")
-            out.append(parse(obj))
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{p}:{lineno}: invalid JSON: {e}") from None
-        except ConfigError as e:
-            raise ConfigError(f"{p}:{lineno}: {e}") from None
-    return out
-
-
-def _parse_frame(obj: dict, seen: set[int]) -> tuple[int, list[tuple[dict, Roi]]]:
-    """(frame index, [(box object, Roi)]) of a trace line with a "frame" key;
-    an index already in `seen` (the indices of earlier lines) is rejected."""
-    index = check(int, obj["frame"], "frame")
-    if index in seen:
-        raise ConfigError(f"frame {index} is repeated")
-    seen.add(index)
-    boxes = obj.get("boxes", [])
-    if not isinstance(boxes, list):
-        raise ConfigError(f"boxes: expected a list, got {boxes!r}")
-    return index, [(b, Roi.from_dict(b)) for b in boxes]
+            if "frame" not in obj:
+                header.update(obj)
+                continue
+            index = check(int, obj["frame"], "frame")
+            if index in seen:
+                raise ConfigError(f"frame {index} is repeated")
+            seen.add(index)
+            boxes = obj.get("boxes", [])
+            if not isinstance(boxes, list):
+                raise ConfigError(f"boxes: expected a list, got {boxes!r}")
+            frames.append(parse(obj, index, [Roi.from_dict(b) for b in boxes]))
+    return header, frames
 
 
 def read_detection_trace(path: str | Path) -> dict[int, list[Roi]]:
@@ -125,9 +113,7 @@ def read_detection_trace(path: str | Path) -> dict[int, list[Roi]]:
     Lines without a "frame" key (e.g. a config echo) are skipped, so result
     traces written by this package can be read back as detection traces.
     """
-    seen: set[int] = set()
-    frames = _read_jsonl(path, lambda obj: _parse_frame(obj, seen) if "frame" in obj else None)
-    return {index: [roi for _, roi in boxes] for index, boxes in filter(None, frames)}
+    return dict(_read_trace(path, lambda line, index, boxes: (index, boxes))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -236,27 +222,20 @@ class ResultTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "ResultTrace":
-        header: dict = {}
-        seen: set[int] = set()
-
-        def parse(obj: dict) -> FrameRecord | None:
-            if "frame" not in obj:
-                header.update(obj)
-                return None
-            index, boxes = _parse_frame(obj, seen)
-            kind = obj.get("kind")
+        def parse(line: dict, index: int, boxes: list[Roi]) -> FrameRecord:
+            kind = line.get("kind")
             if kind not in (I_FRAME, E_FRAME):
                 raise ConfigError(f"kind: expected {I_FRAME!r} or {E_FRAME!r}, got {kind!r}")
             dets = []
-            for i, (b, roi) in enumerate(boxes):
+            for i, (b, roi) in enumerate(zip(line.get("boxes", ()), boxes)):
                 track_id = b.get("id", i)
                 dets.append(Detection(track_id if type(track_id) is int else check(int, track_id, "id"), roi))
-            ew, diff = obj.get("ew"), obj.get("diff")
+            ew, diff = line.get("ew"), line.get("diff")
             ew = None if ew is None else check(int, ew, "ew")
             diff = None if diff is None else check(float, diff, "diff")
             return FrameRecord(index, kind, tuple(dets), ew=ew, diff=diff)
 
-        frames = [f for f in _read_jsonl(path, parse) if f is not None]
+        header, frames = _read_trace(path, parse)
         frames.sort(key=lambda f: f.index)
         config = header.get("config", {})
         version = header.get("version", "")

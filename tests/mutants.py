@@ -1,0 +1,112 @@
+"""Committed mutants of `src/euphrates` and the tests that must catch them.
+
+Each mutant replaces one piece of text in one source file. The runner
+applies it to a temporary copy of `src/`, runs only the tests listed for it
+against that copy, and calls the mutant killed when every listed test fails.
+It exits 1 if any mutant survives. It is not part of the test suite (pytest
+does not collect this file); run it from the repository root:
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py ew-rule    # the mutants whose name holds "ew-rule"
+"""
+
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/euphrates
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest ids, each of which must fail
+
+
+NESTING = "tests/test_input_rules.py::test_deeply_nested_json_ends_in_one_config_error"
+NOT_A_FRAME = "tests/test_motion.py::test_searches_reject_pixels_that_are_not_a_frame"
+
+MUTANTS = [
+    Mutant(
+        "ew-rule-shrinks-at-tau-diff",
+        "scheduler.py",
+        "if diff > self.tau_diff:",
+        "if diff >= self.tau_diff:",
+        (
+            "tests/test_scheduler.py::test_next_ew_counts_a_diff_equal_to_tau_diff_as_clean",
+            "tests/test_scheduler.py::test_pipeline_equals_its_exact_oracle_at_the_ew_rule_edges[diff equals tau_diff]",
+        ),
+    ),
+    Mutant(
+        "ew-rule-keeps-streak-after-grow",
+        "scheduler.py",
+        "return min(self.ew_max, ew + 1), 0",
+        "return min(self.ew_max, ew + 1), streak + 1",
+        (
+            "tests/test_scheduler.py::test_adaptive_update_grows_after_streak",
+            "tests/test_scheduler.py::test_pipeline_equals_its_exact_oracle_at_the_ew_rule_edges[two grows]",
+        ),
+    ),
+    Mutant(
+        "decoding-lets-recursion-error-through",
+        "config.py",
+        '    except RecursionError:\n        reason = "JSON nests too deeply to decode"\n',
+        "",
+        tuple(f"{NESTING}[{command}-100000]" for command in ("simulate --config", "evaluate --trace")),
+    ),
+    Mutant(
+        "search-takes-any-array",
+        "motion.py",
+        "(frame if isinstance(frame, Frame) else Frame(np.asarray(frame))).pixels",
+        "frame.pixels if isinstance(frame, Frame) else np.asarray(frame)",
+        tuple(f"{NOT_A_FRAME}[{search}-{pixels}]" for search in ("es field", "one MB") for pixels in ("int64", "float64")),
+    ),
+]
+
+
+def failed_tests(src: Path, tests: tuple[str, ...]) -> set[str]:
+    """The ids among `tests` that fail when run against the package in `src`."""
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", "-rf", *tests],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    if result.returncode not in (0, 1):  # 0: all passed, 1: some failed
+        sys.exit(f"pytest could not run {tests}:\n{result.stdout}{result.stderr}")
+    return set(re.findall(r"^FAILED (.+?)(?: - .*)?$", result.stdout, re.M))
+
+
+def run(mutant: Mutant) -> bool:
+    """Whether every test listed for `mutant` fails with it applied."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(shutil.copytree(ROOT / "src", Path(tmp) / "src"))
+        path = src / "euphrates" / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            sys.exit(f"{mutant.name}: {mutant.file} holds {mutant.old!r} {text.count(mutant.old)} times, not once")
+        path.write_text(text.replace(mutant.old, mutant.new))
+        failed = failed_tests(src, mutant.tests)
+    survived = [t for t in mutant.tests if t not in failed]
+    print(f"{'SURVIVED' if survived else 'killed'}: {mutant.name}")
+    for test in survived:
+        print(f"  passed: {test}")
+    return not survived
+
+
+def main(patterns: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not patterns or any(p in m.name for p in patterns)]
+    if not chosen:
+        sys.exit(f"no mutant matches {patterns}")
+    killed = [run(m) for m in chosen]
+    print(f"{sum(killed)} of {len(killed)} mutants killed")
+    return 0 if all(killed) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from euphrates import motion
-from euphrates.errors import DimensionMismatchError, MetadataError
+from euphrates.errors import DimensionMismatchError, FrameFormatError, MetadataError
 from euphrates.motion import (
     MotionField,
     MotionParams,
@@ -292,6 +292,27 @@ def test_field_pads_partial_edge_mbs():
 def test_field_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         estimate_motion_field(Frame(random_frame(0, 32, 32)), Frame(random_frame(0, 32, 48)))
+
+
+@pytest.mark.parametrize(
+    "pixels",
+    [np.full((32, 32), 70000, np.int64), np.full((32, 32), 0.5), np.zeros((32, 32, 3), np.uint8)],
+    ids=["int64", "float64", "3-D"],
+)
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda prev, cur: estimate_motion_field(prev, cur, MotionParams(16, 3, "es")),
+        lambda prev, cur: estimate_motion_field(prev, cur, MotionParams(16, 3, "tss")),
+        lambda prev, cur: exhaustive_search(prev, cur, (0, 0), MotionParams(16, 3)),
+    ],
+    ids=["es field", "tss field", "one MB"],
+)
+def test_searches_reject_pixels_that_are_not_a_frame(pixels, search):
+    # Searched as given, int64 70000 against 0 would give a wrapped SAD of
+    # 28672 per MB, and a float pair 0.5 apart SAD 0.
+    with pytest.raises(FrameFormatError):
+        search(np.zeros((32, 32), np.uint8), pixels)
 
 
 def test_field_tss_matches_per_mb_tss():

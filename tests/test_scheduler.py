@@ -404,6 +404,14 @@ def test_adaptive_update_saturates():
     assert ew == 1
 
 
+def test_next_ew_counts_a_diff_equal_to_tau_diff_as_clean():
+    # EW shrinks only when the diff exceeds tau_diff.
+    params = AdaptiveParams(tau_diff=0.25, k_up=3)
+    assert params.next_ew(4, 0, 0.25) == (4, 1)
+    assert params.next_ew(4, 2, 0.25) == (5, 0)
+    assert AdaptiveParams(tau_diff=0.0, k_up=1).next_ew(2, 0, 0.0) == (3, 0)
+
+
 def test_initial_ew_validation():
     # The EW a run starts from comes from a validated PipelineConfig: its mode and bounds.
     assert PipelineConfig(mode="ew:3").initial_ew == 3
@@ -525,6 +533,32 @@ def test_pipeline_equals_its_exact_oracle(inputs):
         for det, (_, corners) in zip(rec.detections, boxes):
             r = det.roi
             assert all(abs(a - b) <= tol for a, b in zip((r.x, r.y, r.x + r.w, r.y + r.h), corners))
+
+
+@pytest.mark.parametrize(
+    "records, adaptive, ews",
+    [
+        # tau_diff 0.0 and empty frames: every I-frame's diff is exactly 0.0,
+        # equal to tau_diff, which the oracle's `near` would discard.
+        ({t: [] for t in range(16)}, AdaptiveParams(tau_diff=0.0, k_up=1, initial_ew=2, ew_max=4), [2, 3, 4, 4, 4]),
+        # A static box and k_up 2: every diff is 0.0, and a grow resets the
+        # clean streak, so EW grows at every second I-frame, never twice in a row.
+        ({t: [Roi(10.0, 12.0, 30.0, 25.0)] for t in range(24)}, AdaptiveParams(k_up=2, ew_max=4),
+         [1, 1, 2, 2, 3, 3, 4, 4, 4]),
+    ],
+    ids=["diff equals tau_diff", "two grows"],
+)
+def test_pipeline_equals_its_exact_oracle_at_the_ew_rule_edges(records, adaptive, ews):
+    fields = [uniform_field(64, 64)] * (len(records) - 1)
+    cfg = PipelineConfig(mode="adaptive", adaptive=adaptive)
+    expected, _ = naive_pipeline(records, fields, cfg)  # every diff here is exact
+    trace = run_pipeline(TraceProvider(records), cfg, StoredMotion(fields))
+    for rec, (index, kind, boxes, ew, diff) in zip(trace.frames, expected, strict=True):
+        assert (rec.index, rec.kind, rec.ew, rec.diff) == (index, kind, ew, diff)
+        assert [d.track_id for d in rec.detections] == [track_id for track_id, _ in boxes]
+        for d, (_, corners) in zip(rec.detections, boxes):
+            assert (d.roi.x, d.roi.y, d.roi.x + d.roi.w, d.roi.y + d.roi.h) == pytest.approx(corners, abs=1e-9)
+    assert [f.ew for f in trace.frames if f.kind == "I"] == ews
 
 
 # ---------------------------------------------------------------------------
