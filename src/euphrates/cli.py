@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,9 +50,10 @@ def _int(text: str) -> int:
     return int(text)
 
 
-def _parse_pair(text: str | None, what: str) -> tuple[int, int] | None:
-    if text is None:
-        return None
+_int.__name__ = "int"  # argparse names the type in its usage error: "invalid int value"
+
+
+def _parse_pair(text: str, what: str) -> tuple[int, int]:
     try:
         a, b = map(_int, text.split("x" if "x" in text else ","))
     except ValueError:
@@ -93,34 +96,24 @@ class RunConfig(PipelineConfig):
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _load_config(cls: type[ConfigNode], config_path: str | None, flags: dict[str, object]):
-    """Effective configuration: `cls` defaults <- config file <- flags, where
-    `flags` maps dotted field paths to flag values (None: not given). The
-    merged configuration is checked once, so a file may rely on flags."""
+def _load_config(cls: type[ConfigNode], config_path: str | None, args: argparse.Namespace | None):
+    """Effective configuration: `cls` defaults <- config file <- flags. A
+    flag's dest is the dotted path of the field it sets, so every dest of
+    `args` that starts with a field of `cls` is a flag (None: not given).
+    The merged configuration is checked once, so a file may rely on flags."""
+    given = vars(args) if args else {}
+    flags = {dest: value for dest, value in given.items() if dest.split(".")[0] in cls.__dataclass_fields__}
     p = config_path and Path(config_path)
-    if p and not p.is_file():
+    if p and not os.path.isfile(p):  # False where Path.is_file raises, as for a name too long
         raise ConfigError(f"config file not found: {p}")
     with decoding(p):
         data = json.loads(p.read_text(encoding="utf-8")) if p else {}
         return cls.from_dict(merge_overrides(data, flags))
 
 
-# Flags of simulate and sweep, and the config fields they override.
-FLAG_FIELDS = {
-    "mode": "mode",
-    "mb_size": "motion.mb_size",
-    "search_range": "motion.search_range",
-    "algo": "motion.algorithm",
-    "seed": "seed",
-    "frames": "frames_dir",
-    "detections": "detections",
-}
-
-
 def build_run_config(config_path: str | None, args: argparse.Namespace | None = None) -> RunConfig:
     """Effective run configuration: defaults <- config file <- flags."""
-    flags = {path: getattr(args, flag, None) for flag, path in FLAG_FIELDS.items()}
-    return _load_config(RunConfig, config_path, flags)
+    return _load_config(RunConfig, config_path, args)
 
 
 def _out_dir(path: str | Path) -> Path:
@@ -129,7 +122,9 @@ def _out_dir(path: str | Path) -> Path:
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as e:
+    except OSError as e:
+        if e.errno not in (errno.EEXIST, errno.ENOTDIR, errno.ENAMETOOLONG):
+            raise
         raise ConfigError(f"output directory {out}: {e.strerror}") from None
     return out
 
@@ -153,11 +148,7 @@ def _write_csv(path: Path, cfg: dict, header: list[str], rows: list[tuple]) -> N
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    pairs = {name: _parse_pair(getattr(args, name), f"--{name}") for name in ("canvas", "object", "start", "velocity")}
-    velocity = pairs.pop("velocity")
-    flags = {**pairs, "frames": args.frames, "seed": args.seed, "background": args.background,
-             "trajectory": None if velocity is None else [velocity]}
-    cfg = _load_config(SynthConfig, args.config, flags)
+    cfg = _load_config(SynthConfig, args.config, args)
     frames, rois = generate_sequence(cfg)
     out = _out_dir(args.out)
     save_sequence(frames, out)
@@ -174,8 +165,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     frames = load_sequence(args.frames)
     if len(frames) < 2:
         raise ConfigError(f"{args.frames}: need at least 2 frames, found {len(frames)}")
-    flags = {"mb_size": args.mb_size, "search_range": args.search_range, "algorithm": args.algo}
-    params = _load_config(MotionParams, None, flags)
+    params = _load_config(MotionParams, None, args)
     encoded_size(frames[0].width, frames[0].height, params)  # the .mvm layout holds d and the frame size
     out = _out_dir(args.out)
     total = 0
@@ -222,7 +212,7 @@ def _check_sources(cfg: RunConfig) -> Path:
     if cfg.detections is None:
         raise ConfigError("config needs a 'detections' trace path")
     det_path = Path(cfg.detections)
-    if not det_path.is_file():
+    if not os.path.isfile(det_path):
         raise ConfigError(f"detections trace not found: {det_path}")
     return det_path
 
@@ -241,8 +231,8 @@ def run_simulation(cfg: RunConfig | dict, store: SearchStore | None = None) -> t
         motion = StoredMotion(_load_fields_dir(cfg.metadata_dir, cfg.motion))
     try:
         trace = run_pipeline(provider, cfg, motion)
-    except ConfigError as e:  # a detection no track can be seeded from
-        raise ConfigError(f"{det_path}: {e}") from None
+    except (ConfigError, MissingDataError) as e:  # a detection no track can be seeded from, or no record
+        raise e.__class__(f"{det_path}: {e}") from None
     trace.version = __version__
     report = summarize(trace, cfg.soc)
     return trace, report
@@ -298,10 +288,8 @@ def evaluate_trace(
     return result
 
 
-def _parse_thresholds(text: str | None) -> tuple[float, ...]:
+def _parse_thresholds(text: str) -> tuple[float, ...]:
     """`--thresholds` as IoU thresholds: within [0, 1] and ascending."""
-    if text is None:
-        return DEFAULT_THRESHOLDS
     try:
         thresholds = tuple(float(t) for t in text.split(","))
         if any(not 0.0 <= t <= 1.0 for t in thresholds):
@@ -314,11 +302,10 @@ def _parse_thresholds(text: str | None) -> tuple[float, ...]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    thresholds = _parse_thresholds(args.thresholds)
     trace = ResultTrace.load(args.trace)
     truth = read_detection_trace(args.truth)
-    cfg = {"trace": str(args.trace), "truth": str(args.truth), "thresholds": list(thresholds)}
-    result = evaluate_trace(trace, truth, thresholds)
+    cfg = {"trace": str(args.trace), "truth": str(args.truth), "thresholds": list(args.thresholds)}
+    result = evaluate_trace(trace, truth, args.thresholds)
 
     out = _out_dir(args.out)
     _write_csv(out / "ap.csv", cfg, ["threshold", "ap"], result["ap"])
@@ -347,7 +334,7 @@ def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, R
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {list(SWEEP_AXES)}")
     _check_sources(cfg)
-    if cfg.truth and not Path(cfg.truth).is_file():  # run_sweep scores against `truth`, or else `detections`
+    if cfg.truth and not os.path.isfile(cfg.truth):  # run_sweep scores against `truth`, or else `detections`
         raise ConfigError(f"truth trace not found: {cfg.truth}")
     if axis in ("mb_size", "algorithm") and not cfg.frames_dir:
         raise ConfigError(
@@ -423,41 +410,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic sequence with ground truth")
     p.add_argument("--config", help="synthetic sequence JSON; flags override its fields")
-    p.add_argument("--canvas", help="canvas WxH (default %dx%d)" % SynthConfig.canvas)
-    p.add_argument("--object", help="object WxH (default %dx%d)" % SynthConfig.object)
-    p.add_argument("--frames", type=int, help=f"default {SynthConfig.frames}")
-    p.add_argument("--velocity", help="per-frame displacement dx,dy (default %d,%d); "
+    p.add_argument("--canvas", type=lambda text: _parse_pair(text, "--canvas"),
+                   help="canvas WxH (default %dx%d)" % SynthConfig.canvas)
+    p.add_argument("--object", type=lambda text: _parse_pair(text, "--object"),
+                   help="object WxH (default %dx%d)" % SynthConfig.object)
+    p.add_argument("--frames", type=_int, help=f"default {SynthConfig.frames}")
+    p.add_argument("--velocity", dest="trajectory", metavar="VELOCITY",
+                   type=lambda text: [_parse_pair(text, "--velocity")],
+                   help="per-frame displacement dx,dy (default %d,%d); "
                    "write a negative value as --velocity=-1,2" % SynthConfig.trajectory[0])
-    p.add_argument("--start", help="initial top-left x,y, inside the canvas (default: centred)")
+    p.add_argument("--start", type=lambda text: _parse_pair(text, "--start"),
+                   help="initial top-left x,y, inside the canvas (default: centred)")
     p.add_argument("--background", choices=["flat", "noise"], help=f"default {SynthConfig.background}")
-    p.add_argument("--seed", type=int, help=f"default {SynthConfig.seed}")
+    p.add_argument("--seed", type=_int, help=f"default {SynthConfig.seed}")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("estimate", help="estimate motion metadata for a frame directory")
     p.add_argument("--frames", required=True, help="directory of PGM frames")
-    p.add_argument("--mb-size", type=int, help=f"default {MotionParams.mb_size}")
-    p.add_argument("--search-range", type=int, help=f"default {MotionParams.search_range}")
-    p.add_argument("--algo", choices=["es", "tss"], help=f"default {MotionParams.algorithm}")
+    p.add_argument("--mb-size", type=_int, help=f"default {MotionParams.mb_size}")
+    p.add_argument("--search-range", type=_int, help=f"default {MotionParams.search_range}")
+    p.add_argument("--algo", dest="algorithm", choices=["es", "tss"], help=f"default {MotionParams.algorithm}")
     p.add_argument("--out", required=True, help="output directory for .mvm files")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="run the I/E-frame pipeline and the energy model")
     p.add_argument("--config", help="run configuration JSON")
-    p.add_argument("--frames", help="frame directory (overrides config frames_dir)")
+    p.add_argument("--frames", dest="frames_dir", metavar="FRAMES",
+                   help="frame directory (overrides config frames_dir)")
     p.add_argument("--detections", help="detection trace path (overrides config)")
     p.add_argument("--mode", help="ew:N or adaptive")
-    p.add_argument("--mb-size", dest="mb_size", type=int)
-    p.add_argument("--search-range", dest="search_range", type=int)
-    p.add_argument("--algo", choices=["es", "tss"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--mb-size", dest="motion.mb_size", metavar="MB_SIZE", type=_int)
+    p.add_argument("--search-range", dest="motion.search_range", metavar="SEARCH_RANGE", type=_int)
+    p.add_argument("--algo", dest="motion.algorithm", choices=["es", "tss"])
+    p.add_argument("--seed", type=_int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="score a result trace against ground truth")
     p.add_argument("--trace", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--thresholds", help="comma-separated IoU thresholds (default 0:1:0.05)")
+    p.add_argument("--thresholds", type=_parse_thresholds, default=DEFAULT_THRESHOLDS,
+                   help="comma-separated IoU thresholds (default 0:1:0.05)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -466,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--mode", help="base mode for non-ew axes")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -474,9 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # a flag's type may raise ConfigError
         return args.func(args)
     except (EuphratesError, ValueError, OSError, MemoryError) as e:
         # numpy raises a private subclass of MemoryError; name the public class.

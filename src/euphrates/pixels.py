@@ -9,6 +9,8 @@ a gap.
 from __future__ import annotations
 
 import math
+import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +57,10 @@ class Frame:
 # ---------------------------------------------------------------------------
 # File I/O
 
+# Before each P5 header field: whitespace and '#' comments, each to its newline.
+_HEADER_GAP = re.compile(rb"(?:\s|#[^\n]*\n)*")
+_HEADER_FIELD = re.compile(rb"\S*")
+
 
 def _parse_pgm(data: bytes, path: str) -> Frame:
     # P5 header: magic, width, height, maxval as whitespace-separated tokens,
@@ -67,24 +73,20 @@ def _parse_pgm(data: bytes, path: str) -> Frame:
 
     pos = 2
     tokens: list[int] = []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            eol = data.find(b"\n", pos)
-            if eol == -1:
-                raise FrameFormatError(f"{path}: unterminated comment in header")
-            pos = eol + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tok = data[start:pos]
+    for _ in range(3):
+        pos = _HEADER_GAP.match(data, pos).end()
+        if data[pos : pos + 1] == b"#":
+            raise FrameFormatError(f"{path}: unterminated comment in header")
+        tok = _HEADER_FIELD.match(data, pos).group()
+        pos += len(tok)
         if not tok:
             raise FrameFormatError(f"{path}: truncated header, expected 3 numeric fields")
         if not tok.isdigit():
             raise FrameFormatError(f"{path}: malformed header field {tok!r}")
-        tokens.append(int(tok))
+        try:
+            tokens.append(int(tok))
+        except ValueError:  # past int()'s limit of 4300 digits
+            raise FrameFormatError(f"{path}: header field of {len(tok)} digits is too long") from None
     pos += 1  # exactly one whitespace byte separates header and payload
 
     width, height, maxval = tokens
@@ -113,7 +115,7 @@ def _pgm_path(path: str | Path) -> Path:
 def load_frame(path: str | Path) -> Frame:
     """Load a binary PGM (P5) frame from the `.pgm` file `path`."""
     p = _pgm_path(path)
-    if not p.is_file():
+    if not os.path.isfile(p):
         raise FrameFormatError(f"{p}: file not found")
     return _parse_pgm(p.read_bytes(), str(p))
 
@@ -132,10 +134,11 @@ def list_frame_files(directory: str | Path, suffix: str = ".pgm", first: int = 0
     must name a file.
     """
     numbered = []
-    for f in Path(directory).glob("*" + suffix):
+    # os.path.isdir is False where Path.glob raises, as for a name too long.
+    for f in Path(directory).glob("*" + suffix) if os.path.isdir(directory) else ():
         if not (f.stem.isascii() and f.stem.isdigit()):
             raise FrameFormatError(f"{f}: {suffix} file names must be frame numbers")
-        if not f.is_file():
+        if not os.path.isfile(f):
             raise FrameFormatError(f"{f}: not a file")
         numbered.append((int(f.stem), f))
     if not numbered:

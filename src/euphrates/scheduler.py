@@ -23,6 +23,7 @@ may share one store, as the variants of a sweep do.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -80,7 +81,7 @@ def _read_trace(path: str | Path, parse: Callable[[dict, int, list[Roi]], object
     Rois. A missing file raises MissingDataError; a broken rule (a repeated
     frame index, say) raises ConfigError naming path:line."""
     p = Path(path)
-    if not p.is_file():
+    if not os.path.isfile(p):
         raise MissingDataError(f"file not found: {p}")
     header, frames, seen = {}, [], set()
     with decoding(p) as at:

@@ -32,6 +32,8 @@ class Mutant:
 
 NESTING = "tests/test_input_rules.py::test_deeply_nested_json_ends_in_one_config_error"
 NOT_A_FRAME = "tests/test_motion.py::test_searches_reject_pixels_that_are_not_a_frame"
+FLAG_RULE = "tests/test_cli.py::test_each_flag_sets_the_config_field_its_dest_names"
+LONG_NAME = "tests/test_input_rules.py::test_a_path_name_too_long_to_use_reads_as_missing"
 
 MUTANTS = [
     Mutant(
@@ -67,6 +69,20 @@ MUTANTS = [
         "(frame if isinstance(frame, Frame) else Frame(np.asarray(frame))).pixels",
         "frame.pixels if isinstance(frame, Frame) else np.asarray(frame)",
         tuple(f"{NOT_A_FRAME}[{search}-{pixels}]" for search in ("es field", "one MB") for pixels in ("int64", "float64")),
+    ),
+    Mutant(
+        "flag-filter-ignores-dotted-dests",
+        "cli.py",
+        'if dest.split(".")[0] in cls.__dataclass_fields__',
+        "if dest in cls.__dataclass_fields__",
+        (f"{FLAG_RULE}[simulate]",),
+    ),
+    Mutant(
+        "detections-check-raises-on-a-long-name",
+        "cli.py",
+        "if not os.path.isfile(det_path):",
+        "if not det_path.is_file():",
+        (f"{LONG_NAME}[detections]",),
     ),
 ]
 

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows."""
 
+import argparse
 import hashlib
 import json
 import re
@@ -13,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from euphrates import cli, scheduler
-from euphrates.cli import SynthConfig, main
-from euphrates.motion import decode_metadata, encode_metadata, uniform_field
+from euphrates.cli import RunConfig, SynthConfig, main
+from euphrates.motion import MotionParams, decode_metadata, encode_metadata, uniform_field
 from euphrates.pixels import Frame, save_frame
 from euphrates.scheduler import ResultTrace, read_detection_trace
 
@@ -961,6 +962,121 @@ def test_detection_too_thin_to_split_rejected(synth_dir, tmp_path, capsys):
     assert error_line(capsys).startswith(f"error ConfigError: {truth}: frame 1: box at 10.0,")
 
 
+def test_a_missing_detection_record_names_the_trace(synth_dir, tmp_path, capsys):
+    dets = tmp_path / "dets.jsonl"
+    lines = (synth_dir / "truth.jsonl").read_text().splitlines()
+    dets.write_text("\n".join(line for line in lines if json.loads(line).get("frame") != 4) + "\n")
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(dets), mode="ew:4")
+    assert run(["simulate", "--config", cfgp, "--out", tmp_path / "sim"]) == 2
+    assert error_line(capsys) == f"error MissingDataError: {dets}: no detection record for frame 4\n"
+    assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "4", "--out", tmp_path / "sweep"]) == 2
+    assert error_line(capsys) == (
+        f"error ConfigError: sweep run ew=4: MissingDataError: {dets}: no detection record for frame 4\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Flags: a flag's dest is the dotted path of the config field it sets
+
+
+# The dests of each command that name no config field.
+PLAIN_DESTS = {
+    "synth": {"config", "out"},
+    "estimate": {"frames", "out"},
+    "simulate": {"config", "out"},
+    "evaluate": {"trace", "truth", "thresholds", "out"},
+    "sweep": {"config", "axis", "values", "out"},
+}
+CONFIG_OF = {"synth": SynthConfig, "estimate": MotionParams, "simulate": RunConfig, "sweep": RunConfig}
+# A value for each flag, unlike the default of any field the flag sets.
+FLAG_VALUES = {
+    "--out": "o", "--canvas": "160x120", "--object": "16x8", "--frames": "8",
+    "--velocity": "1,0", "--start": "3,4", "--background": "noise", "--seed": "5", "--mb-size": "8",
+    "--search-range": "5", "--algo": "tss", "--detections": "d.jsonl", "--mode": "adaptive",
+    "--trace": "t.jsonl", "--truth": "g.jsonl", "--axis": "ew", "--values": "1",
+}
+
+
+def subcommand_flags(command):
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a for a in sub.choices[command]._actions if a.dest != "help"]
+
+
+@pytest.mark.parametrize("command", list(PLAIN_DESTS))
+def test_each_flag_sets_the_config_field_its_dest_names(command):
+    flags = subcommand_flags(command)
+    required = [arg for a in flags if a.required for arg in (a.option_strings[0], FLAG_VALUES[a.option_strings[0]])]
+    cls = CONFIG_OF.get(command)
+    fields = cls.__dataclass_fields__ if cls else {}
+    for a in flags:
+        flag, field = a.option_strings[0], a.dest.split(".")[0]
+        if a.dest in PLAIN_DESTS[command]:
+            assert field not in fields, flag
+            continue
+        assert field in fields, f"{flag}: dest {a.dest!r} names no config field"
+        args = cli.build_parser().parse_args([command, *required, flag, FLAG_VALUES[flag]])
+        got, default = cli._load_config(cls, None, args).to_dict(), cls().to_dict()
+        for key in a.dest.split("."):
+            got, default = got[key], default[key]
+        assert got == json.loads(json.dumps(getattr(args, a.dest))) != default, flag
+
+
+USAGE = {
+    "synth": """\
+usage: euphrates synth [-h] [--config CONFIG] [--canvas CANVAS]
+                       [--object OBJECT] [--frames FRAMES]
+                       [--velocity VELOCITY] [--start START]
+                       [--background {flat,noise}] [--seed SEED] --out OUT""",
+    "estimate": """\
+usage: euphrates estimate [-h] --frames FRAMES [--mb-size MB_SIZE]
+                          [--search-range SEARCH_RANGE] [--algo {es,tss}]
+                          --out OUT""",
+    "simulate": """\
+usage: euphrates simulate [-h] [--config CONFIG] [--frames FRAMES]
+                          [--detections DETECTIONS] [--mode MODE]
+                          [--mb-size MB_SIZE] [--search-range SEARCH_RANGE]
+                          [--algo {es,tss}] [--seed SEED] --out OUT""",
+    "evaluate": """\
+usage: euphrates evaluate [-h] --trace TRACE --truth TRUTH
+                          [--thresholds THRESHOLDS] --out OUT""",
+    "sweep": """\
+usage: euphrates sweep [-h] [--config CONFIG] --axis {ew,mb_size,algorithm}
+                       --values VALUES [--mode MODE] [--seed SEED] --out OUT""",
+}
+
+
+@pytest.mark.parametrize("command", list(USAGE))
+def test_usage_names_each_flag_by_its_option(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert capsys.readouterr().out.split("\n\n")[0] == USAGE[command]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("synth", "--frames", "\u0664"),
+        ("synth", "--seed", "1_0"),
+        ("estimate", "--mb-size", "+16"),
+        ("estimate", "--search-range", " 7"),
+        ("simulate", "--seed", "1_0"),
+        ("simulate", "--mb-size", "+16"),
+        ("simulate", "--search-range", "7_0"),
+        ("sweep", "--seed", "+1"),
+    ],
+)
+def test_integer_flags_take_an_optional_minus_and_ascii_digits(tmp_path, capsys, command, flag, value):
+    # int() would read "1_0" as 10, "+16" as 16, " 7" as 7 and the Arabic-Indic "\u0664" as 4.
+    out = tmp_path / "out"
+    required = {"estimate": ["--frames", tmp_path], "sweep": ["--axis", "ew", "--values", "1"]}
+    with pytest.raises(SystemExit) as raised:
+        run([command, *required.get(command, []), f"{flag}={value}", "--out", out])
+    assert raised.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: arbitrary finite box values, damaged .mvm files and damaged PGM
 # headers end in exit 0, or in exit 2 with one error line
@@ -1011,7 +1127,8 @@ def pgm_damage(draw):
     t = draw(st.integers(0, FUZZ_FRAMES - 1))
     how = draw(st.sampled_from(["header", "flip", "truncate"]))
     if how == "header":
-        token = st.sampled_from(["0", "1", "47", "48", "63", "64", "65", "255", "256", "3072", "-1", "x", "#c\n"])
+        token = st.sampled_from(["0", "1", "47", "48", "63", "64", "65", "255", "256", "3072", "-1", "x", "#c\n",
+                                 "9" * 5000])
         magic = draw(st.sampled_from(["P5", "P2", "P6", "P", "Q5"]))
         sep = draw(st.sampled_from(["\n", " ", "\t", ""]))
         return "pgm", t, ("header", f"{magic}{sep}{' '.join(draw(token) for _ in range(3))}\n")
@@ -1075,6 +1192,8 @@ def exits_cleanly(capsys, args) -> int:
 @example(case=("box", 0, {"x": 0.0, "y": 0.0, "w": 1.0, "h": 3e-106}), mode="ew:2")
 # The area of this box rounds to 0, which IoU would divide by.
 @example(case=("box", 0, {"x": 0.0, "y": 0.0, "w": 1e-200, "h": 1e-200}), mode="ew:2")
+# int() refuses this width, which has more than 4300 digits.
+@example(case=("pgm", 1, ("header", "P5\n" + "9" * 5000 + " 48\n255\n")), mode="ew:2")
 def test_damaged_inputs_exit_0_or_2_with_one_line(fuzz_inputs, tmp_path, capsys, case, mode):
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     cfgp = write_run_config(work / "run.json", mode=mode, **damage(fuzz_inputs, work, case))

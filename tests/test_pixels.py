@@ -48,6 +48,9 @@ def test_pgm_parses_comments(tmp_path):
         (b"P5\n2 2\n65535\n" + bytes(8), "maxval"),
         (b"P5\n2 2\n255\n" + bytes(3), "mismatch"),
         (b"P5\n2 x\n255\n" + bytes(4), "malformed"),
+        # int() refuses more than 4300 digits with a plain ValueError.
+        pytest.param(b"P5\n" + b"9" * 5000 + b" 2\n255\n" + bytes(4),
+                     "bad.pgm: header field of 5000 digits is too long", id="width-past-the-digit-limit"),
     ],
 )
 def test_pgm_errors(tmp_path, payload, msg):
