@@ -118,7 +118,7 @@ def build_run_config(config_path: str | None, args: argparse.Namespace | None = 
 
 def _out_dir(path: str | Path) -> Path:
     """`path` as a directory, made with its parents if missing; ConfigError
-    when it or one of its parents is a file."""
+    when it or one of its parents is a file, or a name in it is too long."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
