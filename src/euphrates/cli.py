@@ -30,11 +30,11 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigNode, decoding, merge_overrides
-from .errors import ConfigError, DimensionMismatchError, EuphratesError, MetadataError, MissingDataError
+from .errors import ConfigError, EuphratesError, MetadataError, MissingDataError
 from .metrics import DEFAULT_THRESHOLDS, average_precision, precision_at, success_curve
-from .motion import MAX_FRAME_SIDE, MotionField, MotionParams, decode_metadata, encode_metadata, encoded_size
-from .motion import estimate_motion_field
-from .pixels import SynthConfig, generate_sequence, list_frame_files, load_sequence, save_sequence
+from .motion import MAX_FRAME_SIDE, MotionField, MotionParams, check_layout, decode_metadata, encode_metadata
+from .motion import encoded_size, estimate_motion_field
+from .pixels import SynthConfig, generate_sequence, load_sequence, read_sequence, save_sequence
 from .roi import Roi
 from .scheduler import FrameMotion, PipelineConfig, ResultTrace, SearchStore, StoredMotion, TraceProvider
 from .scheduler import read_detection_trace, run_pipeline
@@ -181,25 +181,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _load_fields_dir(directory: str | Path, params: MotionParams) -> list[MotionField]:
-    """Fields of 000001.mvm .. N.mvm, which must all share frame size and the
-    run's motion `params`."""
-    files = list_frame_files(directory, ".mvm", 1)
-    fields: list[MotionField] = []
-    for f in files:
+    """Fields of 000001.mvm .. N.mvm, which must all share frame size and
+    carry the run's motion `params`."""
+    def decode(path: Path) -> MotionField:
         try:
-            fld = decode_metadata(f.read_bytes())
+            fld = decode_metadata(path.read_bytes())
         except MetadataError as e:
-            raise MetadataError(f"{f}: {e}") from None
-        if not fields and fld.params != params:
-            raise ConfigError(f"{f}: {fld.params} differs from the config's motion {params}")
-        first = fields[0] if fields else fld
-        if (fld.width, fld.height, fld.params) != (first.width, first.height, first.params):
-            raise DimensionMismatchError(
-                f"{f}: {fld.width}x{fld.height} {fld.params} differs from "
-                f"{files[0].name}: {first.width}x{first.height} {first.params}"
-            )
-        fields.append(fld)
-    return fields
+            raise MetadataError(f"{path}: {e}") from None
+        if fld.params != params:
+            raise ConfigError(f"{path}: {fld.params} differs from the config's motion {params}")
+        return fld
+    return read_sequence(directory, ".mvm", 1, decode)
 
 
 def _check_sources(cfg: RunConfig) -> Path:
@@ -289,9 +281,12 @@ def evaluate_trace(
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
-    """`--thresholds` as IoU thresholds: within [0, 1] and ascending."""
+    """`--thresholds` as IoU thresholds: ASCII numbers within [0, 1], ascending."""
     try:
-        thresholds = tuple(float(t) for t in text.split(","))
+        entries = [t.strip() for t in text.split(",")]
+        if not all(t.isascii() and "_" not in t for t in entries):
+            raise ValueError("thresholds must be ASCII numbers without '_'")
+        thresholds = tuple(map(float, entries))
         if any(not 0.0 <= t <= 1.0 for t in thresholds):
             raise ValueError("thresholds must lie within [0, 1]")
         if list(thresholds) != sorted(thresholds):
@@ -329,10 +324,8 @@ SWEEP_AXES = {"ew": "mode", "mb_size": "motion.mb_size", "algorithm": "motion.al
 def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, RunConfig]:
     """The run config of each comma-separated `values` entry of a sweep over
     `axis`, in order: algorithm names as text, ew and mb_size values by the
-    `_int` rule. Every config and the run inputs are checked before any run
-    starts."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {list(SWEEP_AXES)}")
+    `_int` rule. Every config, its motion parameters against the `.mvm`
+    layout, and the run inputs are checked before any run starts."""
     _check_sources(cfg)
     if cfg.truth and not os.path.isfile(cfg.truth):  # run_sweep scores against `truth`, or else `detections`
         raise ConfigError(f"truth trace not found: {cfg.truth}")
@@ -352,7 +345,8 @@ def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, R
         change = {SWEEP_AXES[axis]: f"ew:{value}" if axis == "ew" else value}
         try:
             variants[value] = RunConfig.from_dict(merge_overrides(cfg.to_dict(), change))
-        except ConfigError as e:
+            check_layout(variants[value].motion)  # the .mvm layout holds L and d; reads no frame
+        except (ConfigError, MetadataError) as e:
             raise ConfigError(f"sweep run {axis}={value}: {e.__class__.__name__}: {e}") from None
     if not variants:
         raise ConfigError("--values is empty")

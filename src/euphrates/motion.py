@@ -406,22 +406,26 @@ def _record(d: int) -> np.dtype:
     return np.dtype([("u", "i1"), ("v", "i1"), ("sad", "<u4")])
 
 
-def encoded_size(width: int, height: int, params: MotionParams) -> int:
-    """Bytes of one encoded field; MetadataError when the layout cannot hold
-    the macroblock size, the search range or the frame size."""
-    d = params.search_range
+def check_layout(params: MotionParams) -> None:
+    """MetadataError when the layout cannot hold L or d of `params`, at any frame size."""
     if params.mb_size > MAX_FRAME_SIDE:
         raise MetadataError(f"macroblock size {params.mb_size} exceeds the header's 16-bit range")
     if params.max_sad > 0xFFFFFFFF:
         raise MetadataError(
             f"macroblock size {params.mb_size} allows a SAD of {params.max_sad}, beyond the record's 32-bit range"
         )
-    if d > 127:
-        raise MetadataError(f"search range {d} exceeds the wide form's 8-bit range")
+    if params.search_range > 127:
+        raise MetadataError(f"search range {params.search_range} exceeds the wide form's 8-bit range")
+
+
+def encoded_size(width: int, height: int, params: MotionParams) -> int:
+    """Bytes of one encoded field; MetadataError when the layout cannot hold
+    the macroblock size, the search range or the frame size."""
+    check_layout(params)
     if not (0 < width <= MAX_FRAME_SIDE and 0 < height <= MAX_FRAME_SIDE):
         raise MetadataError(f"empty frame or frame over {MAX_FRAME_SIDE} pixels a side: {width}x{height}")
     rows, cols = grid_shape(width, height, params.mb_size)
-    return _HEADER.size + _record(d).itemsize * rows * cols
+    return _HEADER.size + _record(params.search_range).itemsize * rows * cols
 
 
 def encode_metadata(field: MotionField) -> bytes:

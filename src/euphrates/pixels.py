@@ -1,9 +1,9 @@
 """Frame ingestion and synthetic test sequences.
 
 Frames are single-channel 8-bit luminance images, stored as binary PGM
-(P5, maxval 255) in `.pgm` files. Frame sequences are directories of files
-named by frame number alone (000000.pgm, 000001.pgm, ...), numbered without
-a gap.
+(P5, maxval 255) in `.pgm` files. `read_sequence` reads a directory of files
+named by frame number alone (000000.pgm, ..., or the 000001.mvm, ... motion
+fields of `euphrates estimate`), numbered without a gap and of one size.
 """
 
 from __future__ import annotations
@@ -13,14 +13,17 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .config import ConfigNode
-from .errors import ConfigError, FrameFormatError, MissingDataError
+from .errors import ConfigError, DimensionMismatchError, FrameFormatError, MissingDataError
 from .roi import Roi
 
 FLAT_BACKGROUND_VALUE = 128
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +129,12 @@ def save_frame(frame: Frame, path: str | Path) -> None:
     _pgm_path(path).write_bytes(header + frame.pixels.tobytes())
 
 
-def list_frame_files(directory: str | Path, suffix: str = ".pgm", first: int = 0) -> list[Path]:
-    """The `suffix` files of a sequence directory in frame order.
+def read_sequence(directory: str | Path, suffix: str, first: int, load: Callable[[Path], T]) -> list[T]:
+    """`load(path)` of each `suffix` file of a sequence directory, in frame order.
 
     Names must be a frame number alone (e.g. 000000.pgm), numbered from
-    `first` without a gap, so no frame can be skipped or misplaced, and each
-    must name a file.
+    `first` without a gap, so no frame can be skipped or misplaced; each
+    must name a file, and each item must share the first's width x height.
     """
     numbered = []
     # os.path.isdir is False where Path.glob raises, as for a name too long.
@@ -147,24 +150,21 @@ def list_frame_files(directory: str | Path, suffix: str = ".pgm", first: int = 0
     for n, (number, f) in enumerate(numbered, first):
         if number != n:
             raise MissingDataError(f"{directory}: no {suffix} file for frame {n} (next is {f.name})")
-    return [f for _, f in numbered]
+    items: list[T] = []
+    for _, f in numbered:
+        item = load(f)
+        if items and (item.width, item.height) != (items[0].width, items[0].height):
+            raise DimensionMismatchError(
+                f"{f}: {item.width}x{item.height} differs from "
+                f"{numbered[0][1].name}: {items[0].width}x{items[0].height}"
+            )
+        items.append(item)
+    return items
 
 
 def load_sequence(directory: str | Path) -> list[Frame]:
-    """Load all frames of a sequence; every frame must share dimensions."""
-    frames: list[Frame] = []
-    dims: tuple[int, int] | None = None
-    for f in list_frame_files(directory):
-        frame = load_frame(f)
-        if dims is None:
-            dims = (frame.width, frame.height)
-        elif (frame.width, frame.height) != dims:
-            raise FrameFormatError(
-                f"{f}: dimensions {frame.width}x{frame.height} differ from "
-                f"sequence dimensions {dims[0]}x{dims[1]}"
-            )
-        frames.append(frame)
-    return frames
+    """All frames of a sequence directory (000000.pgm, 000001.pgm, ...)."""
+    return read_sequence(directory, ".pgm", 0, load_frame)
 
 
 def save_sequence(frames: list[Frame], directory: str | Path) -> list[Path]:

@@ -84,6 +84,30 @@ MUTANTS = [
         "if not det_path.is_file():",
         (f"{LONG_NAME}[detections]",),
     ),
+    Mutant(
+        "sequence-size-check-never-fires",
+        "pixels.py",
+        "(item.width, item.height) != (items[0].width, items[0].height)",
+        "(item.width, item.height) != (item.width, item.height)",
+        (
+            "tests/test_pixels.py::test_sequence_mixed_dims_names_file",
+            "tests/test_cli.py::test_simulate_rejects_mixed_mvm_fields",
+        ),
+    ),
+    Mutant(
+        "mvm-params-compared-on-the-first-field-only",
+        "cli.py",
+        "if fld.params != params:",
+        'if path.name == "000001.mvm" and fld.params != params:',
+        ("tests/test_cli.py::test_simulate_rejects_a_later_mvm_field_of_other_motion_params",),
+    ),
+    Mutant(
+        "sweep-skips-the-layout-check",
+        "cli.py",
+        "            check_layout(variants[value].motion)",
+        "            pass",
+        ("tests/test_cli.py::test_sweep_checks_every_variant_against_the_metadata_layout_before_any_run",),
+    ),
 ]
 
 

@@ -347,6 +347,21 @@ def test_simulate_determinism_and_rerun_from_echo(synth_dir, tmp_path):
     assert (tmp_path / "s3" / "energy.csv").read_bytes() == (tmp_path / "s1" / "energy.csv").read_bytes()
 
 
+def test_simulate_rejects_a_negative_seed(synth_dir, tmp_path, capsys):
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
+    assert run(["simulate", "--config", cfgp, "--seed=-1", "--out", tmp_path / "sim"]) == 2
+    assert error_line(capsys) == f"error ConfigError: {cfgp}: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "sim").exists()
+
+
+def test_a_run_from_the_config_echo_equals_the_run_from_the_config(synth_dir, tmp_path):
+    cfg = RunConfig(frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"), mode="adaptive", seed=5)
+    trace, report = cli.run_simulation(cfg)
+    echo_trace, echo_report = cli.run_simulation(cfg.to_dict())
+    assert echo_trace.to_jsonl() == trace.to_jsonl()
+    assert echo_report == report
+
+
 def test_simulate_flag_overrides(synth_dir, tmp_path):
     cfgp = write_run_config(
         tmp_path / "run.json",
@@ -644,6 +659,22 @@ def test_sweep_checks_every_variant_before_any_run(synth_dir, tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_sweep_checks_every_variant_against_the_metadata_layout_before_any_run(
+    synth_dir, tmp_path, capsys, monkeypatch
+):
+    def no_run(cfg, store=None):
+        raise AssertionError("a sweep variant ran before every variant's motion was checked against the layout")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    monkeypatch.setattr(cli, "load_sequence", lambda directory: pytest.fail("the layout check read a frame"))
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
+    out = tmp_path / "s"
+    assert run(["sweep", "--config", cfgp, "--axis", "mb_size", "--values", "16,8192", "--out", out]) == 2
+    message = METADATA_LIMITS[2][1]
+    assert error_line(capsys) == f"error ConfigError: sweep run mb_size=8192: MetadataError: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_needs_a_truth_and_a_value(synth_dir, tmp_path, capsys):
     out = tmp_path / "s"
     no_truth = write_run_config(tmp_path / "no_truth.json", frames_dir=str(synth_dir))
@@ -735,7 +766,7 @@ def test_detections_with_nan_box_rejected(synth_dir, tmp_path, capsys):
     assert error_line(capsys).startswith(f"error ConfigError: {truth}:3: box.x: expected a finite number")
 
 
-@pytest.mark.parametrize("thresholds", ["2,-1", "a", "0.5,0.2"])
+@pytest.mark.parametrize("thresholds", ["2,-1", "a", "0.5,0.2", "0.1_5,0.5", "\u0660.\u0665", "0.25,\u0660.\u0665"])
 def test_evaluate_rejects_bad_thresholds(synth_dir, sim_trace, capsys, thresholds):
     rc = run(["evaluate", "--trace", sim_trace, "--truth", synth_dir / "truth.jsonl",
               "--thresholds", thresholds, "--out", sim_trace.parent / "e"])
@@ -752,6 +783,14 @@ def test_evaluate_thresholds_must_be_ascending_within_0_and_1(synth_dir, sim_tra
               "--thresholds", thresholds, "--out", sim_trace.parent / "e"])
     assert rc == 2
     assert error_line(capsys) == f"error ConfigError: --thresholds {thresholds!r}: {rule}\n"
+
+
+@pytest.mark.parametrize("thresholds", ["0.25, 0.5", " 0.25 ,0.5 "])
+def test_evaluate_ignores_spaces_around_a_threshold(synth_dir, sim_trace, thresholds):
+    out = sim_trace.parent / "e"
+    assert run(["evaluate", "--trace", sim_trace, "--truth", synth_dir / "truth.jsonl",
+                "--thresholds", thresholds, "--out", out]) == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["thresholds"] == [0.25, 0.5]
 
 
 def simulate_from_mvm(synth_dir, tmp_path, mv):
@@ -796,6 +835,18 @@ def test_simulate_rejects_mixed_mvm_fields(synth_dir, tmp_path, capsys):
     assert simulate_from_mvm(synth_dir, tmp_path, mv) == 2
     err = error_line(capsys)
     assert err.startswith(f"error DimensionMismatchError: {mv / '000004.mvm'}: 160x96")
+
+
+def test_simulate_rejects_a_later_mvm_field_of_other_motion_params(synth_dir, tmp_path, capsys):
+    mv = tmp_path / "mv"
+    assert run(["estimate", "--frames", synth_dir, "--out", mv]) == 0
+    assert run(["estimate", "--frames", synth_dir, "--search-range", "3", "--out", tmp_path / "mv3"]) == 0
+    (mv / "000005.mvm").write_bytes((tmp_path / "mv3" / "000005.mvm").read_bytes())
+    assert simulate_from_mvm(synth_dir, tmp_path, mv) == 2
+    assert error_line(capsys) == (
+        f"error ConfigError: {mv / '000005.mvm'}: MotionParams(mb_size=16, search_range=3, algorithm='es') "
+        "differs from the config's motion MotionParams(mb_size=16, search_range=7, algorithm='es')\n"
+    )
 
 
 def test_estimate_rejects_a_frame_whose_header_comment_is_unterminated(synth_dir, tmp_path, capsys):

@@ -325,6 +325,13 @@ def test_check_of_a_leaf_equals_the_generic_rule(tp, value):
     assert repr(_outcome(check, tp, value)) == repr(_outcome(generic_check, tp, value))
 
 
+def test_check_of_a_type_without_a_rule_is_a_type_error():
+    """A schema field of a type `check` has no rule for is a fault of the
+    schema, not of the input, so it is not a ConfigError."""
+    with pytest.raises(TypeError, match=re.escape("box.x: no config rule for type list[int]")):
+        check(list[int], [1], "box.x")
+
+
 # ---------------------------------------------------------------------------
 # Property: parsers of untrusted files raise only EuphratesError
 

@@ -189,6 +189,11 @@ def test_split_box_too_thin_for_grid_rejected():
     assert len(split_sub_rois(Roi(10, 0, 1e-15, 8), (2, 1))) == 2  # no split across the width
 
 
+def test_split_needs_a_grid_of_at_least_one_tile_a_side():
+    with pytest.raises(ValueError, match=r"sub-roi grid must be at least 1x1, got \(0, 2\)"):
+        split_sub_rois(Roi(0, 0, 100, 50), (0, 2))
+
+
 def test_grid_bounded_on_each_axis():
     assert ExtrapolationParams(grid=(MAX_GRID_AXIS, MAX_GRID_AXIS)).grid == (MAX_GRID_AXIS, MAX_GRID_AXIS)
     for grid in [(MAX_GRID_AXIS + 1, 1), (1, MAX_GRID_AXIS + 1), (100000, 100000)]:

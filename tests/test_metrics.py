@@ -351,3 +351,8 @@ def test_ops_count_validation():
         ops_count("diamond", 16, 7)
     with pytest.raises(ValueError):
         ops_count("es", 0, 7)
+
+
+def test_ops_count_rejects_a_negative_search_range():
+    with pytest.raises(ValueError, match="search_range must be non-negative, got -1"):
+        ops_count("es", 16, -1)

@@ -352,6 +352,12 @@ def test_tss_fields_in_chunks_equal_the_literal_ring_walk(chunk, monkeypatch):
     assert not empty.vectors.any() and np.all(empty.sads == 255 * 4 * 4)
 
 
+def test_cells_mask_must_have_the_shape_of_the_mb_grid():
+    f = np.zeros((32, 48), np.uint8)
+    with pytest.raises(ValueError, match=r"cells has shape \(3, 2\), expected the \(2, 3\) MB grid"):
+        estimate_motion_field(f, f, MotionParams(16, 7), cells=np.ones((3, 2), dtype=bool))
+
+
 def test_tss_field_memory_is_bounded():
     """A full 1920 x 1080 TSS field holds at most twice the kernel's byte
     budget beyond the two frames padded to the 16-grid."""

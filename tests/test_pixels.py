@@ -1,16 +1,16 @@
 """Frame I/O and synthetic sequence generation."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from euphrates.errors import ConfigError, FrameFormatError
+from euphrates.errors import ConfigError, DimensionMismatchError, FrameFormatError
 from euphrates.pixels import (
     Frame,
     SynthConfig,
     generate_sequence,
-    list_frame_files,
     load_frame,
     load_sequence,
     noise_image,
@@ -24,6 +24,11 @@ def test_frame_validation():
         Frame(np.zeros((4, 4), dtype=np.float32))
     with pytest.raises(FrameFormatError):
         Frame(np.zeros(16, dtype=np.uint8))
+
+
+def test_frame_of_zero_pixels_is_rejected():
+    with pytest.raises(FrameFormatError, match="frame must have at least one pixel"):
+        Frame(np.zeros((0, 4), dtype=np.uint8))
 
 
 def test_pgm_round_trip_exact(tmp_path):
@@ -60,6 +65,11 @@ def test_pgm_errors(tmp_path, payload, msg):
         load_frame(p)
 
 
+def test_load_frame_of_a_missing_path(tmp_path):
+    with pytest.raises(FrameFormatError, match=re.escape(f"{tmp_path / 'absent.pgm'}: file not found")):
+        load_frame(tmp_path / "absent.pgm")
+
+
 def test_load_frame_unknown_extension(tmp_path):
     for name in ["f.bin", "f.raw", "f.y8"]:
         p = tmp_path / name
@@ -76,8 +86,8 @@ def test_sequence_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     frames = [Frame(rng.integers(0, 256, size=(16, 16), dtype=np.uint8)) for _ in range(12)]
     save_sequence(frames, tmp_path / "seq")
-    names = [p.name for p in list_frame_files(tmp_path / "seq")]
-    assert names == sorted(names) and names[0] == "000000.pgm"
+    names = sorted(p.name for p in (tmp_path / "seq").iterdir())
+    assert names == [f"{i:06d}.pgm" for i in range(12)]
     loaded = load_sequence(tmp_path / "seq")
     assert loaded == frames
 
@@ -87,7 +97,7 @@ def test_sequence_mixed_dims_names_file(tmp_path):
     d.mkdir()
     save_frame(Frame(np.zeros((8, 8), dtype=np.uint8)), d / "000000.pgm")
     save_frame(Frame(np.zeros((8, 16), dtype=np.uint8)), d / "000001.pgm")
-    with pytest.raises(FrameFormatError, match="000001.pgm"):
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"{d / '000001.pgm'}: 16x8 differs from 000000.pgm: 8x8")):
         load_sequence(d)
 
 

@@ -94,6 +94,12 @@ def test_frame_energy_unknown_kind():
         frame_energy("X", PRESETS["yolov2"])
 
 
+def test_constant_schedule_needs_an_ew_of_at_least_1():
+    assert constant_schedule_kinds(3, 1) == ["I", "I", "I"]
+    with pytest.raises(ConfigError, match="ew must be >= 1, got 0"):
+        constant_schedule_kinds(3, 0)
+
+
 def test_detection_savings_match_measured_ratios():
     cfg = PRESETS["yolov2"]
     r2 = summarize(constant_schedule_kinds(1000, 2), cfg)
