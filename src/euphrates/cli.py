@@ -27,6 +27,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import __version__
 from .config import ConfigNode, decoding, merge_overrides
@@ -36,9 +37,11 @@ from .motion import MAX_FRAME_SIDE, MotionField, MotionParams, check_layout, dec
 from .motion import encoded_size, estimate_motion_field
 from .pixels import SynthConfig, generate_sequence, load_sequence, read_sequence, save_sequence
 from .roi import Roi
-from .scheduler import FrameMotion, PipelineConfig, ResultTrace, SearchStore, StoredMotion, TraceProvider
+from .scheduler import FrameMotion, PipelineConfig, ResultTrace, StoredMotion, TraceProvider
 from .scheduler import read_detection_trace, run_pipeline
 from .socmodel import EnergyReport, SocConfig, summarize
+
+T = TypeVar("T")
 
 
 def _int(text: str) -> int:
@@ -209,18 +212,32 @@ def _check_sources(cfg: RunConfig) -> Path:
     return det_path
 
 
-def run_simulation(cfg: RunConfig | dict, store: SearchStore | None = None) -> tuple[ResultTrace, EnergyReport]:
+def _read_once(inputs: dict, key: tuple, read: Callable[[], T]) -> T:
+    """`inputs[key]`, which `read()` gives the first time it is asked for."""
+    if key not in inputs:
+        inputs[key] = read()
+    return inputs[key]
+
+
+def run_simulation(cfg: RunConfig | dict, inputs: dict | None = None) -> tuple[ResultTrace, EnergyReport]:
     """Execute one simulate run from an effective config or its JSON echo;
-    pure in-memory. A run from frames searches motion through `store`, which
-    only runs over the same frames and motion parameters may share."""
+    pure in-memory. `inputs` holds what earlier runs of one sweep read: the
+    parsed trace of each path, the frames of each `frames_dir` and the
+    fields of each `metadata_dir`, and the search store of each frames and
+    motion pair. The run reads what is missing there and adds it; a run
+    without `inputs` reads all of its own."""
     if isinstance(cfg, dict):
         cfg = RunConfig.from_dict(cfg)
+    inputs = {} if inputs is None else inputs
     det_path = _check_sources(cfg)
-    provider = TraceProvider(read_detection_trace(det_path), cfg.provider.noise_sigma, cfg.seed)
+    records = _read_once(inputs, ("trace", det_path), lambda: read_detection_trace(det_path))
+    provider = TraceProvider(records, cfg.provider.noise_sigma, cfg.seed)
     if cfg.frames_dir:
-        motion = FrameMotion(load_sequence(cfg.frames_dir), cfg.motion, store)
+        frames = _read_once(inputs, ("frames", cfg.frames_dir), lambda: load_sequence(cfg.frames_dir))
+        motion = FrameMotion(frames, cfg.motion, _read_once(inputs, ("store", cfg.frames_dir, cfg.motion), dict))
     else:
-        motion = StoredMotion(_load_fields_dir(cfg.metadata_dir, cfg.motion))
+        key = ("fields", cfg.metadata_dir, cfg.motion)
+        motion = StoredMotion(_read_once(inputs, key, lambda: _load_fields_dir(cfg.metadata_dir, cfg.motion)))
     try:
         trace = run_pipeline(provider, cfg, motion)
     except (ConfigError, MissingDataError) as e:  # a detection no track can be seeded from, or no record
@@ -356,15 +373,21 @@ def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, R
 def run_sweep(variants: dict[int | str, RunConfig], axis: str) -> list[tuple]:
     """One simulate run per variant, scored by AP at IoU 0.5; rows (value,
     accuracy, saving, fps, trace, report) in the order of `variants`.
-    Variants with the same frames and motion parameters share one search
-    store, so each (frame pair, MB) is searched once for all of them."""
+    The runs share what they read, each read when the first run that needs
+    it runs: every trace file is parsed once, for the `truth` the variants
+    are scored against and the `detections` they replay, and the frames or
+    `.mvm` fields once. Variants with the same frames and motion parameters
+    share one search store, so each (frame pair, MB) is searched once for
+    all of them. Nothing outlives the call: a second sweep reads every file
+    again, as it is then."""
+    inputs: dict = {}
     first = next(iter(variants.values()))
-    truth = read_detection_trace(first.truth or first.detections)
-    stores: dict[tuple, SearchStore] = {}
+    truth_path = Path(first.truth or first.detections)
+    truth = _read_once(inputs, ("trace", truth_path), lambda: read_detection_trace(truth_path))
     rows = []
     for value, cfg in variants.items():
         try:
-            trace, report = run_simulation(cfg, stores.setdefault((cfg.frames_dir, cfg.motion), {}))
+            trace, report = run_simulation(cfg, inputs)
             accuracy = average_precision(*_aligned_boxes(trace, truth), 0.5)
         except EuphratesError as e:
             raise ConfigError(f"sweep run {axis}={value}: {e.__class__.__name__}: {e}") from None

@@ -103,7 +103,8 @@ def _parse_pgm(data: bytes, path: str) -> Frame:
             f"{path}: payload size mismatch: header says {width}x{height} "
             f"({width * height} bytes), payload has {payload_size}"
         )
-    return Frame(np.frombuffer(data, np.uint8, count=width * height, offset=pos).reshape(height, width).copy())
+    # A view of the immutable `data`: read-only, so frames that runs share stay as loaded.
+    return Frame(np.frombuffer(data, np.uint8, count=width * height, offset=pos).reshape(height, width))
 
 
 def _pgm_path(path: str | Path) -> Path:
@@ -116,7 +117,8 @@ def _pgm_path(path: str | Path) -> Path:
 
 
 def load_frame(path: str | Path) -> Frame:
-    """Load a binary PGM (P5) frame from the `.pgm` file `path`."""
+    """Load a binary PGM (P5) frame from the `.pgm` file `path`; its pixels
+    are read-only."""
     p = _pgm_path(path)
     if not os.path.isfile(p):
         raise FrameFormatError(f"{p}: file not found")

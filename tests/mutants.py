@@ -34,6 +34,7 @@ NESTING = "tests/test_input_rules.py::test_deeply_nested_json_ends_in_one_config
 NOT_A_FRAME = "tests/test_motion.py::test_searches_reject_pixels_that_are_not_a_frame"
 FLAG_RULE = "tests/test_cli.py::test_each_flag_sets_the_config_field_its_dest_names"
 LONG_NAME = "tests/test_input_rules.py::test_a_path_name_too_long_to_use_reads_as_missing"
+SECOND_SWEEP = "tests/test_cli.py::test_a_second_sweep_reads_the_files_as_they_are_then"
 
 MUTANTS = [
     Mutant(
@@ -107,6 +108,13 @@ MUTANTS = [
         "            check_layout(variants[value].motion)",
         "            pass",
         ("tests/test_cli.py::test_sweep_checks_every_variant_against_the_metadata_layout_before_any_run",),
+    ),
+    Mutant(
+        "sweep-inputs-kept-for-the-process",
+        "cli.py",
+        "    inputs: dict = {}\n",
+        '    inputs: dict = globals().setdefault("_SWEEP_INPUTS", {})  # a process-wide cache keyed by path\n',
+        tuple(f"{SECOND_SWEEP}[{rewritten}]" for rewritten in ("frame", "detections")),
     ),
 ]
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from euphrates import cli, scheduler
+from euphrates import cli, pixels, scheduler
 from euphrates.cli import RunConfig, SynthConfig, main
 from euphrates.motion import MotionParams, decode_metadata, encode_metadata, uniform_field
 from euphrates.pixels import Frame, save_frame
@@ -704,6 +704,84 @@ def test_sweep_checks_the_run_inputs_before_making_out(synth_dir, tmp_path, caps
     assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,2", "--out", out]) == 2
     assert error_line(capsys) == f"error ConfigError: {message.format(synth_dir=synth_dir)}\n"
     assert not out.exists()
+
+
+def counted(monkeypatch, owner, name) -> list:
+    """The first argument of every call of `owner.name` from now on; the call
+    goes through a wrapper set on the name the code looks up."""
+    calls, real = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("other_truth", [False, True])
+def test_an_ew_sweep_loads_each_frame_and_parses_each_trace_once(synth_dir, tmp_path, monkeypatch, other_truth):
+    dets, truth = synth_dir / "truth.jsonl", tmp_path / "truth.jsonl"
+    shutil.copy(dets, truth)
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(dets),
+                            **({"truth": str(truth)} if other_truth else {}))
+    loads = counted(monkeypatch, pixels, "load_frame")
+    parses = counted(monkeypatch, cli, "read_detection_trace")
+    assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,3,8", "--out", tmp_path / "s"]) == 0
+    assert sorted(loads) == sorted(synth_dir.glob("*.pgm")) and len(loads) == 12
+    assert list(map(Path, parses)) == ([truth, dets] if other_truth else [dets])
+
+
+def test_a_metadata_ew_sweep_decodes_each_mvm_file_once(synth_dir, tmp_path, monkeypatch):
+    mv = tmp_path / "mv"
+    assert run(["estimate", "--frames", synth_dir, "--out", mv]) == 0
+    cfgp = write_run_config(tmp_path / "run.json", metadata_dir=str(mv), detections=str(synth_dir / "truth.jsonl"))
+    decodes = counted(monkeypatch, cli, "decode_metadata")
+    assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,3,8", "--out", tmp_path / "s"]) == 0
+    assert sorted(decodes) == sorted(f.read_bytes() for f in mv.glob("*.mvm")) and len(decodes) == 11
+
+
+@pytest.mark.parametrize("rewritten", ["frame", "detections"])
+def test_a_second_sweep_reads_the_files_as_they_are_then(synth_dir, tmp_path, rewritten):
+    # Two sweeps in one process (as a long-lived caller runs them) share
+    # nothing: the second sees a frame or trace rewritten in place after the
+    # first, so each of its variants equals a simulate of its echo.
+    dets = synth_dir / "truth.jsonl"
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(dets))
+    sweep = ["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,3,8"]
+    assert run(sweep + ["--out", tmp_path / "before"]) == 0
+    if rewritten == "frame":  # frame 1 repeats frame 0: no motion into it
+        shutil.copy(synth_dir / "000000.pgm", synth_dir / "000001.pgm")
+    else:  # every box one pixel to the right
+        records = [json.loads(line) for line in dets.read_text().splitlines()]
+        for record in records:
+            for box in record.get("boxes", []):
+                box["x"] += 1.0
+        dets.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(sweep + ["--out", tmp_path / "after"]) == 0
+    changed = 0
+    for value in ("1", "3", "8"):
+        after = tmp_path / "after" / f"ew_{value}"
+        echo = tmp_path / f"echo_{value}.json"
+        echo.write_text(json.dumps(json.loads((after / "energy.json").read_text())["config"]))
+        assert run(["simulate", "--config", echo, "--out", tmp_path / "sim"]) == 0
+        assert (tmp_path / "sim" / "trace.jsonl").read_bytes() == (after / "trace.jsonl").read_bytes(), value
+        before = tmp_path / "before" / f"ew_{value}"
+        changed += (after / "trace.jsonl").read_bytes() != (before / "trace.jsonl").read_bytes()
+    assert changed  # the rewrite reaches some variant's outputs
+
+
+def test_a_sweep_over_a_truncated_frame_names_its_first_variant(synth_dir, tmp_path, capsys):
+    bad = synth_dir / "000005.pgm"
+    bad.write_bytes(bad.read_bytes()[:-1])
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
+    out = tmp_path / "s"
+    assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "3,1,8", "--out", out]) == 2
+    assert error_line(capsys) == (
+        f"error ConfigError: sweep run ew=3: FrameFormatError: {bad}: payload size mismatch: "
+        "header says 128x96 (12288 bytes), payload has 12287\n"
+    )
+    assert not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,16 @@ def test_pgm_round_trip_exact(tmp_path):
     assert loaded == f
 
 
+
+def test_loaded_pixels_are_read_only(tmp_path):
+    # Runs of one sweep share the frames they load, so no run may write them.
+    p = tmp_path / "a.pgm"
+    save_frame(Frame(np.array([[0, 128], [255, 7]], dtype=np.uint8)), p)
+    px = load_frame(p).pixels
+    assert not px.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        px[0, 0] = 1
+
 def test_pgm_parses_comments(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# a comment\n2 2\n# another\n255\n" + bytes([1, 2, 3, 4]))
