@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -484,9 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# `main`'s parser, built on first use; parsing a command line leaves it as it was.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)  # a flag's type may raise ConfigError
+        args = _parser().parse_args(argv)  # a flag's type may raise ConfigError
         return args.func(args)
     except (EuphratesError, ValueError, OSError, MemoryError) as e:
         # numpy raises a private subclass of MemoryError; name the public class.

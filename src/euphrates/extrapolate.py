@@ -18,7 +18,8 @@ minimal bounding box of the moved sub-ROIs, clamped to the frame. The
 sub-ROIs of every live track on a field are reduced together over the MB
 grid (`roi_motion_stats`, in chunks of bounded size), each sum bit-identical
 to a reduction of that sub-ROI alone; `extrapolate_track` then steps each
-track from its share.
+track from its share. A chunk lists each sub-ROI's MBs row by row from its
+one run of MB columns, not from a mask over the whole grid.
 
 Everything here is pure. `SubTrack` and `TrackState`, like `Roi`, are plain
 dataclasses, cheap to build; no module assigns to them (tests/test_package.py).
@@ -124,7 +125,7 @@ def _axis_overlaps(grid: tuple[int, int], L: int, rois: Sequence[Roi]) -> tuple[
     """(ov_y, ov_x): overlap length of each of `rois` with each cell row and
     each cell column of a (rows, cols) grid of L x L cells."""
     rows, cols = grid
-    boxes = np.array([(r.x, r.x + r.w, r.y, r.y + r.h) for r in rois], dtype=float).reshape(-1, 4)
+    boxes = np.array([v for r in rois for v in (r.x, r.x + r.w, r.y, r.y + r.h)], dtype=float).reshape(-1, 4)
     x_lo, x_hi = _cell_edges(cols, L)
     y_lo, y_hi = _cell_edges(rows, L)
     ov_x = np.minimum(boxes[:, 1:2], x_hi)
@@ -159,6 +160,20 @@ def roi_motion_stats(field: MotionField, rois: Sequence[Roi]) -> list[tuple[floa
     return stats
 
 
+def _covered_cells(ov_y: np.ndarray, ov_x: np.ndarray) -> np.ndarray:
+    """np.flatnonzero of the (ROIs, rows, cols) outer product of the positive
+    overlaps, a cell whose area underflows to 0 included, built from each
+    ROI's one run of positive columns: each of its positive rows, in turn,
+    lists that run."""
+    row_at = np.flatnonzero(ov_y > 0.0)  # ROI * rows + row
+    on_x = ov_x > 0.0
+    first, width = on_x.argmax(axis=1), on_x.sum(axis=1)
+    s = row_at // ov_y.shape[1]
+    run = np.arange(width.max(initial=0))
+    cells = (row_at * ov_x.shape[1] + first[s])[:, None] + run
+    return cells[run < width[s][:, None]]
+
+
 def _chunk_motion_stats(
     planes: np.ndarray, ov_y: np.ndarray, ov_x: np.ndarray
 ) -> list[tuple[float, float, float] | None]:
@@ -171,7 +186,7 @@ def _chunk_motion_stats(
     # ROI s's weight on each MB it overlaps on both axes, the product that
     # the dense outer product of its overlaps holds there; elsewhere that
     # product is +-0.
-    at = np.flatnonzero((ov_y > 0.0)[:, :, None] & (ov_x > 0.0)[:, None, :])
+    at = _covered_cells(ov_y, ov_x)
     s, flat = np.divmod(at, n)
     rows, cols = np.divmod(flat, ov_x.shape[1])
     weights = ov_y[s, rows] * ov_x[s, cols]
@@ -192,10 +207,11 @@ def _chunk_motion_stats(
         sums[j] = spread.sum(axis=1)
     kept = total > 0.0
     means = base + sums / np.where(kept, total, 1.0)
-    return [
-        (mu_u, mu_v, min(1.0, max(0.0, alpha))) if ok else None
-        for ok, mu_u, mu_v, alpha in zip(kept.tolist(), *means.tolist())
-    ]
+    # alpha into [0, 1] as min(1.0, max(0.0, alpha)) does: no alpha is -0.0,
+    # since no confidence is. Two in-place ufuncs cost less than np.clip.
+    alpha = means[2]
+    np.minimum(np.maximum(alpha, 0.0, out=alpha), 1.0, out=alpha)
+    return [stat if ok else None for ok, stat in zip(kept.tolist(), zip(*means.tolist()))]
 
 
 def cells_read(rois: Sequence[Roi], grid: tuple[int, int], L: int) -> np.ndarray:

@@ -8,6 +8,8 @@ This is deliberately not the ranked PR-curve AP used by COCO-style tooling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 from .roi import Roi
 
@@ -54,13 +56,20 @@ def greedy_match(
     Returns (pairs, unmatched_a, unmatched_b) where pairs are
     (index_a, index_b, iou). Equal-IoU ties resolve by lowest indices, which
     keeps the result deterministic and independent of input ordering quirks.
+    Each a box scores only the b boxes, sorted by top, whose y-range can
+    overlap its own: no other pair has IoU > 0.
     """
     b_corners = [_corners(b) for b in b_boxes]
+    # The b boxes whose bottom lies beyond their top (no other has IoU > 0
+    # with any box), by top; reach[k] is the largest bottom of the first k + 1.
+    order = sorted((j for j, b in enumerate(b_corners) if b[3] > b[1]), key=lambda j: b_corners[j][1])
+    tops = [b_corners[j][1] for j in order]
+    reach = list(accumulate((b_corners[j][3] for j in order), max))
     candidates = []
     for i, a in enumerate(a_boxes):
         a_corners = _corners(a)
-        for j, b in enumerate(b_corners):
-            s = _corner_iou(a_corners, b)
+        for j in order[bisect_right(reach, a_corners[1]) : bisect_left(tops, a_corners[3])]:
+            s = _corner_iou(a_corners, b_corners[j])
             if s > 0.0:
                 candidates.append((-s, i, j))
     candidates.sort()
@@ -100,7 +109,8 @@ def precision_at(
         total += len(dets)
         pairs, _, _ = greedy_match(dets, gts)
         matched.extend(s for _, _, s in pairs)
-    return [sum(1 for s in matched if s > t) / total if total else 0.0 for t in thresholds]
+    matched.sort()  # the IoUs above t are those past bisect_right(matched, t)
+    return [(len(matched) - bisect_right(matched, t)) / total if total else 0.0 for t in thresholds]
 
 
 def average_precision(

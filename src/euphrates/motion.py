@@ -26,7 +26,8 @@ and tie-breaking is position-free, so every searched MB gets the vector and
 SAD the full field gives it. ES (`_es_cells`) copies each MB's window of the
 previous frame into a strip that holds every candidate column's L pixels
 side by side, so each difference runs over (2d+1) * L contiguous pixels
-rather than L, and takes a large window in bands of candidate rows. TSS
+rather than L. It takes a large window in bands of candidate rows, and a
+row too large for the budget in bands of candidate columns. TSS
 (`_tss_cells`) runs the rounds of every MB in the chunk in lockstep,
 gathering each round's 9 candidates from one view of the previous frame.
 """
@@ -186,22 +187,27 @@ def _block_sads(diffs: np.ndarray, max_sad: int) -> np.ndarray:
 
 
 # Most bytes either search kernel holds at once, beyond the frames: MBs are
-# searched in chunks that fit, and an ES window too large for it in bands of
-# candidate rows (at least one MB and one row). Small, so that a full field
+# searched in chunks that fit, an ES window too large for it in bands of
+# candidate rows, and a candidate row too large for it in bands of candidate
+# columns (at least one MB and one candidate). Small, so that a full field
 # costs little more memory than its frames.
 _ES_BAND_BYTES = 2 << 20
 _NEVER = np.iinfo(np.int64).max  # the key of a candidate the search may not pick
 
 
-def _es_plan(L: int, d: int) -> tuple[int, int]:
-    """(MBs per chunk, candidate rows per band) of `_es_cells`. For a band of
-    k candidate rows one MB holds its differences (k * L strip rows), its
-    strip (k + L - 1 rows) and its tiled block (L rows): under k * (L + 1) +
-    2L strip rows of (2d + 1) * L int16 pixels."""
+def _es_plan(L: int, d: int) -> tuple[int, int, int]:
+    """(MBs per chunk, candidate rows per band, candidate columns per band) of
+    `_es_cells`. For a band of k candidate rows and q columns one MB holds
+    its differences (k * L strip rows), its strip (k + L - 1 rows) and its
+    tiled block (L rows): under k * (L + 1) + 2L strip rows of q * L int16
+    pixels. Columns are split only when one whole candidate row does not fit."""
     n = 2 * d + 1
+    cols = min(n, max(1, _ES_BAND_BYTES // (2 * L * (3 * L + 1))))
+    if cols < n:
+        return 1, 1, cols
     budget_rows = _ES_BAND_BYTES // (2 * n * L)
-    band = min(n, max(1, (budget_rows - 2 * L) // (L + 1)))
-    return max(1, budget_rows // (band * (L + 1) + 2 * L)), band
+    band = min(n, (budget_rows - 2 * L) // (L + 1))
+    return max(1, budget_rows // (band * (L + 1) + 2 * L)), band, n
 
 
 def _es_cells(
@@ -237,27 +243,29 @@ def _es_cells(
     sy, sx = cur.strides
     blocks = as_strided(cur, (h // L, w // L, L, L), (L * sy, L * sx, sy, sx), writeable=False)
 
-    chunk, band = _es_plan(L, d)
+    chunk, band, width = _es_plan(L, d)
     acc = np.min_scalar_type(params.max_sad)
     offsets = np.arange(-d, d + 1)
-    diffs = np.empty((min(chunk, len(rows)), band, L, n * L), np.int16)
+    diffs = np.empty((min(chunk, len(rows)), band, L, width * L), np.int16)
     for s in range(0, len(rows), chunk):
         r, c = rows[s : s + chunk], cols[s : s + chunk]
         m = len(r)
-        tile = np.tile(blocks[r, c].astype(np.int16), (1, 1, n))
+        tile = np.tile(blocks[r, c].astype(np.int16), (1, 1, width))
         sads = np.empty((m, n, n), np.int64)
         for i in range(0, n, band):
             k = min(band, n - i)
-            strip = strips[r - r0, c - c0, i : i + k + L - 1].reshape(m, k + L - 1, n * L)
-            # under[., b, a] is strip row b + a: MB row a of candidate row i + b.
-            st = strip.strides
-            under = as_strided(strip, (m, k, L, n * L), (st[0], st[1], st[1], st[2]), writeable=False)
-            diff = diffs[:m, :k]
-            np.subtract(under, tile[:, None], out=diff)
-            np.abs(diff, out=diff)
-            col_sads = np.einsum("...aw->...w", diff.view(np.uint16), dtype=acc)
-            sads[:, i : i + k] = np.einsum("...jl->...j", col_sads.reshape(m, k, n, L))
-            del strip, under  # freed before the next band's strip is gathered
+            for j in range(0, n, width):
+                q = min(width, n - j)
+                strip = strips[r - r0, c - c0, i : i + k + L - 1, j : j + q].reshape(m, k + L - 1, q * L)
+                # under[., b, a] is strip row b + a: MB row a of candidate row i + b.
+                st = strip.strides
+                under = as_strided(strip, (m, k, L, q * L), (st[0], st[1], st[1], st[2]), writeable=False)
+                diff = diffs[:m, :k, :, : q * L]
+                np.subtract(under, tile[:, None, :, : q * L], out=diff)
+                np.abs(diff, out=diff)
+                col_sads = np.einsum("...aw->...w", diff.view(np.uint16), dtype=acc)
+                sads[:, i : i + k, j : j + q] = np.einsum("...jl->...j", col_sads.reshape(m, k, q, L))
+                del strip, under  # freed before the next band's strip is gathered
         top = r[:, None] * L + offsets  # each candidate row's source block top
         left = c[:, None] * L + offsets
         inside = ((top >= 0) & (top <= h - L))[:, :, None] & ((left >= 0) & (left <= w - L))[:, None, :]

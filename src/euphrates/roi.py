@@ -112,10 +112,13 @@ def framed_bounding_box(rois: Sequence[Roi], width: float, height: float) -> Roi
     with the frame rectangle [0, width] x [0, height], with the label and
     score of rois[0]. None when the enclosing box rounds to zero extent or
     lies outside the frame."""
-    x1 = min(r.x for r in rois)
-    y1 = min(r.y for r in rois)
-    w = max(r.x + r.w for r in rois) - x1
-    h = max(r.y + r.h for r in rois) - y1
+    first = rois[0]
+    x1, y1, x2, y2 = first.x, first.y, first.x + first.w, first.y + first.h
+    for r in rois:  # min() and max() written out: each keeps its first argument on a tie
+        x, y, xe, ye = r.x, r.y, r.x + r.w, r.y + r.h
+        x1, y1 = x if x < x1 else x1, y if y < y1 else y1
+        x2, y2 = xe if xe > x2 else x2, ye if ye > y2 else y2
+    w, h = x2 - x1, y2 - y1
     if not (w > 0 and h > 0):
         return None
     # Clip the far corner the enclosing box reports, x1 + w, not the maximum
@@ -126,5 +129,4 @@ def framed_bounding_box(rois: Sequence[Roi], width: float, height: float) -> Roi
     fy2 = min(y1 + h, float(height))
     if fx2 <= fx1 or fy2 <= fy1:
         return None
-    first = rois[0]
     return Roi(fx1, fy1, fx2 - fx1, fy2 - fy1, label=first.label, score=first.score)

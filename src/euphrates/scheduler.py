@@ -67,12 +67,12 @@ class TraceProvider:
         boxes = self._records[frame_index]
         if self.noise_sigma <= 0.0:
             return list(boxes)
-        rng = np.random.default_rng((self.seed, frame_index))
-        noisy = []
-        for b in boxes:
-            dx, dy, dw, dh = rng.normal(0.0, self.noise_sigma, size=4).tolist()
-            noisy.append(Roi(b.x + dx, b.y + dy, max(1.0, b.w + dw), max(1.0, b.h + dh), label=b.label, score=b.score))
-        return noisy
+        # (dx, dy, dw, dh) of each box in turn, as four draws per box give them.
+        jitter = np.random.default_rng((self.seed, frame_index)).normal(0.0, self.noise_sigma, size=(len(boxes), 4))
+        return [
+            Roi(b.x + dx, b.y + dy, max(1.0, b.w + dw), max(1.0, b.h + dh), label=b.label, score=b.score)
+            for b, (dx, dy, dw, dh) in zip(boxes, jitter.tolist())
+        ]
 
 
 def _read_trace(path: str | Path, parse: Callable[[dict, int, list[Roi]], object]) -> tuple[dict, list]:

@@ -116,6 +116,20 @@ MUTANTS = [
         '    inputs: dict = globals().setdefault("_SWEEP_INPUTS", {})  # a process-wide cache keyed by path\n',
         tuple(f"{SECOND_SWEEP}[{rewritten}]" for rewritten in ("frame", "detections")),
     ),
+    Mutant(
+        "match-window-ends-at-the-top-of-a",
+        "metrics.py",
+        "bisect_left(tops, a_corners[3])",
+        "bisect_left(tops, a_corners[1])",
+        ("tests/test_metrics.py::test_greedy_match_equals_the_pair_loop",),
+    ),
+    Mutant(
+        "covered-cell-run-drops-its-last-column",
+        "extrapolate.py",
+        "return cells[run < width[s][:, None]]",
+        "return cells[run < width[s][:, None] - 1]",
+        ("tests/test_extrapolate.py::test_batched_motion_stats_equal_per_roi_stats_bit_for_bit",),
+    ),
 ]
 
 

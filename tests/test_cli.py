@@ -541,6 +541,30 @@ def test_evaluate_golden_outputs(tmp_path, monkeypatch, thresholds, ap_digest, s
     assert hashlib.sha256(Path("eval/summary.json").read_bytes()).hexdigest() == summary_digest
 
 
+def test_one_process_parses_each_command_line_afresh(tmp_path, monkeypatch, capsys):
+    """`main` reads every command line with one parser: a rejected flag, a
+    usage error or a flag given once leaves nothing for the next call."""
+    monkeypatch.chdir(tmp_path)
+    line = json.dumps({"frame": 0, "kind": "I", "boxes": [{"x": 0.0, "y": 0.0, "w": 10.0, "h": 10.0}]}) + "\n"
+    Path("trace.jsonl").write_text(line)
+    Path("truth.jsonl").write_text(line)
+    evaluate = ["evaluate", "--trace", "trace.jsonl", "--truth", "truth.jsonl", "--out", "eval"]
+
+    def thresholds():
+        return [float(row.split(",")[0]) for row in Path("eval/ap.csv").read_text().splitlines()[2:]]
+
+    assert run([*evaluate, "--thresholds", "2"]) == 2
+    assert "must lie within [0, 1]" in capsys.readouterr().err
+    assert not Path("eval").exists()
+    with pytest.raises(SystemExit) as usage:
+        run(["evaluate", "--trace", "trace.jsonl", "--out", "eval"])  # no --truth
+    assert usage.value.code == 2
+    assert run([*evaluate, "--thresholds", "0.5"]) == 0
+    assert thresholds() == [0.5]
+    assert run(evaluate) == 0
+    assert thresholds() == list(cli.DEFAULT_THRESHOLDS) and len(thresholds()) == 21
+
+
 def test_sweep_ew_axis(synth_dir, tmp_path):
     cfgp = write_run_config(
         tmp_path / "run.json",

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from euphrates import extrapolate
@@ -21,7 +21,7 @@ from euphrates.extrapolate import (
     split_sub_rois,
 )
 from euphrates.motion import MotionField, MotionParams, uniform_field
-from euphrates.roi import Roi
+from euphrates.roi import Roi, framed_bounding_box
 
 from oracles import pixel_average_confidence, pixel_average_mv
 from test_config import PROPERTY
@@ -257,6 +257,41 @@ def test_extrapolate_deformation_bounding_box():
     assert (roi.x, roi.y, roi.w, roi.h) == (14, 16, 36, 32)
 
 
+def generator_framed_bounding_box(rois, width, height):
+    """`framed_bounding_box` restated with one generator pass per bound."""
+    x1 = min(r.x for r in rois)
+    y1 = min(r.y for r in rois)
+    w = max(r.x + r.w for r in rois) - x1
+    h = max(r.y + r.h for r in rois) - y1
+    if not (w > 0 and h > 0):
+        return None
+    fx1, fy1 = max(x1, 0.0), max(y1, 0.0)
+    fx2, fy2 = min(x1 + w, float(width)), min(y1 + h, float(height))
+    if fx2 <= fx1 or fy2 <= fy1:
+        return None
+    return Roi(fx1, fy1, fx2 - fx1, fy2 - fy1, label=rois[0].label, score=rois[0].score)
+
+
+# A few shared values, so that corners coincide, both zeros occur and extents
+# vanish against their corner, mixed with arbitrary ones, some off the frame.
+coordinate = st.sampled_from([0.0, -0.0, 1.5, -1.5, 0.1, 40.0, 1e17]) | st.floats(-200, 300)
+extent = st.sampled_from([1e-300, 0.2, 1.5, 38.5, 40.0]) | st.floats(1e-3, 300)
+
+
+@PROPERTY
+@given(
+    rois=st.lists(st.builds(Roi, coordinate, coordinate, extent, extent, label=st.sampled_from([None, "car"]),
+                            score=st.sampled_from([None, 0.5])), min_size=1, max_size=6),
+    width=st.sampled_from([40, 64.0]) | st.floats(0.5, 200),
+    height=st.sampled_from([40, 48.0]) | st.floats(0.5, 200),
+)
+@example(rois=[Roi(-0.0, 0.0, 2.0, 2.0), Roi(0.0, -0.0, 2.0, 2.0)], width=4, height=4)
+@example(rois=[Roi(0.1, 0.0, 1e-300, 1.0)], width=4, height=4)
+def test_framed_bounding_box_equals_the_generator_restatement(rois, width, height):
+    want = generator_framed_bounding_box(rois, width, height)
+    assert repr(framed_bounding_box(rois, width, height)) == repr(want)
+
+
 def test_extrapolate_composed_contains_subrois():
     rng = np.random.default_rng(3)
     u = rng.integers(-7, 8, size=(6, 6))
@@ -461,6 +496,37 @@ def test_cells_read_covers_every_cell_of_nonzero_weight(rows, cols, L, n_rois, t
     assert not (want & ~mask).any()
     if min([*w, *h], default=1.0) >= 1e-100:
         assert np.array_equal(mask, want)
+
+
+@PROPERTY
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    L=st.sampled_from([4, 8, 16]),
+    n_rois=st.integers(0, 30),
+    tiny=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=3, cols=4, L=4, n_rois=0, tiny=False, seed=0)
+@example(rows=3, cols=4, L=4, n_rois=12, tiny=True, seed=1)
+def test_covered_cells_are_the_positive_overlaps_in_flatnonzero_order(rows, cols, L, n_rois, tiny, seed):
+    """The cells built from each ROI's run of positive column overlaps, once
+    per positive row, are element for element those np.flatnonzero finds in
+    the outer product of the positive overlaps: none for an ROI wholly off
+    the grid or an empty list, and a cell whose area underflows included."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2 * cols * L, 2 * cols * L, n_rois)
+    y = rng.uniform(-2 * rows * L, 2 * rows * L, n_rois)
+    if tiny:  # corners on a cell edge, extents down to 1e-300
+        x, y = np.round(x / L) * L, np.round(y / L) * L
+    low = -300 if tiny else -2
+    w = cols * L * 10.0 ** rng.uniform(low, 0.2, n_rois)
+    h = rows * L * 10.0 ** rng.uniform(low, 0.2, n_rois)
+    rois = [Roi(float(a), float(b), float(c), float(d)) for a, b, c, d in zip(x, y, w, h)]
+    ov_y, ov_x = extrapolate._axis_overlaps((rows, cols), L, rois)
+    want = np.flatnonzero((ov_y > 0)[:, :, None] & (ov_x > 0)[:, None, :])
+    got = extrapolate._covered_cells(ov_y, ov_x)
+    assert got.dtype.kind == "i" and got.tolist() == want.tolist()
 
 
 def test_cells_read_keeps_a_cell_whose_overlap_area_underflows():

@@ -173,7 +173,7 @@ def test_es_fields_in_chunks_and_bands_equal_the_literal_search(chunk, band, mon
         n = 2 * d + 1
         rows = band or n
         monkeypatch.setattr(motion, "_ES_BAND_BYTES", chunk * 2 * n * L * (rows * (L + 1) + 2 * L))
-        assert motion._es_plan(L, d) == (chunk, rows)
+        assert motion._es_plan(L, d) == (chunk, rows, n)
         height, width = 3 * L + L // 2, 4 * L + 1
         prev, cur = (rng.integers(0, levels, size=(height, width), dtype=np.uint8) for _ in range(2))
         pad = ((0, -height % L), (0, -width % L))
@@ -184,6 +184,41 @@ def test_es_fields_in_chunks_and_bands_equal_the_literal_search(chunk, band, mon
         assert np.array_equal(full.vectors, ref_vectors) and np.array_equal(full.sads, ref_sads)
         assert np.array_equal(masked.vectors[cells], ref_vectors[cells])
         assert np.array_equal(masked.sads[cells], ref_sads[cells])
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_es_fields_in_column_bands_equal_the_literal_search(width, monkeypatch):
+    """A candidate row summed a few candidate columns at a time, the last
+    band narrower where the row does not divide, equals the literal search."""
+    rng = np.random.default_rng(width)
+    for L, d, levels in [(4, 5, 2), (8, 9, 256)]:
+        monkeypatch.setattr(motion, "_ES_BAND_BYTES", width * 2 * L * (3 * L + 1))
+        assert motion._es_plan(L, d) == (1, 1, width)
+        height, width_px = 3 * L + L // 2, 4 * L + 1
+        prev, cur = (rng.integers(0, levels, size=(height, width_px), dtype=np.uint8) for _ in range(2))
+        pad = ((0, -height % L), (0, -width_px % L))
+        ref_vectors, ref_sads = naive_field(np.pad(prev, pad, mode="edge"), np.pad(cur, pad, mode="edge"), L, d)
+        field = estimate_motion_field(prev, cur, MotionParams(L, d))
+        assert np.array_equal(field.vectors, ref_vectors) and np.array_equal(field.sads, ref_sads)
+
+
+def test_es_search_memory_is_bounded_for_a_large_macroblock():
+    """One 512-pixel MB: a single candidate row of its window would hold
+    15 x 512 x 512 int16 differences (7.5 MB), so the row goes in bands of
+    candidate columns. A crowd-sized MB still searches whole rows."""
+    assert motion._es_plan(16, 7)[2] == 15
+    rng = np.random.default_rng(0)
+    prev, cur = (rng.integers(0, 256, size=(64, 96), dtype=np.uint8) for _ in range(2))
+    tracemalloc.start()
+    try:
+        field = estimate_motion_field(prev, cur, MotionParams(512, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert motion._es_plan(512, 7)[2] < 15 and peak < 2 * motion._ES_BAND_BYTES
+    # The one MB is the whole padded frame, so only (0, 0) keeps its block in prev.
+    prev_pad, cur_pad = (np.pad(f, ((0, 448), (0, 416)), mode="edge").astype(np.int64) for f in (prev, cur))
+    assert field.vectors.tolist() == [[[0, 0]]] and field.sads.tolist() == [[np.abs(cur_pad - prev_pad).sum()]]
 
 
 def test_es_field_memory_is_bounded():
