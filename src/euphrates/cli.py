@@ -335,8 +335,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-# Sweep axes and the config field each one varies.
-SWEEP_AXES = {"ew": "mode", "mb_size": "motion.mb_size", "algorithm": "motion.algorithm"}
+def _sweep_variant(cfg: RunConfig, axis: str, value: int | str) -> RunConfig:
+    """`cfg` with `mode` "ew:<value>" on the ew axis, else with `value` in the
+    `motion` field `axis`, a bad one worded as loading that config words it."""
+    if axis == "ew":
+        return replace(cfg, mode=f"ew:{value}")
+    try:
+        return replace(cfg, motion=replace(cfg.motion, **{axis: value}))
+    except ValueError as e:  # from MotionParams
+        raise ConfigError(f"motion: {e}") from None
 
 
 def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, RunConfig]:
@@ -360,9 +367,8 @@ def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, R
             raise ConfigError(f"--values for axis {axis} must be integers") from None
         if value in variants:
             raise ConfigError(f"--values lists {axis}={value} more than once")
-        change = {SWEEP_AXES[axis]: f"ew:{value}" if axis == "ew" else value}
         try:
-            variants[value] = RunConfig.from_dict(merge_overrides(cfg.to_dict(), change))
+            variants[value] = _sweep_variant(cfg, axis, value)
             check_layout(variants[value].motion)  # the .mvm layout holds L and d; reads no frame
         except (ConfigError, MetadataError) as e:
             raise ConfigError(f"sweep run {axis}={value}: {e.__class__.__name__}: {e}") from None
@@ -397,6 +403,8 @@ def run_sweep(variants: dict[int | str, RunConfig], axis: str) -> list[tuple]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.axis == "ew" and args.mode is not None:
+        raise ConfigError("--mode is the base mode of an mb_size or algorithm sweep; an ew sweep sets each run's mode")
     cfg = build_run_config(args.config, args)
     variants = _sweep_variants(cfg, args.axis, args.values)
     out = _out_dir(args.out)
@@ -475,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="simulate+evaluate across one axis")
     p.add_argument("--config", help="base run configuration JSON")
-    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
+    p.add_argument("--axis", choices=["ew", "mb_size", "algorithm"], required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--mode", help="base mode for non-ew axes")
     p.add_argument("--seed", type=_int)

@@ -14,12 +14,10 @@ rule, or nests too deeply to decode, ends in one `ConfigError` naming the file.
 
 from __future__ import annotations
 
-import json
 import math
 import types
 import typing
 from contextlib import contextmanager
-from dataclasses import asdict
 from functools import lru_cache
 
 from .errors import ConfigError
@@ -35,7 +33,7 @@ class ConfigNode:
         return build(cls, data, path)
 
     def to_dict(self) -> dict:
-        return json.loads(json.dumps(asdict(self)))  # tuples become lists
+        return {name: _echo(getattr(self, name)) for name in _hints(type(self))}  # the fields, in order
 
 
 @contextmanager
@@ -58,6 +56,13 @@ def decoding(path):
         return
     where = path if at.line is None else f"{path}:{at.line}"
     raise ConfigError(f"{where}: {reason}" if path else reason) from None
+
+
+def _echo(value):
+    """`value` as JSON holds it: a node as its `to_dict`, a tuple as a list."""
+    if isinstance(value, ConfigNode):
+        return value.to_dict()
+    return [_echo(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _join(path: str, key: str) -> str:

@@ -218,9 +218,15 @@ def cells_read(rois: Sequence[Roi], grid: tuple[int, int], L: int) -> np.ndarray
     """Boolean (rows, cols) mask of the MBs whose motion `roi_motion_stats`
     reads for `rois`: those some ROI overlaps on both axes. Every other MB
     has weight exactly 0 there, so its vector and SAD cannot change a
-    result."""
-    ov_y, ov_x = _axis_overlaps(grid, L, rois)
-    return (ov_y > 0.0).T @ (ov_x > 0.0)
+    result. An ROI of positive float extent marks its integer ranges of L-cells
+    floor(y / L) .. ceil((y + h) / L) by floor(x / L) .. ceil((x + w) / L),
+    clamped: with `//` by a power of two exact, the positive-overlap rule."""
+    mask = np.zeros(grid, dtype=bool)
+    for r in rois:
+        x2, y2 = r.x + r.w, r.y + r.h
+        if x2 > r.x and y2 > r.y:  # a far edge that rounds onto the near one overlaps nothing
+            mask[max(int(r.y // L), 0):max(-int(-y2 // L), 0), max(int(r.x // L), 0):max(-int(-x2 // L), 0)] = True
+    return mask
 
 
 def filtered_mv(

@@ -18,7 +18,7 @@ length. All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .config import ConfigNode, build
@@ -174,7 +174,7 @@ class EnergyReport:
         return rows
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_text(self) -> str:
         lines = [

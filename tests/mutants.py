@@ -35,6 +35,8 @@ NOT_A_FRAME = "tests/test_motion.py::test_searches_reject_pixels_that_are_not_a_
 FLAG_RULE = "tests/test_cli.py::test_each_flag_sets_the_config_field_its_dest_names"
 LONG_NAME = "tests/test_input_rules.py::test_a_path_name_too_long_to_use_reads_as_missing"
 SECOND_SWEEP = "tests/test_cli.py::test_a_second_sweep_reads_the_files_as_they_are_then"
+CELLS_READ = "tests/test_extrapolate.py::test_cells_read_marks_the_cells_of_positive_overlap"
+MOTION_WORDING = "tests/test_cli.py::test_sweep_words_a_bad_motion_value_as_loading_its_config_does"
 
 MUTANTS = [
     Mutant(
@@ -129,6 +131,20 @@ MUTANTS = [
         "return cells[run < width[s][:, None]]",
         "return cells[run < width[s][:, None] - 1]",
         ("tests/test_extrapolate.py::test_batched_motion_stats_equal_per_roi_stats_bit_for_bit",),
+    ),
+    Mutant(
+        "cells-read-range-stop-unclamped",
+        "extrapolate.py",
+        "mask[max(int(r.y // L), 0):max(-int(-y2 // L), 0), max(int(r.x // L), 0):max(-int(-x2 // L), 0)]",
+        "mask[max(int(r.y // L), 0):-int(-y2 // L), max(int(r.x // L), 0):-int(-x2 // L)]",
+        (f"{CELLS_READ}[wholly above]", f"{CELLS_READ}[wholly left]"),
+    ),
+    Mutant(
+        "sweep-drops-the-motion-wording",
+        "cli.py",
+        'raise ConfigError(f"motion: {e}") from None',
+        "raise ConfigError(str(e)) from None",
+        (f"{MOTION_WORDING}[mb_size=3]", f"{MOTION_WORDING}[algorithm=TSS]"),
     ),
 ]
 

@@ -7,12 +7,20 @@ with the package internals beyond numpy.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 
 from euphrates.pixels import noise_image
+
+
+def config_echo(node) -> dict:
+    """The JSON echo of a config node by its first rule: `asdict`, then a
+    JSON round trip that turns every tuple into a list."""
+    return json.loads(json.dumps(dataclasses.asdict(node)))
 
 
 def naive_block_search(prev: np.ndarray, cur: np.ndarray, origin: tuple[int, int], L: int, d: int):

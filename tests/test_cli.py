@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 from euphrates import cli, pixels, scheduler
 from euphrates.cli import RunConfig, SynthConfig, main
+from euphrates.config import merge_overrides
 from euphrates.motion import MotionParams, decode_metadata, encode_metadata, uniform_field
 from euphrates.pixels import Frame, save_frame
 from euphrates.scheduler import ResultTrace, read_detection_trace
 
+from oracles import config_echo
 from test_config import PROPERTY
 
 
@@ -728,6 +730,58 @@ def test_sweep_checks_the_run_inputs_before_making_out(synth_dir, tmp_path, caps
     assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,2", "--out", out]) == 2
     assert error_line(capsys) == f"error ConfigError: {message.format(synth_dir=synth_dir)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "axis, values, field",
+    [("ew", "1,3,8", "mode"), ("mb_size", "8,16,32", "motion.mb_size"), ("algorithm", "tss,es", "motion.algorithm")],
+)
+def test_sweep_variants_equal_loading_the_base_echo_with_the_swept_field_changed(synth_dir, axis, values, field):
+    base = RunConfig.from_dict({
+        "frames_dir": str(synth_dir), "detections": str(synth_dir / "truth.jsonl"), "mode": "adaptive",
+        "provider": {"noise_sigma": 1}, "extrapolation": {"grid": [3, 1]}, "soc": {"preset": "mdnet"},
+    })
+    variants = cli._sweep_variants(base, axis, values)
+    assert list(variants) == [v if axis == "algorithm" else int(v) for v in values.split(",")]
+    for value, variant in variants.items():
+        change = {field: f"ew:{value}" if axis == "ew" else value}
+        loaded = RunConfig.from_dict(merge_overrides(config_echo(base), change))
+        assert variant == loaded
+        assert repr(variant.to_dict()) == repr(loaded.to_dict())
+
+
+@pytest.mark.parametrize(
+    "axis, values, line",
+    [
+        ("mb_size", "16,3", "sweep run mb_size=3: ConfigError: motion: mb_size must be a power of two >= 4, got 3"),
+        (
+            "algorithm", "es,TSS",
+            "sweep run algorithm=TSS: ConfigError: motion: algorithm must be 'es' or 'tss', got 'TSS'",
+        ),
+    ],
+    ids=["mb_size=3", "algorithm=TSS"],
+)
+def test_sweep_words_a_bad_motion_value_as_loading_its_config_does(synth_dir, tmp_path, capsys, axis, values, line):
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
+    out = tmp_path / "s"
+    assert run(["sweep", "--config", cfgp, "--axis", axis, "--values", values, "--out", out]) == 2
+    assert error_line(capsys) == f"error ConfigError: {line}\n"
+    assert not out.exists()
+
+
+def test_an_ew_sweep_rejects_mode_and_other_sweeps_take_it_as_their_base(synth_dir, tmp_path, capsys):
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
+    out = tmp_path / "s"
+    sweep = ["sweep", "--config", cfgp, "--out", out]
+    assert run([*sweep, "--axis", "ew", "--values", "1,2", "--mode", "adaptive"]) == 2
+    assert error_line(capsys) == (
+        "error ConfigError: --mode is the base mode of an mb_size or algorithm sweep; an ew sweep sets each run's mode\n"
+    )
+    assert not out.exists()
+    assert run([*sweep, "--axis", "algorithm", "--values", "tss", "--mode", "ew:2"]) == 0
+    for name in ("sweep.csv", "algorithm_tss/energy.json"):
+        echo = (out / name).read_text()
+        assert '"mode": "ew:2"' in echo and '"mode": "ew:4"' not in echo, name
 
 
 def counted(monkeypatch, owner, name) -> list:

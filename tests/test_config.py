@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 from euphrates.cli import RunConfig, SynthConfig, main
 from euphrates.config import ConfigNode, check, merge_overrides
 from euphrates.errors import ConfigError, EuphratesError
-from euphrates.motion import decode_metadata
+from euphrates.motion import MotionParams, decode_metadata
 from euphrates.pixels import _parse_pgm, generate_sequence
 from euphrates.roi import Roi
 from euphrates.scheduler import AdaptiveParams, PipelineConfig, ResultTrace, read_detection_trace
 from euphrates.socmodel import FIELD_RANGE, PRESETS, SocConfig
+
+from oracles import config_echo
 
 PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -58,6 +60,26 @@ def test_pipeline_echo_uses_run_config_keys():
         "mode", "motion", "extrapolation", "adaptive", "frames_dir", "metadata_dir",
         "detections", "truth", "provider", "soc", "seed",
     }
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        RunConfig.from_dict({"soc": {"preset": "tiny-yolo", "capture_fps": 30}}),
+        RunConfig.from_dict({"provider": {"noise_sigma": 1}, "extrapolation": {"grid": [3, 1]}, "seed": 5}),
+        SynthConfig.from_dict({"frames": 4, "trajectory": [[1, 0], [0, 2], [-1, 1]], "start": [10, 20]}),
+        MotionParams(8, 3, "tss"),
+        SocConfig(capture_fps=30, net_ops_gop=11),
+    ],
+    ids=["soc preset", "int in a float field and the grid tuple", "multi-step trajectory", "motion", "soc"],
+)
+def test_echo_equals_the_json_round_trip_of_asdict(node):
+    """Built from the fields, the echo holds what the JSON round trip of
+    `asdict` held: nodes as dicts, tuples as lists, an int in a float field
+    as an int, the keys in field order. repr tells all of those apart."""
+    echo = node.to_dict()
+    assert echo == config_echo(node) and repr(echo) == repr(config_echo(node))
+    assert node.to_dict() is not echo  # a fresh tree each call: callers may change it
 
 
 @pytest.mark.parametrize(

@@ -535,6 +535,32 @@ def test_cells_read_keeps_a_cell_whose_overlap_area_underflows():
     assert cells_read([roi], (2, 2), 16).tolist() == [[True, False], [False, False]]
 
 
+# A 3 x 4 grid of 16-pixel cells spans x in [0, 64) and y in [0, 48).
+@pytest.mark.parametrize(
+    "roi, marked",
+    [
+        (Roi(-20.0, -40.0, 60.0, 8.0), []),
+        (Roi(-40.0, 4.0, 8.0, 20.0), []),
+        (Roi(64.0, 4.0, 8.0, 20.0), []),
+        (Roi(4.0, 48.0, 8.0, 8.0), []),
+        (Roi(4.0, 4.0, 12.0, 28.0), [(0, 0), (1, 0)]),
+        (Roi(16.0, 32.0, 16.0, 16.0), [(2, 1)]),
+        (Roi(-40.0, 4.0, 44.0, 8.0), [(0, 0)]),
+        (Roi(-40.0, -40.0, 44.0, 44.0), [(0, 0)]),
+        (Roi(20.5, 4.0, 1e-20, 8.0), []),
+    ],
+    ids=[
+        "wholly above", "wholly left", "wholly right", "wholly below", "far edges on cell edges",
+        "on one cell's edges", "ends in cell 0 from negative x", "ends in cell 0 from negative x and y",
+        "far edge rounds onto the near one",
+    ],
+)
+def test_cells_read_marks_the_cells_of_positive_overlap(roi, marked):
+    mask = cells_read([roi], (3, 4), 16)
+    assert list(zip(*np.nonzero(mask))) == marked
+    assert np.array_equal(mask, one_roi_weights(roi, 3, 4, 16) > 0.0)
+
+
 def test_cells_read_memory_is_bounded_at_1080p():
     """12 tracks of 2x2 sub-ROIs over the 270 x 480 grid of 4-pixel MBs: a
     float overlap tensor would hold 48 x 129600 float64, about 50 MB."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from euphrates import cli, scheduler
+from euphrates import cli, extrapolate, scheduler
 from euphrates.errors import ConfigError, MetadataError, MissingDataError
 from euphrates.extrapolate import ExtrapolationParams, cells_read, extrapolate_track
 from euphrates.metrics import iou
@@ -89,6 +89,28 @@ def test_pipeline_rigid_synthetic_matches_truth():
     for rec, gt in zip(trace.frames, rois):
         assert len(rec.detections) == 1
         assert iou(rec.detections[0].roi, gt) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_frames_path_field_takes_one_overlap_pass(monkeypatch):
+    """The MB mask of a field's sub-ROIs comes from their integer cell
+    ranges, so only `roi_motion_stats` computes their float overlaps."""
+    frames, rois = generate_sequence(SynthConfig((160, 120), (48, 32), 16, ((2, 1),), seed=2, background="flat"))
+    calls = Counter()
+    real_overlaps, real_field = extrapolate._axis_overlaps, FrameMotion.field
+
+    def overlaps(*args):
+        calls["overlaps"] += 1
+        return real_overlaps(*args)
+
+    def field(self, t, rois):
+        calls["fields"] += 1
+        return real_field(self, t, rois)
+
+    monkeypatch.setattr(extrapolate, "_axis_overlaps", overlaps)
+    monkeypatch.setattr(FrameMotion, "field", field)
+    provider = TraceProvider({i: [r] for i, r in enumerate(rois)})
+    run_pipeline(provider, PipelineConfig(mode="adaptive"), FrameMotion(frames, MotionParams()))
+    assert calls["fields"] == 15 and calls["overlaps"] == calls["fields"]
 
 
 def test_pipeline_errors():

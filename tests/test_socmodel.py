@@ -1,7 +1,7 @@
 """Analytical SoC energy/timing model."""
 
 import math
-from dataclasses import astuple, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 
 import pytest
 from hypothesis import given
@@ -276,3 +276,8 @@ def test_config_file_round_trip(tmp_path):
     p.write_text(json.dumps(cfg.to_dict()))
     again = SocConfig.from_dict(json.loads(p.read_text()))
     assert again == cfg
+
+
+def test_report_dict_equals_asdict():
+    report = summarize(constant_schedule_kinds(10, 3), PRESETS["mdnet"])
+    assert repr(report.to_dict()) == repr(asdict(report))
