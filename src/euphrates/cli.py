@@ -34,7 +34,7 @@ from . import __version__
 from .config import ConfigNode, decoding, merge_overrides
 from .errors import ConfigError, EuphratesError, MetadataError, MissingDataError
 from .metrics import DEFAULT_THRESHOLDS, average_precision, precision_at, success_curve
-from .motion import MAX_FRAME_SIDE, MotionField, MotionParams, check_layout, decode_metadata, encode_metadata
+from .motion import MAX_FRAME_SIDE, MotionField, MotionParams, decode_metadata, encode_metadata
 from .motion import encoded_size, estimate_motion_field
 from .pixels import SynthConfig, generate_sequence, load_sequence, read_sequence, save_sequence
 from .roi import Roi
@@ -170,7 +170,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if len(frames) < 2:
         raise ConfigError(f"{args.frames}: need at least 2 frames, found {len(frames)}")
     params = _load_config(MotionParams, None, args)
-    encoded_size(frames[0].width, frames[0].height, params)  # the .mvm layout holds d and the frame size
+    encoded_size(frames[0].width, frames[0].height, params)  # the .mvm header holds the frame size
     out = _out_dir(args.out)
     total = 0
     for t in range(1, len(frames)):
@@ -349,8 +349,12 @@ def _sweep_variant(cfg: RunConfig, axis: str, value: int | str) -> RunConfig:
 def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, RunConfig]:
     """The run config of each comma-separated `values` entry of a sweep over
     `axis`, in order: algorithm names as text, ew and mb_size values by the
-    `_int` rule. Every config, its motion parameters against the `.mvm`
-    layout, and the run inputs are checked before any run starts."""
+    `_int` rule. The base `cfg` leaves the swept field at its default, and
+    every config and the run inputs are checked before any run starts."""
+    node, where = (cfg, "mode") if axis == "ew" else (cfg.motion, f"motion.{axis}")
+    base, default = (getattr(n, where.split(".")[-1]) for n in (node, type(node)))
+    if base != default:  # every run sets its own
+        raise ConfigError(f"--axis {axis} sweeps {where}: the base config must leave it at {default!r}, not {base!r}")
     _check_sources(cfg)
     if cfg.truth and not os.path.isfile(cfg.truth):  # run_sweep scores against `truth`, or else `detections`
         raise ConfigError(f"truth trace not found: {cfg.truth}")
@@ -369,8 +373,7 @@ def _sweep_variants(cfg: RunConfig, axis: str, values: str) -> dict[int | str, R
             raise ConfigError(f"--values lists {axis}={value} more than once")
         try:
             variants[value] = _sweep_variant(cfg, axis, value)
-            check_layout(variants[value].motion)  # the .mvm layout holds L and d; reads no frame
-        except (ConfigError, MetadataError) as e:
+        except ConfigError as e:
             raise ConfigError(f"sweep run {axis}={value}: {e.__class__.__name__}: {e}") from None
     if not variants:
         raise ConfigError("--values is empty")
@@ -403,8 +406,6 @@ def run_sweep(variants: dict[int | str, RunConfig], axis: str) -> list[tuple]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.axis == "ew" and args.mode is not None:
-        raise ConfigError("--mode is the base mode of an mb_size or algorithm sweep; an ew sweep sets each run's mode")
     cfg = build_run_config(args.config, args)
     variants = _sweep_variants(cfg, args.axis, args.values)
     out = _out_dir(args.out)

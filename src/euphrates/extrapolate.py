@@ -144,49 +144,58 @@ def roi_motion_stats(field: MotionField, rois: Sequence[Roi]) -> list[tuple[floa
     size, every result bit-identical to a reduction of that ROI alone.
     Besides a chunk, this holds each ROI's overlaps with every MB row and
     column."""
-    n = field.rows * field.cols
-    ov_y, ov_x = _axis_overlaps((field.rows, field.cols), field.params.mb_size, rois)
+    (rows, cols), n = field.sads.shape, field.sads.size
+    ov_y, ov_x = _axis_overlaps((rows, cols), field.params.mb_size, rois)
+    row_at, first, width, height = _covered_runs(ov_y, ov_x)
     # Per ROI, a chunk holds a float64 and a bool per MB of the field and at
     # most sixteen 8-byte indices and values per MB it covers, for as many
     # MBs as the ROI that covers the most.
-    most_covered = int(((ov_y > 0.0).sum(axis=1) * (ov_x > 0.0).sum(axis=1)).max(initial=0))
+    most_covered = int((height * width).max(initial=0))
     chunk = max(1, _STATS_BATCH_BYTES // (n * 9 + most_covered * 128))
     planes = np.empty((3, n))  # u, v and confidence of each MB
     planes[:2] = field.vectors.reshape(n, 2).T
     planes[2] = field.confidences.reshape(n)
     stats: list[tuple[float, float, float] | None] = []
     for lo in range(0, len(rois), chunk):
-        stats += _chunk_motion_stats(planes, ov_y[lo:lo + chunk], ov_x[lo:lo + chunk])
+        a, b = row_at.searchsorted((lo * rows, (lo + chunk) * rows))  # the chunk's positive rows
+        runs = row_at[a:b] - lo * rows, first[lo:lo + chunk], width[lo:lo + chunk]
+        stats += _chunk_motion_stats(planes, ov_y[lo:lo + chunk], ov_x[lo:lo + chunk], runs)
     return stats
 
 
-def _covered_cells(ov_y: np.ndarray, ov_x: np.ndarray) -> np.ndarray:
+def _covered_runs(ov_y: np.ndarray, ov_x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(row_at, first, width, height) of the positive overlaps: np.flatnonzero
+    of the positive rows (ROI * rows + row), then each ROI's first positive
+    column, its number of positive columns and its number of positive rows."""
+    on_y, on_x = ov_y > 0.0, ov_x > 0.0
+    return np.flatnonzero(on_y), on_x.argmax(axis=1), on_x.sum(axis=1), on_y.sum(axis=1)
+
+
+def _covered_cells(runs: tuple[np.ndarray, np.ndarray, np.ndarray], grid: tuple[int, int]) -> np.ndarray:
     """np.flatnonzero of the (ROIs, rows, cols) outer product of the positive
-    overlaps, a cell whose area underflows to 0 included, built from each
-    ROI's one run of positive columns: each of its positive rows, in turn,
-    lists that run."""
-    row_at = np.flatnonzero(ov_y > 0.0)  # ROI * rows + row
-    on_x = ov_x > 0.0
-    first, width = on_x.argmax(axis=1), on_x.sum(axis=1)
-    s = row_at // ov_y.shape[1]
+    overlaps, a cell whose area underflows to 0 included, built from the
+    (row_at, first, width) of `_covered_runs`: each positive row of an ROI,
+    in turn, lists its one run of positive columns."""
+    row_at, first, width = runs
+    s = row_at // grid[0]
     run = np.arange(width.max(initial=0))
-    cells = (row_at * ov_x.shape[1] + first[s])[:, None] + run
+    cells = (row_at * grid[1] + first[s])[:, None] + run
     return cells[run < width[s][:, None]]
 
 
 def _chunk_motion_stats(
-    planes: np.ndarray, ov_y: np.ndarray, ov_x: np.ndarray
+    planes: np.ndarray, ov_y: np.ndarray, ov_x: np.ndarray, runs: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> list[tuple[float, float, float] | None]:
     """`roi_motion_stats` of the ROIs with axis overlaps `ov_y`, `ov_x`
-    (`_axis_overlaps`), given the (3, rows * cols) u, v and confidence
-    planes of the field. Each ROI's means are anchored on its first MB of
-    greatest weight, so a constant field averages to its value bit-exactly
-    (rigid translations stay rigid)."""
+    (`_axis_overlaps`) and covered `runs` (`_covered_cells`), given the
+    (3, rows * cols) u, v and confidence planes of the field. Each ROI's
+    means are anchored on its first MB of greatest weight, so a constant
+    field averages to its value bit-exactly (rigid translations stay rigid)."""
     S, n = len(ov_y), planes.shape[1]
     # ROI s's weight on each MB it overlaps on both axes, the product that
     # the dense outer product of its overlaps holds there; elsewhere that
     # product is +-0.
-    at = _covered_cells(ov_y, ov_x)
+    at = _covered_cells(runs, (ov_y.shape[1], ov_x.shape[1]))
     s, flat = np.divmod(at, n)
     rows, cols = np.divmod(flat, ov_x.shape[1])
     weights = ov_y[s, rows] * ov_x[s, cols]

@@ -14,8 +14,8 @@ rank equal SADs by one order (`_source_ranks`).
 
 SADs are exact integers. Both searches sum their |a - b| values (0..255,
 held as int16 and read as uint16) in the narrowest unsigned type that holds
-255 * L^2: uint16 for L <= 16, uint32 up to L = 4096 and uint64 beyond. No
-partial sum exceeds the total, so none wraps. The SADs are then widened to
+255 * L^2: uint16 for L <= 16, else uint32. No partial sum exceeds the
+total, so none wraps. The SADs are then widened to
 int64 before any other arithmetic, since the tie-break key
 SAD * (2d+1)^2 + rank would wrap in the narrow type.
 
@@ -51,14 +51,14 @@ TSS = "tss"
 METADATA_MAGIC = b"EUMV"
 METADATA_VERSION = 1
 _HEADER = struct.Struct("<4sBBHHHH")  # magic, version, algorithm, width, height, L, d
-MAX_FRAME_SIDE = 65535  # the header's u16 width, height and L
+MAX_FRAME_SIDE = 65535  # the header's u16 width and height
 _ALGO_CODES = {ES: 0, TSS: 1}
 _ALGO_NAMES = {v: k for k, v in _ALGO_CODES.items()}
 
 
 @dataclass(frozen=True)
 class MotionParams(ConfigNode):
-    """Macroblock edge L (power of two, >= 4), search range d >= 1, algorithm."""
+    """Macroblock edge L, search range d and algorithm, as the `.mvm` layout can encode them."""
 
     mb_size: int = 16
     search_range: int = 7
@@ -68,8 +68,12 @@ class MotionParams(ConfigNode):
         L = self.mb_size
         if L < 4 or (L & (L - 1)) != 0:
             raise ValueError(f"mb_size must be a power of two >= 4, got {L}")
+        if L > 4096:  # the largest SAD, 255 * L^2, must fit the record's 32 bits
+            raise ValueError(f"mb_size must be at most 4096, got {L}")
         if self.search_range < 1:
             raise ValueError(f"search_range must be >= 1, got {self.search_range}")
+        if self.search_range > 127:  # the wide record's signed bytes
+            raise ValueError(f"search_range must be at most 127, got {self.search_range}")
         if self.algorithm not in (ES, TSS):
             raise ValueError(f"algorithm must be 'es' or 'tss', got {self.algorithm!r}")
 
@@ -414,22 +418,9 @@ def _record(d: int) -> np.dtype:
     return np.dtype([("u", "i1"), ("v", "i1"), ("sad", "<u4")])
 
 
-def check_layout(params: MotionParams) -> None:
-    """MetadataError when the layout cannot hold L or d of `params`, at any frame size."""
-    if params.mb_size > MAX_FRAME_SIDE:
-        raise MetadataError(f"macroblock size {params.mb_size} exceeds the header's 16-bit range")
-    if params.max_sad > 0xFFFFFFFF:
-        raise MetadataError(
-            f"macroblock size {params.mb_size} allows a SAD of {params.max_sad}, beyond the record's 32-bit range"
-        )
-    if params.search_range > 127:
-        raise MetadataError(f"search range {params.search_range} exceeds the wide form's 8-bit range")
-
-
 def encoded_size(width: int, height: int, params: MotionParams) -> int:
-    """Bytes of one encoded field; MetadataError when the layout cannot hold
-    the macroblock size, the search range or the frame size."""
-    check_layout(params)
+    """Bytes of one encoded field; MetadataError when the header cannot hold
+    the frame size."""
     if not (0 < width <= MAX_FRAME_SIDE and 0 < height <= MAX_FRAME_SIDE):
         raise MetadataError(f"empty frame or frame over {MAX_FRAME_SIDE} pixels a side: {width}x{height}")
     rows, cols = grid_shape(width, height, params.mb_size)
@@ -476,10 +467,8 @@ def decode_metadata(data: bytes) -> MotionField:
         raise MetadataError(f"bad magic {magic!r}, expected {METADATA_MAGIC!r}")
     if version != METADATA_VERSION:
         raise MetadataError(f"unsupported version {version}")
-    if algo_code not in _ALGO_NAMES:
-        raise MetadataError(f"unknown algorithm code {algo_code}")
-    try:
-        params = MotionParams(mb_size=L, search_range=d, algorithm=_ALGO_NAMES[algo_code])
+    try:  # an unknown algorithm code reads as that number
+        params = MotionParams(mb_size=L, search_range=d, algorithm=_ALGO_NAMES.get(algo_code, algo_code))
     except ValueError as e:
         raise MetadataError(f"invalid header parameters: {e}") from None
 

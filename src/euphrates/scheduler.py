@@ -293,7 +293,7 @@ class FrameMotion:
     def __init__(self, frames: Sequence[Frame], params: MotionParams, store: SearchStore | None = None):
         if not frames:
             raise ConfigError("sequence must contain at least one frame")
-        encoded_size(frames[0].width, frames[0].height, params)  # search only what a .mvm can hold
+        encoded_size(frames[0].width, frames[0].height, params)  # search only frames a .mvm header can hold
         self.frames, self.params = frames, params
         self.store = {} if store is None else store
 

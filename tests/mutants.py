@@ -37,6 +37,8 @@ LONG_NAME = "tests/test_input_rules.py::test_a_path_name_too_long_to_use_reads_a
 SECOND_SWEEP = "tests/test_cli.py::test_a_second_sweep_reads_the_files_as_they_are_then"
 CELLS_READ = "tests/test_extrapolate.py::test_cells_read_marks_the_cells_of_positive_overlap"
 MOTION_WORDING = "tests/test_cli.py::test_sweep_words_a_bad_motion_value_as_loading_its_config_does"
+SWEPT_FIELD = "tests/test_cli.py::test_a_sweep_rejects_a_base_value_for_the_field_it_sweeps"
+GOLDEN = "tests/test_golden_runs.py::test_outputs_match_their_pins"
 
 MUTANTS = [
     Mutant(
@@ -105,11 +107,25 @@ MUTANTS = [
         ("tests/test_cli.py::test_simulate_rejects_a_later_mvm_field_of_other_motion_params",),
     ),
     Mutant(
-        "sweep-skips-the-layout-check",
+        "search-range-bound-past-the-wide-record",
+        "motion.py",
+        "if self.search_range > 127:",
+        "if self.search_range > 255:",
+        (
+            "tests/test_motion.py::test_codec_rejects_a_search_range_the_wide_form_cannot_hold",
+            "tests/test_cli.py::test_estimate_checks_the_metadata_layout_before_searching",
+            "tests/test_cli.py::test_runs_from_frames_check_the_metadata_layout_before_searching",
+        ),
+    ),
+    Mutant(
+        "sweep-takes-a-base-value-for-the-swept-field",
         "cli.py",
-        "            check_layout(variants[value].motion)",
-        "            pass",
-        ("tests/test_cli.py::test_sweep_checks_every_variant_against_the_metadata_layout_before_any_run",),
+        "if base != default:  # every run sets its own",
+        "if False:",
+        (
+            *(f"{SWEPT_FIELD}[{axis}]" for axis in ("ew", "mb_size", "algorithm")),
+            "tests/test_cli.py::test_an_ew_sweep_rejects_mode_and_other_sweeps_take_it_as_their_base",
+        ),
     ),
     Mutant(
         "sweep-inputs-kept-for-the-process",
@@ -138,6 +154,17 @@ MUTANTS = [
         "mask[max(int(r.y // L), 0):max(-int(-y2 // L), 0), max(int(r.x // L), 0):max(-int(-x2 // L), 0)]",
         "mask[max(int(r.y // L), 0):-int(-y2 // L), max(int(r.x // L), 0):-int(-x2 // L)]",
         (f"{CELLS_READ}[wholly above]", f"{CELLS_READ}[wholly left]"),
+    ),
+    # Only runs longer than the 12-frame golden scene of test_scheduler.py see it.
+    Mutant(
+        "moved-box-one-ulp-right-from-frame-12",
+        "scheduler.py",
+        "        return [(state, roi) for state, roi in moved if roi is not None]",
+        '        return [(state, roi if t < 12 else Roi(__import__("math").nextafter(roi.x, float("inf")),'
+        " roi.y, roi.w, roi.h, label=roi.label, score=roi.score)) for state, roi in moved if roi is not None]",
+        tuple(f"{GOLDEN}[{name}]" for name in (
+            "crowd-simulate-adaptive", "crowd-simulate-ew4", "crowd-simulate-frames-adaptive", "fast-sweep-ew",
+        )),
     ),
     Mutant(
         "sweep-drops-the-motion-wording",

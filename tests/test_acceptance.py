@@ -305,7 +305,7 @@ def _sweep_table(tmp_path, name, frames_dir, axis, values, mode="ew:16"):
             {
                 "frames_dir": str(frames_dir),
                 "detections": str(frames_dir / "truth.jsonl"),
-                "mode": mode,
+                **({} if axis == "ew" else {"mode": mode}),  # an ew sweep sets each run's mode
             }
         )
     )

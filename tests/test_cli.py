@@ -177,10 +177,11 @@ def test_estimate_outputs(synth_dir, tmp_path, capsys):
 
 
 # Motion flags beyond the .mvm layout, and the error each one ends in.
+# Motion settings past the .mvm layout's limits, and MotionParams' wording of each.
 METADATA_LIMITS = [
-    (["--search-range", "200"], "search range 200 exceeds the wide form's 8-bit range"),
-    (["--mb-size", "65536"], "macroblock size 65536 exceeds the header's 16-bit range"),
-    (["--mb-size", "8192"], "macroblock size 8192 allows a SAD of 17112760320, beyond the record's 32-bit range"),
+    (["--search-range", "200"], "search_range must be at most 127, got 200"),
+    (["--mb-size", "65536"], "mb_size must be at most 4096, got 65536"),
+    (["--mb-size", "8192"], "mb_size must be at most 4096, got 8192"),
 ]
 
 
@@ -192,23 +193,30 @@ def test_estimate_checks_the_metadata_layout_before_searching(synth_dir, tmp_pat
     mv = tmp_path / "mv"
     for flag, message in METADATA_LIMITS:
         assert run(["estimate", "--frames", synth_dir, *flag, "--out", mv]) == 2
-        assert error_line(capsys) == f"error MetadataError: {message}\n"
+        assert error_line(capsys) == f"error ConfigError: {message}\n"
         assert not mv.exists()
 
 
 def test_runs_from_frames_check_the_metadata_layout_before_searching(synth_dir, tmp_path, capsys, monkeypatch):
-    """simulate and sweep from frames accept the motion settings estimate does."""
+    """simulate from frames and from metadata, and sweep, accept the motion
+    settings estimate does."""
     def no_search(*args, **kwargs):
         raise AssertionError("a run from frames searched a field the metadata cannot hold")
 
+    assert run(["estimate", "--frames", synth_dir, "--out", tmp_path / "mv"]) == 0
     monkeypatch.setattr(scheduler, "estimate_motion_field", no_search)
-    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
-    for flag, message in METADATA_LIMITS:
-        assert run(["simulate", "--config", cfgp, *flag, "--out", tmp_path / "sim"]) == 2
-        assert error_line(capsys) == f"error MetadataError: {message}\n"
+    monkeypatch.setattr(cli, "decode_metadata", lambda data: pytest.fail("a run decoded a field before its config"))
+    detections = str(synth_dir / "truth.jsonl")
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=detections)
+    metap = write_run_config(tmp_path / "meta.json", metadata_dir=str(tmp_path / "mv"), detections=detections)
+    for config in (cfgp, metap):
+        for flag, message in METADATA_LIMITS:
+            assert run(["simulate", "--config", config, *flag, "--out", tmp_path / "sim"]) == 2
+            assert error_line(capsys) == f"error ConfigError: {config}: motion: {message}\n"
+            assert not (tmp_path / "sim").exists()
     assert run(["sweep", "--config", cfgp, "--axis", "mb_size", "--values", "65536", "--out", tmp_path / "s"]) == 2
     message = METADATA_LIMITS[1][1]
-    assert error_line(capsys) == f"error ConfigError: sweep run mb_size=65536: MetadataError: {message}\n"
+    assert error_line(capsys) == f"error ConfigError: sweep run mb_size=65536: ConfigError: motion: {message}\n"
 
 
 def test_memory_error_is_one_line_with_exit_3(tmp_path, capsys, monkeypatch):
@@ -607,7 +615,7 @@ def test_sweep_variant_outputs_equal_a_simulate_of_their_echo(synth_dir, tmp_pat
         tmp_path / "run.json",
         frames_dir=str(synth_dir),
         detections=str(synth_dir / "truth.jsonl"),
-        mode="ew:3",
+        mode="ew:4" if axis == "ew" else "ew:3",  # an ew sweep's base leaves mode at its default
     )
     out = tmp_path / "sweep"
     assert run(["sweep", "--config", cfgp, "--axis", axis, "--values", values, "--out", out]) == 0
@@ -697,7 +705,7 @@ def test_sweep_checks_every_variant_against_the_metadata_layout_before_any_run(
     out = tmp_path / "s"
     assert run(["sweep", "--config", cfgp, "--axis", "mb_size", "--values", "16,8192", "--out", out]) == 2
     message = METADATA_LIMITS[2][1]
-    assert error_line(capsys) == f"error ConfigError: sweep run mb_size=8192: MetadataError: {message}\n"
+    assert error_line(capsys) == f"error ConfigError: sweep run mb_size=8192: ConfigError: motion: {message}\n"
     assert not out.exists()
 
 
@@ -738,7 +746,8 @@ def test_sweep_checks_the_run_inputs_before_making_out(synth_dir, tmp_path, caps
 )
 def test_sweep_variants_equal_loading_the_base_echo_with_the_swept_field_changed(synth_dir, axis, values, field):
     base = RunConfig.from_dict({
-        "frames_dir": str(synth_dir), "detections": str(synth_dir / "truth.jsonl"), "mode": "adaptive",
+        "frames_dir": str(synth_dir), "detections": str(synth_dir / "truth.jsonl"),
+        "mode": "ew:4" if axis == "ew" else "adaptive",  # an ew sweep's base leaves mode at its default
         "provider": {"noise_sigma": 1}, "extrapolation": {"grid": [3, 1]}, "soc": {"preset": "mdnet"},
     })
     variants = cli._sweep_variants(base, axis, values)
@@ -775,13 +784,37 @@ def test_an_ew_sweep_rejects_mode_and_other_sweeps_take_it_as_their_base(synth_d
     sweep = ["sweep", "--config", cfgp, "--out", out]
     assert run([*sweep, "--axis", "ew", "--values", "1,2", "--mode", "adaptive"]) == 2
     assert error_line(capsys) == (
-        "error ConfigError: --mode is the base mode of an mb_size or algorithm sweep; an ew sweep sets each run's mode\n"
+        "error ConfigError: --axis ew sweeps mode: the base config must leave it at 'ew:4', not 'adaptive'\n"
     )
     assert not out.exists()
     assert run([*sweep, "--axis", "algorithm", "--values", "tss", "--mode", "ew:2"]) == 0
     for name in ("sweep.csv", "algorithm_tss/energy.json"):
         echo = (out / name).read_text()
         assert '"mode": "ew:2"' in echo and '"mode": "ew:4"' not in echo, name
+
+
+@pytest.mark.parametrize(
+    "axis, values, base, line",
+    [
+        ("ew", "1,2", {"mode": "adaptive"}, "mode: the base config must leave it at 'ew:4', not 'adaptive'"),
+        ("mb_size", "16,4", {"motion": {"mb_size": 8}}, "motion.mb_size: the base config must leave it at 16, not 8"),
+        (
+            "algorithm", "es,tss", {"motion": {"algorithm": "tss"}},
+            "motion.algorithm: the base config must leave it at 'es', not 'tss'",
+        ),
+    ],
+    ids=["ew", "mb_size", "algorithm"],
+)
+def test_a_sweep_rejects_a_base_value_for_the_field_it_sweeps(synth_dir, tmp_path, capsys, axis, values, base, line):
+    """Every run of a sweep sets the swept field itself, so a value for it in
+    the config file would be ignored by the runs and echoed by sweep.csv."""
+    cfgp = write_run_config(
+        tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"), **base
+    )
+    out = tmp_path / "s"
+    assert run(["sweep", "--config", cfgp, "--axis", axis, "--values", values, "--out", out]) == 2
+    assert error_line(capsys) == f"error ConfigError: --axis {axis} sweeps {line}\n"
+    assert not out.exists()
 
 
 def counted(monkeypatch, owner, name) -> list:

@@ -525,8 +525,10 @@ def test_covered_cells_are_the_positive_overlaps_in_flatnonzero_order(rows, cols
     rois = [Roi(float(a), float(b), float(c), float(d)) for a, b, c, d in zip(x, y, w, h)]
     ov_y, ov_x = extrapolate._axis_overlaps((rows, cols), L, rois)
     want = np.flatnonzero((ov_y > 0)[:, :, None] & (ov_x > 0)[:, None, :])
-    got = extrapolate._covered_cells(ov_y, ov_x)
+    row_at, first, width, height = extrapolate._covered_runs(ov_y, ov_x)
+    got = extrapolate._covered_cells((row_at, first, width), (rows, cols))
     assert got.dtype.kind == "i" and got.tolist() == want.tolist()
+    assert height.tolist() == (ov_y > 0).sum(axis=1).tolist()
 
 
 def test_cells_read_keeps_a_cell_whose_overlap_area_underflows():
@@ -613,9 +615,9 @@ def test_crowd_sized_field_reduces_in_one_chunk(monkeypatch):
     sizes = []
     real = extrapolate._chunk_motion_stats
 
-    def record(planes, ov_y, ov_x):
+    def record(planes, ov_y, ov_x, runs):
         sizes.append(len(ov_y))
-        return real(planes, ov_y, ov_x)
+        return real(planes, ov_y, ov_x, runs)
 
     monkeypatch.setattr(extrapolate, "_chunk_motion_stats", record)
     stats = roi_motion_stats(field, rois)
@@ -637,9 +639,9 @@ def test_motion_stats_in_chunks_equal_the_literal_reduction(monkeypatch, budget)
     sizes = []
     real = extrapolate._chunk_motion_stats
 
-    def record(planes, ov_y, ov_x):
+    def record(planes, ov_y, ov_x, runs):
         sizes.append(len(ov_y))
-        return real(planes, ov_y, ov_x)
+        return real(planes, ov_y, ov_x, runs)
 
     monkeypatch.setattr(extrapolate, "_STATS_BATCH_BYTES", budget)
     monkeypatch.setattr(extrapolate, "_chunk_motion_stats", record)

@@ -585,25 +585,46 @@ def test_codec_rejects_empty_frame(offset):
         decode_metadata(bytes(data))
 
 
+def with_header(field: MotionField, L: int, d: int) -> bytes:
+    """The encoding of `field` with header L and d set to `L` and `d`."""
+    data = bytearray(encode_metadata(field))
+    data[10:12], data[12:14] = L.to_bytes(2, "little"), d.to_bytes(2, "little")
+    return bytes(data)
+
+
 def test_codec_rejects_a_search_range_the_wide_form_cannot_hold():
-    with pytest.raises(MetadataError, match="search range 200 exceeds the wide form's 8-bit range"):
-        encode_metadata(uniform_field(32, 32, params=MotionParams(search_range=200)))
-    data = bytearray(encode_metadata(uniform_field(32, 32, params=MotionParams(search_range=8))))
-    data[12:14] = (200).to_bytes(2, "little")  # header d; d = 8 and d = 200 share the wide record
-    with pytest.raises(MetadataError, match="search range 200 exceeds the wide form's 8-bit range"):
+    with pytest.raises(ValueError, match="^search_range must be at most 127, got 200$"):
+        MotionParams(search_range=200)
+    widest = uniform_field(32, 32, mv=(127, -127), params=MotionParams(search_range=127))
+    assert decode_metadata(encode_metadata(widest)) == widest
+    field = uniform_field(32, 32, params=MotionParams(search_range=8))
+    for d in (128, 200):  # the header's d; d = 8 and d > 127 share the wide record
+        with pytest.raises(MetadataError, match=f"^invalid header parameters: search_range must be at most 127, got {d}"):
+            decode_metadata(with_header(field, 16, d))
+
+
+def test_codec_rejects_an_unknown_algorithm_code():
+    data = bytearray(encode_metadata(uniform_field(32, 32)))
+    data[5] = 2  # header algorithm: 0 is es, 1 is tss
+    with pytest.raises(MetadataError, match="^invalid header parameters: algorithm must be 'es' or 'tss', got 2$"):
         decode_metadata(bytes(data))
 
 
 def test_codec_rejects_a_macroblock_size_the_header_cannot_hold():
-    with pytest.raises(MetadataError, match="macroblock size 65536 exceeds the header's 16-bit range"):
-        encode_metadata(uniform_field(10, 10, params=MotionParams(65536)))
+    with pytest.raises(ValueError, match="^mb_size must be at most 4096, got 65536$"):
+        MotionParams(65536)
+    field = uniform_field(10, 10, params=MotionParams(4096))  # one MB for any L above 10
+    with pytest.raises(MetadataError, match="^invalid header parameters: mb_size must be at most 4096, got 32768$"):
+        decode_metadata(with_header(field, 32768, 7))
 
 
 def test_codec_rejects_a_macroblock_size_whose_sad_the_record_cannot_hold():
     largest = uniform_field(10, 10, sad=255 * 4096 * 4096, params=MotionParams(4096))
     assert decode_metadata(encode_metadata(largest)).sads.tolist() == [[255 * 4096 * 4096]]
-    with pytest.raises(MetadataError, match="macroblock size 8192 allows a SAD of 17112760320, beyond the record's 32-bit range"):
-        encode_metadata(uniform_field(10, 10, sad=2**32 + 5, params=MotionParams(8192)))
+    with pytest.raises(ValueError, match="^mb_size must be at most 4096, got 8192$"):
+        MotionParams(8192)
+    with pytest.raises(MetadataError, match="^invalid header parameters: mb_size must be at most 4096, got 8192$"):
+        decode_metadata(with_header(largest, 8192, 7))
 
 
 def test_codec_truncated_and_oversized():

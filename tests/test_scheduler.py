@@ -123,10 +123,10 @@ def test_pipeline_errors():
 def test_frame_motion_checks_its_frames_before_any_search():
     with pytest.raises(ConfigError, match="^sequence must contain at least one frame$"):
         FrameMotion([], MotionParams())
-    frames, _ = generate_sequence(SynthConfig((64, 48), (16, 16), 2, ((1, 0),)))
+    wide = Frame(np.zeros((1, 65536), np.uint8))
     with mock.patch.object(scheduler, "estimate_motion_field", side_effect=AssertionError("searched")):
-        with pytest.raises(MetadataError, match="search range 200"):
-            FrameMotion(frames, MotionParams(search_range=200))
+        with pytest.raises(MetadataError, match="^empty frame or frame over 65535 pixels a side: 65536x1$"):
+            FrameMotion([wide, wide], MotionParams())
 
 
 class RecordingMotion(StoredMotion):
