@@ -223,22 +223,22 @@ def _read_once(inputs: dict, key: tuple, read: Callable[[], T]) -> T:
 def run_simulation(cfg: RunConfig | dict, inputs: dict | None = None) -> tuple[ResultTrace, EnergyReport]:
     """Execute one simulate run from an effective config or its JSON echo;
     pure in-memory. `inputs` holds what earlier runs of one sweep read: the
-    parsed trace of each path, the frames of each `frames_dir` and the
-    fields of each `metadata_dir`, and the search store of each frames and
-    motion pair. The run reads what is missing there and adds it; a run
-    without `inputs` reads all of its own."""
+    parsed trace of each path, the frames of each `frames_dir`, and the
+    motion source of each input directory and motion pair. The run reads
+    what is missing there and adds it; a run without `inputs` reads all of
+    its own."""
     if isinstance(cfg, dict):
         cfg = RunConfig.from_dict(cfg)
     inputs = {} if inputs is None else inputs
     det_path = _check_sources(cfg)
     records = _read_once(inputs, ("trace", det_path), lambda: read_detection_trace(det_path))
     provider = TraceProvider(records, cfg.provider.noise_sigma, cfg.seed)
-    if cfg.frames_dir:
+    def source() -> FrameMotion | StoredMotion:
+        if cfg.metadata_dir:
+            return StoredMotion(_load_fields_dir(cfg.metadata_dir, cfg.motion))
         frames = _read_once(inputs, ("frames", cfg.frames_dir), lambda: load_sequence(cfg.frames_dir))
-        motion = FrameMotion(frames, cfg.motion, _read_once(inputs, ("store", cfg.frames_dir, cfg.motion), dict))
-    else:
-        key = ("fields", cfg.metadata_dir, cfg.motion)
-        motion = StoredMotion(_read_once(inputs, key, lambda: _load_fields_dir(cfg.metadata_dir, cfg.motion)))
+        return FrameMotion(frames, cfg.motion)
+    motion = _read_once(inputs, ("motion", cfg.frames_dir or cfg.metadata_dir, cfg.motion), source)
     try:
         trace = run_pipeline(provider, cfg, motion)
     except (ConfigError, MissingDataError) as e:  # a detection no track can be seeded from, or no record
@@ -386,10 +386,10 @@ def run_sweep(variants: dict[int | str, RunConfig], axis: str) -> list[tuple]:
     The runs share what they read, each read when the first run that needs
     it runs: every trace file is parsed once, for the `truth` the variants
     are scored against and the `detections` they replay, and the frames or
-    `.mvm` fields once. Variants with the same frames and motion parameters
-    share one search store, so each (frame pair, MB) is searched once for
-    all of them. Nothing outlives the call: a second sweep reads every file
-    again, as it is then."""
+    `.mvm` fields once. Variants with the same motion parameters run on one
+    motion source, so each (frame pair, MB) is searched once for all of
+    them. Nothing outlives the call: a second sweep reads every file again,
+    as it is then."""
     inputs: dict = {}
     first = next(iter(variants.values()))
     truth_path = Path(first.truth or first.detections)
@@ -413,9 +413,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for value, acc, saving, fps, trace, report in rows:
         _write_run(out / f"{args.axis}_{value}", trace, report)
         print(f"{args.axis}={value}: accuracy@0.5 {acc:.4f}, saving {saving:.3f}, fps {fps:.1f}")
+    echo = cfg.to_dict()  # less the swept field, which no run used: each energy.json echoes its own
+    if args.axis == "ew":
+        del echo["mode"]
+    else:
+        del echo["motion"][args.axis]
     _write_csv(
         out / "sweep.csv",
-        {**cfg.to_dict(), "sweep": {"axis": args.axis, "values": list(variants)}},
+        {**echo, "sweep": {"axis": args.axis, "values": list(variants)}},
         [args.axis, "accuracy_at_0.5", "energy_saving", "achieved_fps"],
         [row[:4] for row in rows],
     )

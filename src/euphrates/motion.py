@@ -29,7 +29,8 @@ side by side, so each difference runs over (2d+1) * L contiguous pixels
 rather than L. It takes a large window in bands of candidate rows, and a
 row too large for the budget in bands of candidate columns. TSS
 (`_tss_cells`) runs the rounds of every MB in the chunk in lockstep,
-gathering each round's 9 candidates from one view of the previous frame.
+gathering each round's 9 candidates from one view of the previous frame,
+a band of them at a time when a ring is too large for the budget.
 """
 
 from __future__ import annotations
@@ -192,9 +193,10 @@ def _block_sads(diffs: np.ndarray, max_sad: int) -> np.ndarray:
 
 # Most bytes either search kernel holds at once, beyond the frames: MBs are
 # searched in chunks that fit, an ES window too large for it in bands of
-# candidate rows, and a candidate row too large for it in bands of candidate
-# columns (at least one MB and one candidate). Small, so that a full field
-# costs little more memory than its frames.
+# candidate rows, a candidate row too large for it in bands of candidate
+# columns, and a TSS ring too large for it in bands of ring candidates (at
+# least one MB and one candidate). Small, so that a full field costs little
+# more memory than its frames.
 _ES_BAND_BYTES = 2 << 20
 _NEVER = np.iinfo(np.int64).max  # the key of a candidate the search may not pick
 
@@ -302,12 +304,14 @@ _RING_U = np.array([-1, 0, 1] * 3)
 _RING_V = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])
 
 
-def _tss_plan(L: int) -> int:
-    """MBs per chunk of `_tss_cells`. One MB holds its block, gathered as
-    uint8 and widened to int16, and for each of its 9 candidates the gathered
-    uint8 block, its int16 differences and ten int64 scalars:
-    9 * (3L^2 + 80) + 3L^2 bytes."""
-    return max(1, _ES_BAND_BYTES // (9 * (3 * L * L + 80) + 3 * L * L))
+def _tss_plan(L: int) -> tuple[int, int]:
+    """(MBs per chunk, ring candidates per band) of `_tss_cells`. One MB holds
+    its block, gathered as uint8 and widened to int16, and for each candidate
+    of a band the gathered uint8 block, its int16 differences and ten int64
+    scalars: band * (3L^2 + 80) + 3L^2 bytes. A ring is split into bands
+    only when its 9 candidates do not fit (L > 256 for the default budget)."""
+    band = min(9, max(1, (_ES_BAND_BYTES - 3 * L * L) // (3 * L * L + 80)))
+    return max(1, _ES_BAND_BYTES // (band * (3 * L * L + 80) + 3 * L * L)), band
 
 
 def _tss_cells(
@@ -328,12 +332,12 @@ def _tss_cells(
     # Every L x L block of each frame, by its top-left pixel.
     sources, blocks = (as_strided(f, (h - L + 1, w - L + 1, L, L), f.strides * 2, writeable=False) for f in (prev, cur))
     u, v, sad = (np.empty(len(rows), np.int64) for _ in range(3))
-    chunk = _tss_plan(L)
-    diffs = np.empty((min(chunk, len(rows)), 9, L, L), np.int16)
+    chunk, band = _tss_plan(L)
+    diffs = np.empty((min(chunk, len(rows)), band, L, L), np.int16)
     for s in range(0, len(rows), chunk):
         y, x = rows[s : s + chunk, None] * L, cols[s : s + chunk, None] * L
         m = len(y)
-        diff = diffs[:m]
+        sads = np.empty((m, 9), np.int64)
         block = blocks[y, x].astype(np.int16)
         # The offsets in [-d, d] whose source block lies inside prev.
         lo_u, hi_u = np.maximum(-d, x + L - w), np.minimum(d, x)
@@ -343,9 +347,12 @@ def _tss_cells(
         while step:
             ru, rv = cu + step * _RING_U, cv + step * _RING_V
             iu, iv = np.clip(ru, lo_u, hi_u), np.clip(rv, lo_v, hi_v)
-            np.subtract(sources[y - iv, x - iu], block, out=diff)
-            np.abs(diff, out=diff)
-            sads = _block_sads(diff, params.max_sad)
+            for b in range(0, 9, band):
+                part = slice(b, min(b + band, 9))
+                diff = diffs[:m, : part.stop - b]
+                np.subtract(sources[y - iv[:, part], x - iu[:, part]], block, out=diff)
+                np.abs(diff, out=diff)
+                sads[:, part] = _block_sads(diff, params.max_sad)
             keys = np.where((iu == ru) & (iv == rv), sads * n * n + _source_ranks(d)[d - iv, d - iu], _NEVER)
             k = keys.argmin(axis=1)[:, None]
             cu, cv, best = (np.take_along_axis(a, k, axis=1) for a in (ru, rv, sads))

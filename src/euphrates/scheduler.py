@@ -16,8 +16,7 @@ live tracks' sub-ROIs overlap: those are the only ones extrapolation reads,
 so the trace equals the one the full fields give. It keeps a store of the
 MBs it has searched for each field index (13 B per MB per index) and
 searches each one once; every field it returns still equals the search of
-exactly that field's MBs. Sources over equal frames and motion parameters
-may share one store, as the variants of a sweep do.
+exactly that field's MBs.
 """
 
 from __future__ import annotations
@@ -273,29 +272,23 @@ class PipelineConfig(ConfigNode):
         return n
 
 
-# Field index t -> (mask of the MBs searched for t, their vectors, their SADs),
-# each array over the whole MB grid.
-SearchStore = dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
 class FrameMotion:
     """Motion searched from `frames` with `params`: field t pairs frames t-1
     and t, over the macroblocks that `rois` overlap.
 
-    `store` remembers every MB searched for each t, so an MB is searched once
-    however often its field is asked for. Every field returned equals
+    The source remembers every MB searched for each t, so an MB is searched
+    once however often its field is asked for. Every field returned equals
     `estimate_motion_field(frames[t - 1], frames[t], params, cells=cells)`
     for the `cells_read` mask of its `rois`: a remembered MB holds what that
-    search gives it. Sources may share one store only when their frames and
-    `params` are equal. It costs 13 B per MB per field index asked for (a
-    bool mask, two int16 vector components, an int64 SAD)."""
+    search gives it. It costs 13 B per MB per field index asked for (a bool
+    mask, two int16 vector components, an int64 SAD)."""
 
-    def __init__(self, frames: Sequence[Frame], params: MotionParams, store: SearchStore | None = None):
+    def __init__(self, frames: Sequence[Frame], params: MotionParams):
         if not frames:
             raise ConfigError("sequence must contain at least one frame")
         encoded_size(frames[0].width, frames[0].height, params)  # search only frames a .mvm header can hold
         self.frames, self.params = frames, params
-        self.store = {} if store is None else store
+        self.store: dict = {}  # t -> (mask of the MBs searched for t, their vectors, their SADs)
 
     def __len__(self) -> int:
         return len(self.frames) - 1

@@ -39,6 +39,8 @@ CELLS_READ = "tests/test_extrapolate.py::test_cells_read_marks_the_cells_of_posi
 MOTION_WORDING = "tests/test_cli.py::test_sweep_words_a_bad_motion_value_as_loading_its_config_does"
 SWEPT_FIELD = "tests/test_cli.py::test_a_sweep_rejects_a_base_value_for_the_field_it_sweeps"
 GOLDEN = "tests/test_golden_runs.py::test_outputs_match_their_pins"
+SOURCES = "tests/test_cli.py::test_a_sweep_builds_one_motion_source_per_motion_params"
+RING_BANDS = "tests/test_motion.py::test_tss_fields_in_ring_bands_equal_the_literal_ring_walk"
 
 MUTANTS = [
     Mutant(
@@ -165,6 +167,23 @@ MUTANTS = [
         tuple(f"{GOLDEN}[{name}]" for name in (
             "crowd-simulate-adaptive", "crowd-simulate-ew4", "crowd-simulate-frames-adaptive", "fast-sweep-ew",
         )),
+    ),
+    Mutant(
+        "sweep-shares-one-motion-source-across-motion-params",
+        "cli.py",
+        'motion = _read_once(inputs, ("motion", cfg.frames_dir or cfg.metadata_dir, cfg.motion), source)',
+        'motion = _read_once(inputs, ("motion", cfg.frames_dir or cfg.metadata_dir), source)',
+        (
+            "tests/test_cli.py::test_sweep_variant_outputs_equal_a_simulate_of_their_echo[mb_size-16,8]",
+            *(f"{SOURCES}[{case}]" for case in ("mb_size-8,16,32-3", "algorithm-es,tss-2")),
+        ),
+    ),
+    Mutant(
+        "tss-ring-bands-all-start-at-candidate-0",
+        "motion.py",
+        "sources[y - iv[:, part], x - iu[:, part]]",
+        "sources[y - iv[:, : part.stop - b], x - iu[:, : part.stop - b]]",
+        tuple(f"{RING_BANDS}[{band}]" for band in (1, 2, 4)),
     ),
     Mutant(
         "sweep-drops-the-motion-wording",

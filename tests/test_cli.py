@@ -696,7 +696,7 @@ def test_sweep_checks_every_variant_before_any_run(synth_dir, tmp_path, capsys, 
 def test_sweep_checks_every_variant_against_the_metadata_layout_before_any_run(
     synth_dir, tmp_path, capsys, monkeypatch
 ):
-    def no_run(cfg, store=None):
+    def no_run(cfg, inputs=None):
         raise AssertionError("a sweep variant ran before every variant's motion was checked against the layout")
 
     monkeypatch.setattr(cli, "run_simulation", no_run)
@@ -817,6 +817,29 @@ def test_a_sweep_rejects_a_base_value_for_the_field_it_sweeps(synth_dir, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "axis, values, swept",
+    [("ew", "1,2,8", "mode"), ("mb_size", "8,32", "mb_size"), ("algorithm", "tss,es", "algorithm")],
+)
+def test_a_sweep_from_its_csv_echo_rewrites_the_csv(synth_dir, tmp_path, axis, values, swept):
+    """sweep.csv echoes the base config less the swept field, which no run
+    used; its `sweep` entry names the axis and values, and a sweep run from
+    that echo writes the same sweep.csv byte for byte."""
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
+    assert run(["sweep", "--config", cfgp, "--axis", axis, "--values", values, "--out", tmp_path / "a"]) == 0
+    csv_bytes = (tmp_path / "a" / "sweep.csv").read_bytes()
+    echo = json.loads(csv_bytes.decode().splitlines()[0].removeprefix("# "))["config"]
+    assert swept not in (echo if axis == "ew" else echo["motion"]) and "search_range" in echo["motion"]
+    sweep = echo.pop("sweep")
+    assert sweep == {"axis": axis, "values": [v if axis == "algorithm" else int(v) for v in values.split(",")]}
+    again = tmp_path / "echo.json"
+    again.write_text(json.dumps(echo))
+    values_again = ",".join(map(str, sweep["values"]))
+    assert run(["sweep", "--config", again, "--axis", sweep["axis"], "--values", values_again,
+                "--out", tmp_path / "b"]) == 0
+    assert (tmp_path / "b" / "sweep.csv").read_bytes() == csv_bytes
+
+
 def counted(monkeypatch, owner, name) -> list:
     """The first argument of every call of `owner.name` from now on; the call
     goes through a wrapper set on the name the code looks up."""
@@ -850,6 +873,17 @@ def test_a_metadata_ew_sweep_decodes_each_mvm_file_once(synth_dir, tmp_path, mon
     decodes = counted(monkeypatch, cli, "decode_metadata")
     assert run(["sweep", "--config", cfgp, "--axis", "ew", "--values", "1,3,8", "--out", tmp_path / "s"]) == 0
     assert sorted(decodes) == sorted(f.read_bytes() for f in mv.glob("*.mvm")) and len(decodes) == 11
+
+
+@pytest.mark.parametrize(
+    "axis, values, sources", [("ew", "1,3,8", 1), ("mb_size", "8,16,32", 3), ("algorithm", "es,tss", 2)],
+)
+def test_a_sweep_builds_one_motion_source_per_motion_params(synth_dir, tmp_path, monkeypatch, axis, values, sources):
+    cfgp = write_run_config(tmp_path / "run.json", frames_dir=str(synth_dir), detections=str(synth_dir / "truth.jsonl"))
+    built = counted(monkeypatch, cli, "FrameMotion")
+    assert run(["sweep", "--config", cfgp, "--axis", axis, "--values", values, "--out", tmp_path / "s"]) == 0
+    assert len(built) == sources
+    assert all(frames is built[0] for frames in built)  # every source searches the one load of the frames
 
 
 @pytest.mark.parametrize("rewritten", ["frame", "detections"])

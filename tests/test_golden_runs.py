@@ -157,9 +157,9 @@ OUTPUT_PINS = {
     "fast-simulate-adaptive-tss": "05f385db2935794de4a7d118f1dcaef4893f031852710720fef7865e8f37cb67",
     "fast-simulate-metadata-adaptive-tss": "acd4de389ce1d89c78a59afeb65ce07819792cce32bf94d99f47af3c33b09cbb",
     "fast-evaluate-adaptive-es": "be80e068649dfdea26a57dc6c422e34cfcb44d2000da43412945d8b2f3734531",
-    "fast-sweep-ew": "a0c9fe1a529f314f30a5d55709ce1510951166a45574116232cc49d5ae594868",
-    "fast-sweep-mb-size": "d720fc24dcc29f821e73a377ff41acc4d3b2ad66f82c51b00e1d12857e8fad98",
-    "fast-sweep-algorithm": "a88a292e4f02169e77f3de23d499cdb2196642549d7a7b833e9713a45b974020",
+    "fast-sweep-ew": "4b7d25ba7c96d6d27985705fcfa6bc88e3e8d0074c8933076f6ca1896a83d848",
+    "fast-sweep-mb-size": "e43cc07097d9c1f155a99bca8ba8adae95aafbdd17210b5f5d7fbbd164901509",
+    "fast-sweep-algorithm": "1b0347036e23b18f810c0f3a9fc8712def287f5cce38419b027cade20366c6be",
 }
 
 

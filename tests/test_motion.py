@@ -367,7 +367,7 @@ def test_tss_fields_in_chunks_equal_the_literal_ring_walk(chunk, monkeypatch):
     rng = np.random.default_rng(chunk)
     for L, d, levels in [(4, 5, 2), (8, 9, 256), (16, 7, 2), (16, 7, 256)]:
         monkeypatch.setattr(motion, "_ES_BAND_BYTES", chunk * (9 * (3 * L * L + 80) + 3 * L * L))
-        assert motion._tss_plan(L) == chunk
+        assert motion._tss_plan(L) == (chunk, 9)
         height, width = 3 * L + L // 2, 4 * L + 1
         prev, cur = (rng.integers(0, levels, size=(height, width), dtype=np.uint8) for _ in range(2))
         pad = ((0, -height % L), (0, -width % L))
@@ -385,6 +385,44 @@ def test_tss_fields_in_chunks_equal_the_literal_ring_walk(chunk, monkeypatch):
     f = np.zeros((1080, 1920), np.uint8)
     empty = estimate_motion_field(f, f, MotionParams(4, 7, "tss"), cells=np.zeros((270, 480), dtype=bool))
     assert not empty.vectors.any() and np.all(empty.sads == 255 * 4 * 4)
+
+
+@pytest.mark.parametrize("band", [1, 2, 4])
+def test_tss_fields_in_ring_bands_equal_the_literal_ring_walk(band, monkeypatch):
+    """A ring scored a few candidates at a time, the last band narrower
+    where 9 does not divide, equals the literal per-MB ring walk."""
+    rng = np.random.default_rng(band)
+    for L, d, levels in [(4, 5, 2), (8, 9, 256), (16, 7, 256)]:
+        monkeypatch.setattr(motion, "_ES_BAND_BYTES", band * (3 * L * L + 80) + 3 * L * L)
+        assert motion._tss_plan(L) == (1, band)
+        height, width = 3 * L + L // 2, 4 * L + 1
+        prev, cur = (rng.integers(0, levels, size=(height, width), dtype=np.uint8) for _ in range(2))
+        pad = ((0, -height % L), (0, -width % L))
+        prev_pad, cur_pad = np.pad(prev, pad, mode="edge"), np.pad(cur, pad, mode="edge")
+        field = estimate_motion_field(prev, cur, MotionParams(L, d, "tss"))
+        for r in range(field.rows):
+            for c in range(field.cols):
+                (u, v), s = naive_three_step_search(prev_pad, cur_pad, (c * L, r * L), L, d)
+                assert (field.vector_at(r, c), field.sads[r, c]) == (MotionVector(u, v), s)
+
+
+def test_tss_search_memory_is_bounded_for_a_large_macroblock():
+    """One 512-pixel MB: its whole ring would hold 9 gathered blocks and
+    their int16 differences (6.75 MB), so the ring goes in bands. A
+    crowd-sized MB still scores its whole ring at once."""
+    assert motion._tss_plan(16)[1] == motion._tss_plan(256)[1] == 9
+    rng = np.random.default_rng(0)
+    prev, cur = (rng.integers(0, 256, size=(64, 96), dtype=np.uint8) for _ in range(2))
+    tracemalloc.start()
+    try:
+        field = estimate_motion_field(prev, cur, MotionParams(512, 7, "tss"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert motion._tss_plan(512)[1] < 9 and peak < 2 * motion._ES_BAND_BYTES
+    # The one MB is the whole padded frame, so only (0, 0) keeps its block in prev.
+    prev_pad, cur_pad = (np.pad(f, ((0, 448), (0, 416)), mode="edge").astype(np.int64) for f in (prev, cur))
+    assert field.vectors.tolist() == [[[0, 0]]] and field.sads.tolist() == [[np.abs(cur_pad - prev_pad).sum()]]
 
 
 def test_cells_mask_must_have_the_shape_of_the_mb_grid():

@@ -282,7 +282,7 @@ def test_golden_frame_records(mode, grid, threshold, source, digest):
 @st.composite
 def store_requests(draw):
     """Frames whose sides need not be multiples of L, search params, and
-    requests (source 0 or 1, t, sub-ROIs) in random order."""
+    requests (t, sub-ROIs) in random order."""
     L = draw(st.sampled_from([4, 8, 16]))
     params = MotionParams(L, draw(st.integers(1, 7)), draw(st.sampled_from(["es", "tss"])))
     width = L * draw(st.integers(1, 4)) + draw(st.integers(0, L - 1))
@@ -295,29 +295,24 @@ def store_requests(draw):
         return Roi(x, y, draw(st.floats(1.0, 2.0 * L)), draw(st.floats(1.0, 2.0 * L)))
 
     t = st.integers(1, len(pixels) - 1)
-    requests = [
-        (draw(st.integers(0, 1)), draw(t), [roi() for _ in range(draw(st.integers(0, 4)))])
-        for _ in range(draw(st.integers(1, 8)))
-    ]
+    requests = [(draw(t), [roi() for _ in range(draw(st.integers(0, 4)))]) for _ in range(draw(st.integers(1, 8)))]
     return pixels, params, requests
 
 
 @PROPERTY
 @given(store_requests())
-def test_a_shared_store_gives_each_request_the_field_of_its_own_macroblocks(inputs):
-    """Two sources over separately built equal frames share one store; every
-    field either one returns equals a search of exactly its request's
-    cells, and still does after later requests have filled the store."""
+def test_a_source_gives_each_request_the_field_of_its_own_macroblocks(inputs):
+    """Every field one source returns equals a search of exactly its
+    request's cells, and still does after later requests have filled the
+    source's store."""
     pixels, params, requests = inputs
-    sources = [[Frame(px.copy()) for px in pixels] for _ in range(2)]
-    store: dict = {}
-    motions = [FrameMotion(frames, params, store) for frames in sources]
+    frames = [Frame(px) for px in pixels]
+    motion = FrameMotion(frames, params)
     returned = []
-    for which, t, rois in requests:
-        frames = sources[which]
+    for t, rois in requests:
         cells = cells_read(rois, grid_shape(frames[t].width, frames[t].height, params.mb_size), params.mb_size)
         expected = estimate_motion_field(frames[t - 1], frames[t], params, cells=cells)
-        returned.append((motions[which].field(t, rois), expected))
+        returned.append((motion.field(t, rois), expected))
         assert returned[-1][0] == expected
     assert all(got == expected for got, expected in returned)
 
